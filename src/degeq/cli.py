@@ -130,7 +130,10 @@ def main():
     show_default=True,
 )
 @click.option("--force", is_flag=True, help="Override the solver size guards.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option(
+    "--jobs", type=int, default=1, show_default=True,
+    help="Accepted and ignored: the forest solver runs in one process.",
+)
 def compute(input_path, k, method, fmt, force, jobs):
     """Exact equalization number of a graph."""
     if k < 2:

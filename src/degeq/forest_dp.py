@@ -15,15 +15,17 @@ Each vertex u of the rooted tree carries a triple (n1, n2, n3):
   at most delta-1 otherwise (so u can still accept its parent edge).
 
 NEG_INF marks infeasible states; sums absorb it and max ignores it.
+
+The solver does not run this per-pair program for every (S, delta): one
+counting pass per delta (``_best_special_set``) covers all special sets at
+once and finds the least optimal pair, and the per-pair program then runs
+once on that pair to reconstruct the certificate.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice
-from math import comb
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -205,59 +207,38 @@ def _build_skeleton(
 ) -> _Skeleton:
     comps = components(forest)
     n = forest.n
-    if len(comps) == 1 and attachments is None:
+    virtual = len(comps) != 1 or attachments is not None
+    if not virtual:
         if root is None:
             raise ValueError("a real root is required for a connected forest")
-        r = root
-        size = n
-        virtual = False
-        parent = [-1] * size
-        child_lists: list[list[int]] = [[] for _ in range(size)]
-        stack = [r]
-        seen = [False] * n
-        seen[r] = True
-        preorder = []
-        while stack:
-            u = stack.pop()
-            preorder.append(u)
-            for w in forest.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    child_lists[u].append(w)
-                    stack.append(w)
+        r, size, tops = root, n, [root]
     else:
         if attachments is None:
             attachments = [comp[0] for comp in comps]
-        attachments = list(attachments)
-        rep_comp = {}
-        for idx, comp in enumerate(comps):
-            for v in comp:
-                rep_comp[v] = idx
-        if sorted({rep_comp[a] for a in attachments}) != list(range(len(comps))):
+        tops = sorted(attachments)
+        rep_comp = {v: idx for idx, comp in enumerate(comps) for v in comp}
+        if sorted(rep_comp[a] for a in tops) != list(range(len(comps))):
             raise ValueError("attachments must cover each component exactly once")
-        r = n
-        size = n + 1
-        virtual = True
-        parent = [-1] * size
-        child_lists = [[] for _ in range(size)]
-        child_lists[r] = sorted(attachments)
-        preorder = [r]
-        seen = [False] * n
-        stack = []
-        for a in child_lists[r]:
+        r, size = n, n + 1
+    parent = [-1] * size
+    child_lists: list[list[int]] = [[] for _ in range(size)]
+    preorder = [r] if virtual else []
+    seen = [False] * n
+    for a in tops:
+        seen[a] = True
+        if virtual:
             parent[a] = r
-            seen[a] = True
-            stack.append(a)
-        while stack:
-            u = stack.pop()
-            preorder.append(u)
-            for w in forest.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    child_lists[u].append(w)
-                    stack.append(w)
+            child_lists[r].append(a)
+    stack = list(tops)
+    while stack:
+        u = stack.pop()
+        preorder.append(u)
+        for w in forest.adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                child_lists[u].append(w)
+                stack.append(w)
     # children were appended in adjacency (ascending) order except possibly
     # reversed by stack handling; normalize to ascending ids.
     children = tuple(tuple(sorted(c)) for c in child_lists)
@@ -368,13 +349,6 @@ def _run_pass(skeleton: _Skeleton, sflag, delta: int, n1a, n2a, n3a) -> None:
                 n3a[u] = 1 + sp3 + pre3[cut] + suf1[cut]
 
 
-def _root_value(skeleton: _Skeleton, n1a, n2a, n3a):
-    r = skeleton.root
-    if skeleton.virtual:
-        return n1a[r]
-    return max(n1a[r], n2a[r], n3a[r])
-
-
 def evaluate_view(view: RootedForestView) -> DPTriple:
     """Run the program over a rooted view and return the root triple."""
     size = view.skeleton.size
@@ -473,121 +447,127 @@ def _reconstruct(skeleton: _Skeleton, sflag, delta, n1a, n2a, n3a, root_state) -
 
 
 # ---------------------------------------------------------------------------
+# Counting program: every special set of one delta in a single pass
+#
+# For a fixed delta each vertex carries three vectors indexed by j, the number
+# of special vertices chosen in its subtree (0 <= j <= k): the vertex deleted,
+# kept with its parent edge, and kept without it.  An entry is the best score
+# ``order * 2**n + sum(2**(n-1-v) for v in S)``, or -1 when infeasible, so the
+# maximum is the largest kept subforest and, among those, the lexicographically
+# least S.  A vector is None when no j is feasible.
+
+
+def _merge(x: list[int], y: list[int], k: int) -> list[int]:
+    """Max-plus convolution of two j-vectors, truncated at j = k."""
+    if len(x) < len(y):
+        x, y = y, x
+    if len(y) == 1:
+        b = y[0]
+        return [a + b if a >= 0 else -1 for a in x]
+    out = [-1] * min(len(x) + len(y) - 1, k + 1)
+    for i, a in enumerate(x):
+        if a >= 0:
+            for j in range(min(len(y), k + 1 - i)):
+                b = y[j]
+                if b >= 0 and a + b > out[i + j]:
+                    out[i + j] = a + b
+    return out
+
+
+def _vmax(x: list[int] | None, y: list[int] | None) -> list[int] | None:
+    """Entrywise maximum of two j-vectors."""
+    if x is None or y is None:
+        return x if y is None else y
+    if len(x) < len(y):
+        x, y = y, x
+    out = x[:]
+    for j, b in enumerate(y):
+        if b > out[j]:
+            out[j] = b
+    return out
+
+
+def _kept(base, at_delta, gain: int, bit: int, k: int):
+    """Vector of a kept vertex: ``base`` plus the vertex itself, and, from the
+    children choices ``at_delta`` that give it degree delta, the vertex added
+    to S as well."""
+    if base is None:
+        return None
+    out = [a + gain if a >= 0 else -1 for a in base]
+    if at_delta is not None:
+        for j in range(min(len(at_delta), k)):
+            a = at_delta[j]
+            if a >= 0:
+                score = a + gain + bit
+                if j + 1 == len(out):
+                    out.append(score)
+                elif score > out[j + 1]:
+                    out[j + 1] = score
+    return out
+
+
+def _best_special_set(skel: _Skeleton, n: int, k: int, delta: int):
+    """Largest induced subforest with max degree <= delta and at least k
+    vertices of degree delta, as (order, S) with S the lexicographically least
+    k of those vertices over all largest subforests; None if there is none.
+
+    ``skel`` must have a virtual root.
+    """
+    gain = 1 << n
+    children = skel.children
+    drop = [None] * skel.size  # deleted
+    up = [None] * skel.size  # kept with the parent edge
+    free = [None] * skel.size  # deleted, or kept without the parent edge
+    for u in skel.order[:-1]:
+        deleted = [0]
+        rows = [[0]]  # rows[c]: exactly c kept children
+        for v in children[u]:
+            deleted = _merge(deleted, free[v], k)
+            new = [_merge(row, drop[v], k) for row in rows]
+            keep_v = up[v]
+            if keep_v is not None:
+                if len(rows) <= delta:
+                    new.append(None)
+                for c, row in enumerate(rows[:delta]):
+                    new[c + 1] = _vmax(new[c + 1], _merge(row, keep_v, k))
+            rows = new
+        bit = 1 << (n - 1 - u)
+        low = None
+        for row in rows[:delta]:
+            low = _vmax(low, row)
+        top = rows[delta] if len(rows) > delta else None
+        drop[u] = deleted
+        if delta > 0:
+            last = rows[delta - 1] if len(rows) >= delta else None
+            up[u] = _kept(low, last, gain, bit, k)
+        free[u] = _vmax(deleted, _kept(_vmax(low, top), top, gain, bit, k))
+    total = [0]
+    for v in children[skel.root]:
+        total = _merge(total, free[v], k)
+    if len(total) <= k or total[k] < 0:
+        return None
+    score = total[k]
+    mask = score & (gain - 1)
+    special = tuple(v for v in range(n) if mask >> (n - 1 - v) & 1)
+    return score >> n, special
+
+
+# ---------------------------------------------------------------------------
 # Driver
 
 
 class _DriverState:
-    """Per-forest caches: skeletons by root, reusable value arrays."""
+    """Roots a forest for the per-pair program of one special set."""
 
     def __init__(self, forest: Graph):
         self.forest = forest
         self.connected = len(components(forest)) == 1
-        self.skeletons: dict[int, _Skeleton] = {}
-        size = forest.n + 1
-        self.n1a = [NEG_INF] * size
-        self.n2a = [NEG_INF] * size
-        self.n3a = [NEG_INF] * size
-        self.sflag = bytearray(size)
 
     def skeleton_for(self, special: tuple[int, ...]) -> _Skeleton:
-        if self.connected:
-            root = 0
-            sset = set(special)
-            while root in sset:
-                root += 1
-            key = root
-        else:
-            key = -1
-            root = None
-        skel = self.skeletons.get(key)
-        if skel is None:
-            skel = _build_skeleton(self.forest, root, None)
-            self.skeletons[key] = skel
-        return skel
-
-    def value(self, special: tuple[int, ...], delta: int):
-        skel = self.skeleton_for(special)
-        sflag = self.sflag
-        for v in special:
-            sflag[v] = 1
-        _run_pass(skel, sflag, delta, self.n1a, self.n2a, self.n3a)
-        for v in special:
-            sflag[v] = 0
-        return _root_value(skel, self.n1a, self.n2a, self.n3a)
-
-
-def _scan(state: _DriverState, tasks, deadline=None):
-    """Max over (S, delta) tasks; ties resolved toward the least (S, delta)."""
-    best_val = NEG_INF
-    best_key: tuple[tuple[int, ...], int] | None = None
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded("forest solver deadline exceeded")
-    counter = 0
-    for special, delta in tasks:
-        val = state.value(special, delta)
-        if val > best_val or (
-            val == best_val and best_key is not None and (special, delta) < best_key
-        ):
-            best_val = val
-            best_key = (special, delta)
-        counter += 1
-        if deadline is not None and counter % 256 == 0 and time.monotonic() > deadline:
-            raise DeadlineExceeded("forest solver deadline exceeded")
-    return best_val, best_key
-
-
-def _candidate_tasks(forest: Graph, k: int, delta_cap: int):
-    degs = forest.degrees()
-    for delta in range(delta_cap + 1):
-        cands = [v for v in range(forest.n) if degs[v] >= delta]
-        for special in combinations(cands, k):
-            yield special, delta
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(forest: Graph, k: int, delta_cap: int):
-    _WORKER_STATE["state"] = _DriverState(forest)
-    _WORKER_STATE["forest"] = forest
-    _WORKER_STATE["k"] = k
-    _WORKER_STATE["delta_cap"] = delta_cap
-
-
-def _scan_chunk(args):
-    delta, lo, hi = args
-    forest = _WORKER_STATE["forest"]
-    state = _WORKER_STATE["state"]
-    k = _WORKER_STATE["k"]
-    degs = forest.degrees()
-    cands = [v for v in range(forest.n) if degs[v] >= delta]
-    tasks = ((s, delta) for s in islice(combinations(cands, k), lo, hi))
-    return _scan(state, tasks)
-
-
-def _parallel_best(forest: Graph, k: int, delta_cap: int, jobs: int):
-    degs = forest.degrees()
-    chunk_specs = []
-    for delta in range(delta_cap + 1):
-        cands = sum(1 for v in range(forest.n) if degs[v] >= delta)
-        total = comb(cands, k)
-        step = max(64, total // (jobs * 4) + 1)
-        lo = 0
-        while lo < total:
-            chunk_specs.append((delta, lo, min(lo + step, total)))
-            lo += step
-    best_val = NEG_INF
-    best_key = None
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(forest, k, delta_cap)
-    ) as pool:
-        for val, key in pool.map(_scan_chunk, chunk_specs):
-            if key is None:
-                continue
-            if val > best_val or (val == best_val and key < best_key):
-                best_val = val
-                best_key = key
-    return best_val, best_key
+        root = None
+        if self.connected:  # the least non-special vertex
+            root = min(set(range(self.forest.n)).difference(special))
+        return _build_skeleton(self.forest, root, None)
 
 
 def compute_fk_forest(
@@ -598,12 +578,13 @@ def compute_fk_forest(
 ) -> tuple[int, RemovalCertificate]:
     """Exact equalization number of a forest, with a deletion certificate.
 
-    Enumerates special sets S and target degrees delta (pruned to vertices of
-    sufficient degree and delta at most the k-th largest degree) and takes the
-    best subforest the dynamic program finds; keeping only k-1 vertices covers
-    the order-below-k escape.  Ties between (S, delta) pairs resolve to the
-    lexicographically least, so results are independent of enumeration order
-    and of ``jobs``.
+    For each target degree delta up to the k-th largest degree, one counting
+    pass finds the largest induced subforest with maximum degree at most delta
+    and k special vertices at exactly delta; keeping only k-1 vertices covers
+    the order-below-k escape.  Ties resolve to the lexicographically least
+    (S, delta) pair, whose per-pair program then yields the certificate.
+    ``jobs`` is accepted for compatibility and ignored: the solve is serial
+    and its result does not depend on it.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -617,18 +598,24 @@ def compute_fk_forest(
     if n == k:
         from .oracle import brute_force_fk
 
-        return brute_force_fk(forest, k)
+        # f_k <= 1 here, so the oracle tries at most n + 1 subsets.
+        return brute_force_fk(forest, k, limit=n)
 
     profile = degree_profile(forest)
     delta_cap = profile.deltas[k - 1]
-
-    if jobs > 1:
-        best_val, best_key = _parallel_best(forest, k, delta_cap, jobs)
-    else:
-        state = _DriverState(forest)
-        best_val, best_key = _scan(
-            state, _candidate_tasks(forest, k, delta_cap), deadline
-        )
+    counting = _build_skeleton(forest, None, [comp[0] for comp in components(forest)])
+    best_val = NEG_INF
+    best_key: tuple[tuple[int, ...], int] | None = None
+    for delta in range(delta_cap + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded("forest solver deadline exceeded")
+        found = _best_special_set(counting, n, k, delta)
+        if found is None:
+            continue
+        val, special = found
+        if val > best_val or (val == best_val and (special, delta) < best_key):
+            best_val = val
+            best_key = (special, delta)
 
     trivial_f = n - (k - 1)
     if best_val == NEG_INF or n - best_val > trivial_f:

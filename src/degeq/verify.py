@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import bounds
@@ -625,6 +624,8 @@ def run_verification(
         for spec in specs
     ]
     if jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_instance, work))
     else:

@@ -207,6 +207,13 @@ class TestMaxSubforestOrder:
                 }
                 assert len(values) == 1
 
+    def test_attachments_must_cover_each_component_once(self):
+        # two attachments in one component would cut the edge between them
+        forest = build_star_union([2, 1])  # components {0, 1, 2} and {3, 4}
+        for attach in ((0, 1, 3), (0, 0, 3), (0,)):
+            with pytest.raises(ValueError):
+                max_subforest_order(forest, (0, 3), 1, attachments=attach)
+
     def test_realizability_of_reconstruction(self):
         # the kept vertex set must induce what the value promises
         from degeq.forest_dp import _DriverState, _reconstruct, _run_pass
@@ -359,6 +366,89 @@ class TestComputeFkForest:
                 assert induced.max_degree() == delta
                 for v in s:
                     assert induced.degree(old_to_new[v]) == delta
+
+
+@st.composite
+def labelled_forests(draw, max_n=10):
+    """Any labelled forest on at most ``max_n`` vertices: each vertex after
+    the first takes an earlier parent or none, then the labels are permuted."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.integers(min_value=-1, max_value=v - 1))
+        if parent >= 0:
+            edges.append((label[parent], label[v]))
+    return Graph.from_edges(n, edges)
+
+
+def least_optimal_pair(forest, k):
+    """Best per-pair order and the least (S, delta) reaching it, by
+    enumerating every pair through the per-pair program."""
+    best, winner = NEG_INF, None
+    for s in combinations(range(forest.n), k):
+        for delta in range(forest.max_degree() + 1):
+            got = max_subforest_order(forest, s, delta)
+            if got != NEG_INF and (got > best or (got == best and (s, delta) < winner)):
+                best, winner = got, (s, delta)
+    return best, winner
+
+
+class TestCountingSolverDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(labelled_forests(), st.integers(min_value=2, max_value=5))
+    def test_matches_oracle_and_least_pair(self, forest, k):
+        value, cert = compute_fk_forest(forest, k)
+        assert value == brute_force_fk(forest, k)[0]
+        assert validate_certificate(forest, cert, k)
+        n = forest.n
+        if n <= k or value == 0:
+            return
+        best, winner = least_optimal_pair(forest, k)
+        if best == NEG_INF or n - best > n - k + 1:
+            assert value == n - k + 1
+            assert cert.x == tuple(range(k - 1, n))
+            return
+        assert value == n - best
+        # S is the k least degree-delta vertices of the kept forest: a lesser
+        # one outside S would give a lesser optimal special set.
+        s, delta = winner
+        induced, old_to_new = remove_vertices(forest, cert.x)
+        assert induced.max_degree() == delta
+        at_delta = [
+            v for v in sorted(old_to_new) if induced.degree(old_to_new[v]) == delta
+        ]
+        assert tuple(at_delta[:k]) == s
+
+    def test_jobs_never_start_a_process_pool(self, monkeypatch):
+        import concurrent.futures
+        import concurrent.futures.process
+
+        from degeq import forest_dp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the forest solver started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(forest_dp, "ProcessPoolExecutor", refuse, raising=False)
+        forest = build_extremal_forest(5)  # f_3 = f_4 = 5: no early exit
+        for k in (3, 4):
+            value, cert = compute_fk_forest(forest, k, jobs=4)
+            assert value == 5
+            assert (value, cert) == compute_fk_forest(forest, k)
+
+    def test_order_equal_k_above_oracle_limit(self):
+        # twenty vertices, one edge, k = 20: one deletion leaves order 19 < k
+        forest = Graph.from_edges(20, [(0, 1)])
+        value, cert = compute_fk_forest(forest, 20)
+        assert value == 1
+        assert cert.method == "brute"
+        assert validate_certificate(forest, cert, 20)
+
+    def test_extremal_family_values_eight_to_twelve(self):
+        for t in range(8, 13):
+            assert compute_fk_forest(build_extremal_forest(t), 3)[0] == t
 
 
 class TestRootedView:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import degeq
 from degeq import (
     GeneratorConfig,
     parse_graph,
@@ -115,6 +121,22 @@ class TestCli:
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
         return str(path)
+
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported only where verify --jobs > 1 starts one
+        src = str(Path(degeq.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, degeq.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent', 'multiprocessing'))))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_compute_json_schema(self, tmp_path):
         path = self.write_graph(tmp_path, "6 4\n0 1\n0 2\n0 3\n4 5\n")
