@@ -2,7 +2,6 @@
 number of vertex deletions that leaves k vertices of maximum degree."""
 
 from .bounds import (
-    BoundReport,
     ClaimEntry,
     asymptotic_report,
     bound_corollary2,
@@ -73,7 +72,6 @@ from .prng import SplitMix64, instance_seed
 from .verify import run_verification
 
 __all__ = [
-    "BoundReport",
     "ChildPartition",
     "ClaimEntry",
     "DPTriple",

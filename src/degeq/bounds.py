@@ -9,7 +9,7 @@ report-only by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -112,18 +112,6 @@ class ClaimEntry:
             "status": self.status,
             "note": self.note,
         }
-
-
-@dataclass
-class BoundReport:
-    """All claim entries evaluated on a single instance."""
-
-    instance: str
-    entries: list[ClaimEntry] = field(default_factory=list)
-
-    @property
-    def violated(self) -> bool:
-        return any(e.status == VIOLATED for e in self.entries)
 
 
 def profile_value(profile: DegreeProfile, i: int) -> int:

@@ -22,7 +22,7 @@ from .extremal import (
     build_star,
     build_star_union,
 )
-from .forest_dp import compute_fk_forest, dp_size_guard
+from .forest_dp import compute_fk_forest
 from .generators import GeneratorConfig, gen_random_forest, gen_random_girth5
 from .graph import (
     Graph,
@@ -129,7 +129,10 @@ def main():
     default="text",
     show_default=True,
 )
-@click.option("--force", is_flag=True, help="Override the solver size guards.")
+@click.option(
+    "--force", is_flag=True,
+    help="Let brute force run past its default order limit; forests need no limit.",
+)
 @click.option(
     "--jobs", type=int, default=1, show_default=True,
     help="Accepted and ignored: the forest solver runs in one process.",
@@ -148,11 +151,6 @@ def compute(input_path, k, method, fmt, force, jobs):
         sys.exit(EXIT_INPUT)
     start = time.perf_counter()
     if method == "dp":
-        try:
-            dp_size_guard(graph.n, k, force)
-        except ValueError as exc:
-            click.echo(f"usage error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
         value, cert = compute_fk_forest(graph, k, jobs=jobs)
     else:
         limit = graph.n if force else DEFAULT_ORDER_LIMIT

@@ -185,20 +185,24 @@ def _equalize3_base(graph, d1, d2, d3, u1, u2, u3) -> list[int]:
     """Budget-2 case analysis; every branch asserts the shape it relies on."""
     if d1 == 1:
         # Only one edge outside isolated vertices: drop one endpoint.
-        assert d2 == 1 and d3 == 0
+        if not (d2 == 1 and d3 == 0):
+            raise AssertionError(f"base case d1=1 needs d2=1, d3=0, got {d2}, {d3}")
         return [u1]
 
     if d2 == 1:
         # One star plus matching edges and isolated vertices.
-        assert d1 >= 2
+        if d1 < 2:
+            raise AssertionError(f"base case d2=1 needs d1 >= 2, got {d1}")
         k2 = _k2_components(graph, set(range(graph.n)))
         if len(k2) == 1:
             return [u1, k2[0][0]]
         return [u1]
 
-    assert d2 == 2 and 2 <= d1 <= 4
+    if not (d2 == 2 and 2 <= d1 <= 4):
+        raise AssertionError(f"base case needs d2=2, 2 <= d1 <= 4, got {d1}, {d2}")
     if d1 == 2:
-        assert d3 == 1
+        if d3 != 1:
+            raise AssertionError(f"base case d1=d2=2 needs d3=1, got {d3}")
         if u2 not in graph.adj[u1]:
             # Two short-path components; trim one endpoint from each.
             return [_trim(graph, u1, [], 1)[0], _trim(graph, u2, [], 1)[0]]
@@ -210,7 +214,8 @@ def _equalize3_base(graph, d1, d2, d3, u1, u2, u3) -> list[int]:
     # d1 in {3, 4}
     if d3 == 2:
         return _trim(graph, u1, [_closed(graph, u2), _closed(graph, u3)], d1 - 2)
-    assert d3 == 1
+    if d3 != 1:
+        raise AssertionError(f"base case d1 in (3, 4) needs d3 in (1, 2), got {d3}")
     k2 = _k2_components(graph, set(range(graph.n)))
     if not k2:
         return [u1, u2]
@@ -223,7 +228,8 @@ def _equalize3_direct(graph, t, d1, d2, d3, u1, u2, u3) -> list[int]:
     """Direct trimming when the top-degree surplus fits within the budget."""
     if d3 == 0:
         # A single matching edge among isolated vertices.
-        assert d1 == 1 and d2 == 1
+        if not (d1 == 1 and d2 == 1):
+            raise AssertionError(f"direct case d3=0 needs d1=d2=1, got {d1}, {d2}")
         return [u1]
     if d3 == 1:
         if u2 in graph.adj[u1]:

@@ -26,15 +26,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .certificates import RemovalCertificate, make_certificate
 from .graph import Graph, check_fk_condition, components, degree_profile, is_forest
 
 NEG_INF = float("-inf")
-
-_KEY = itemgetter(0)
 
 
 class DeadlineExceeded(Exception):
@@ -50,27 +47,62 @@ class DPTriple(NamedTuple):
     n3: int | float
 
 
-def dp_leaf_base(special: bool, delta: int) -> DPTriple:
-    """State of a leaf (a vertex with no children in the rooted view)."""
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    if special:
-        if delta == 0:
-            return DPTriple(NEG_INF, 1, NEG_INF)
-        if delta == 1:
-            return DPTriple(NEG_INF, NEG_INF, 1)
-        return DPTriple(NEG_INF, NEG_INF, NEG_INF)
-    if delta == 0:
-        return DPTriple(0, 1, NEG_INF)
-    return DPTriple(0, NEG_INF, 1)
-
-
-def _pair_key(triple: DPTriple) -> float:
+def _pair_key(triple) -> float:
     # n3 - n1, with NEG_INF n3 sorting last; n3 finite and n1 infeasible
     # sorts first (such a child must be kept whenever possible).
-    if triple.n3 == NEG_INF:
+    if triple[2] == NEG_INF:
         return NEG_INF
-    return triple.n3 - triple.n1
+    return triple[2] - triple[0]
+
+
+def _combine(special, specials, nonspecials, delta: int):
+    """The four recursions at one vertex; every evaluation of the per-pair
+    program goes through here.
+
+    ``specials`` and ``nonspecials`` are the children's triples, the latter
+    in non-increasing n3 - n1 order.  Returns ``((n1, n2, n3), cut2, cut3)``:
+    a cut is the number of leading non-special children kept adjacent to the
+    vertex in the n2 (resp. n3) state, or None when no number of them gives
+    the vertex the degree that state needs.  The vertex itself contributes +1
+    to every state that includes it (n2, n3).
+    """
+    p = len(specials)
+    q = len(nonspecials)
+    cut2 = delta - p
+    if not 0 <= cut2 <= q:
+        cut2 = None
+    if special:
+        n1 = NEG_INF
+        cut3 = delta - 1 - p
+        if not 0 <= cut3 <= q:
+            cut3 = None
+    else:
+        n1 = 0
+        for t in specials:
+            n1 += t[1]
+        for t in nonspecials:
+            n1 += max(t)
+        if p > delta - 1:
+            cut3 = None
+        else:
+            # keep leading children whose n3 is no worse than their n1 (the
+            # first qprime), as many as the degree bound allows
+            cut3 = 0
+            limit = min(q, delta - 1 - p)
+            while cut3 < limit and _pair_key(nonspecials[cut3]) >= 0:
+                cut3 += 1
+    # a kept state holds the vertex, its special children at n3, the first
+    # ``cut`` non-special children at n3 and the other ones deleted (n1)
+    kept = [NEG_INF, NEG_INF]
+    for state, cut in enumerate((cut2, cut3)):
+        if cut is not None:
+            total = 1
+            for t in specials:
+                total += t[2]
+            for i, t in enumerate(nonspecials):
+                total += t[2] if i < cut else t[0]
+            kept[state] = total
+    return (n1, kept[0], kept[1]), cut2, cut3
 
 
 @dataclass(frozen=True)
@@ -96,13 +128,9 @@ class ChildPartition:
 
     @property
     def qprime(self) -> int:
-        count = 0
-        for triple in self.nonspecials:
-            if _pair_key(triple) >= 0:
-                count += 1
-            else:
-                break
-        return count
+        """How many leading non-special children a non-special vertex keeps
+        in its n3 state when its degree bound does not bind."""
+        return _combine(False, (), self.nonspecials, self.q + 1)[2]
 
     def __post_init__(self):
         keys = [_pair_key(t) for t in self.nonspecials]
@@ -118,56 +146,17 @@ def dp_combine(special: bool, partition: ChildPartition, delta: int) -> DPTriple
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    p = partition.p
-    q = partition.q
-    sp2: int | float = 0
-    sp3: int | float = 0
-    for t in partition.specials:
-        sp2 += t.n2
-        sp3 += t.n3
-
-    pre3 = [0.0] * (q + 1)
-    suf1 = [0.0] * (q + 1)
-    for i, t in enumerate(partition.nonspecials):
-        pre3[i + 1] = pre3[i] + t.n3
-    for i in range(q - 1, -1, -1):
-        suf1[i] = suf1[i + 1] + partition.nonspecials[i].n1
-
-    if special:
-        n1 = NEG_INF
-    else:
-        n1 = sp2
-        for t in partition.nonspecials:
-            n1 += max(t.n1, t.n2, t.n3)
-
-    cut = delta - p
-    if cut < 0 or cut > q:
-        n2 = NEG_INF
-    else:
-        n2 = 1 + sp3 + pre3[cut] + suf1[cut]
-
-    if special:
-        cut = delta - 1 - p
-        if cut < 0 or cut > q:
-            n3 = NEG_INF
-        else:
-            n3 = 1 + sp3 + pre3[cut] + suf1[cut]
-    else:
-        if p > delta - 1:
-            n3 = NEG_INF
-        else:
-            cut = min(partition.qprime, delta - 1 - p)
-            n3 = 1 + sp3 + pre3[cut] + suf1[cut]
-
-    return DPTriple(_norm(n1), _norm(n2), _norm(n3))
+    triple, _, _ = _combine(special, partition.specials, partition.nonspecials, delta)
+    return DPTriple(*triple)
 
 
-def _norm(value):
-    return int(value) if value != NEG_INF else NEG_INF
+def dp_leaf_base(special: bool, delta: int) -> DPTriple:
+    """State of a leaf (a vertex with no children in the rooted view)."""
+    return dp_combine(special, ChildPartition((), ()), delta)
 
 
 # ---------------------------------------------------------------------------
-# Rooted views and the array-based evaluation pass
+# Rooted views and the evaluation pass
 
 
 @dataclass(frozen=True)
@@ -178,7 +167,6 @@ class _Skeleton:
     size: int  # number of dp nodes (n, or n + 1 with a virtual root)
     order: tuple[int, ...]  # children-before-parent traversal
     children: tuple[tuple[int, ...], ...]
-    parent: tuple[int, ...]
     virtual: bool
 
 
@@ -203,9 +191,9 @@ class RootedForestView:
 
 
 def _build_skeleton(
-    forest: Graph, root: int | None, attachments: Iterable[int] | None
+    forest: Graph, comps, root: int | None, attachments: Iterable[int] | None
 ) -> _Skeleton:
-    comps = components(forest)
+    """Rooted structure of ``forest``, whose components are ``comps``."""
     n = forest.n
     virtual = len(comps) != 1 or attachments is not None
     if not virtual:
@@ -220,14 +208,12 @@ def _build_skeleton(
         if sorted(rep_comp[a] for a in tops) != list(range(len(comps))):
             raise ValueError("attachments must cover each component exactly once")
         r, size = n, n + 1
-    parent = [-1] * size
     child_lists: list[list[int]] = [[] for _ in range(size)]
     preorder = [r] if virtual else []
     seen = [False] * n
     for a in tops:
         seen[a] = True
         if virtual:
-            parent[a] = r
             child_lists[r].append(a)
     stack = list(tops)
     while stack:
@@ -236,14 +222,13 @@ def _build_skeleton(
         for w in forest.adj[u]:
             if not seen[w]:
                 seen[w] = True
-                parent[w] = u
                 child_lists[u].append(w)
                 stack.append(w)
     # children were appended in adjacency (ascending) order except possibly
     # reversed by stack handling; normalize to ascending ids.
     children = tuple(tuple(sorted(c)) for c in child_lists)
     order = tuple(reversed(preorder))
-    return _Skeleton(r, size, order, children, tuple(parent), virtual)
+    return _Skeleton(r, size, order, children, virtual)
 
 
 def root_forest(
@@ -265,102 +250,56 @@ def root_forest(
     for v in special_set:
         if not 0 <= v < forest.n:
             raise ValueError(f"special vertex {v} out of range")
-    if len(components(forest)) == 1 and attachments is None:
+    comps = components(forest)
+    if len(comps) == 1 and attachments is None:
         if root is None:
             root = next(v for v in range(forest.n) if v not in special_set)
         elif root in special_set:
             raise ValueError("root must not be special")
     elif root is not None:
         raise ValueError("disconnected forests are rooted at a virtual vertex")
-    skeleton = _build_skeleton(forest, root, attachments)
+    skeleton = _build_skeleton(forest, comps, root, attachments)
     return RootedForestView(forest, skeleton, special_set, delta)
 
 
-def _run_pass(skeleton: _Skeleton, sflag, delta: int, n1a, n2a, n3a) -> None:
-    """Fill the triple arrays bottom-up.  ``sflag`` is indexable by vertex."""
-    children = skeleton.children
+def _run_pass(view: RootedForestView):
+    """Evaluate the program bottom-up over a rooted view.
+
+    Returns the triple of every vertex and its plan: the special children,
+    the non-special children in ``_combine``'s order, and the two cuts.
+    """
+    skeleton = view.skeleton
+    special = view.special
+    values: list = [None] * skeleton.size
+    keys: list = [None] * skeleton.size  # _pair_key of each triple
+    plans: list = [None] * skeleton.size
+    leaves = {}  # the two leaf entries of this delta
     for u in skeleton.order:
-        kids = children[u]
+        kids = skeleton.children[u]
+        flag = u in special
         if not kids:
-            if sflag[u]:
-                if delta == 0:
-                    n1a[u], n2a[u], n3a[u] = NEG_INF, 1, NEG_INF
-                elif delta == 1:
-                    n1a[u], n2a[u], n3a[u] = NEG_INF, NEG_INF, 1
-                else:
-                    n1a[u], n2a[u], n3a[u] = NEG_INF, NEG_INF, NEG_INF
-            elif delta == 0:
-                n1a[u], n2a[u], n3a[u] = 0, 1, NEG_INF
-            else:
-                n1a[u], n2a[u], n3a[u] = 0, NEG_INF, 1
+            if flag not in leaves:
+                triple, cut2, cut3 = _combine(flag, (), (), view.delta)
+                leaves[flag] = (triple, _pair_key(triple), ((), (), cut2, cut3))
+            values[u], keys[u], plans[u] = leaves[flag]
             continue
-
-        p = 0
-        sp2 = 0
-        sp3 = 0
-        acc = 0
-        ws = []
-        for v in kids:
-            if sflag[v]:
-                p += 1
-                sp2 += n2a[v]
-                sp3 += n3a[v]
-            else:
-                a = n1a[v]
-                c = n3a[v]
-                b = n2a[v]
-                mx = a if a > b else b
-                if c > mx:
-                    mx = c
-                acc += mx
-                ws.append((NEG_INF if c == NEG_INF else c - a, a, c))
-        q = len(ws)
-        if q > 1:
-            ws.sort(key=_KEY, reverse=True)
-        pre3 = [0] * (q + 1)
-        suf1 = [0] * (q + 1)
-        for i in range(q):
-            pre3[i + 1] = pre3[i] + ws[i][2]
-        for i in range(q - 1, -1, -1):
-            suf1[i] = suf1[i + 1] + ws[i][1]
-
-        cut = delta - p
-        n2a[u] = NEG_INF if (cut < 0 or cut > q) else 1 + sp3 + pre3[cut] + suf1[cut]
-        if sflag[u]:
-            n1a[u] = NEG_INF
-            cut = delta - 1 - p
-            n3a[u] = (
-                NEG_INF if (cut < 0 or cut > q) else 1 + sp3 + pre3[cut] + suf1[cut]
-            )
-        else:
-            n1a[u] = sp2 + acc
-            if p > delta - 1:
-                n3a[u] = NEG_INF
-            else:
-                qp = 0
-                for item in ws:
-                    if item[0] >= 0:
-                        qp += 1
-                    else:
-                        break
-                cut = delta - 1 - p
-                if qp < cut:
-                    cut = qp
-                n3a[u] = 1 + sp3 + pre3[cut] + suf1[cut]
+        sp = [v for v in kids if v in special]
+        # stable: equal keys stay in ascending vertex order
+        ns = [v for v in kids if v not in special]
+        ns.sort(key=keys.__getitem__, reverse=True)
+        triple, cut2, cut3 = _combine(
+            flag, [values[v] for v in sp], [values[v] for v in ns], view.delta
+        )
+        values[u] = triple
+        keys[u] = _pair_key(triple)
+        plans[u] = (sp, ns, cut2, cut3)
+    return values, plans
 
 
 def evaluate_view(view: RootedForestView) -> DPTriple:
     """Run the program over a rooted view and return the root triple."""
-    size = view.skeleton.size
-    n1a = [NEG_INF] * size
-    n2a = [NEG_INF] * size
-    n3a = [NEG_INF] * size
-    sflag = bytearray(size)
-    for v in view.special:
-        sflag[v] = 1
-    _run_pass(view.skeleton, sflag, view.delta, n1a, n2a, n3a)
-    r = view.root
-    return DPTriple(_norm(n1a[r]), _norm(n2a[r]), _norm(n3a[r]))
+    values, _ = _run_pass(view)
+    return DPTriple(*values[view.root])
 
 
 def max_subforest_order(
@@ -393,56 +332,33 @@ def max_subforest_order(
 # Reconstruction of an optimal subforest
 
 
-def _reconstruct(skeleton: _Skeleton, sflag, delta, n1a, n2a, n3a, root_state) -> set[int]:
+def _best_state(triple) -> int:
+    # index of the best state; ties prefer deleting, then degree exactly delta
+    return triple.index(max(triple))
+
+
+def _reconstruct(skeleton: _Skeleton, values, plans) -> set[int]:
+    """Vertex set of an optimal subforest, found by replaying the plans of
+    ``_run_pass`` from the root down.  States index the triple: 0 deleted,
+    1 kept at degree delta, 2 kept with room for the parent edge."""
+    root = skeleton.root
+    stack = [(root, 0 if skeleton.virtual else _best_state(values[root]))]
     kept: set[int] = set()
-    children = skeleton.children
-    stack = [(skeleton.root, root_state)]
     while stack:
         u, state = stack.pop()
-        if state != 1 and not (skeleton.virtual and u == skeleton.root):
-            kept.add(u)
-        kids = children[u]
-        if not kids:
-            continue
-        specials = []
-        ws = []
-        p = 0
-        for v in kids:
-            if sflag[v]:
-                specials.append(v)
-                p += 1
-            else:
-                c = n3a[v]
-                ws.append((NEG_INF if c == NEG_INF else c - n1a[v], v))
-        ws.sort(key=_KEY, reverse=True)
-        if state == 1:
+        specials, nonspecials, cut2, cut3 = plans[u]
+        if state == 0:
             for v in specials:
-                stack.append((v, 2))
-            for _, v in ws:
-                a, b, c = n1a[v], n2a[v], n3a[v]
-                if a >= b and a >= c:
-                    stack.append((v, 1))
-                elif b >= c:
-                    stack.append((v, 2))
-                else:
-                    stack.append((v, 3))
+                stack.append((v, 1))
+            for v in nonspecials:
+                stack.append((v, _best_state(values[v])))
             continue
-        if state == 2:
-            cut = delta - p
-        elif sflag[u]:
-            cut = delta - 1 - p
-        else:
-            qp = 0
-            for item in ws:
-                if item[0] >= 0:
-                    qp += 1
-                else:
-                    break
-            cut = min(qp, delta - 1 - p)
+        kept.add(u)
+        cut = cut2 if state == 1 else cut3
         for v in specials:
-            stack.append((v, 3))
-        for i, (_, v) in enumerate(ws):
-            stack.append((v, 3 if i < cut else 1))
+            stack.append((v, 2))
+        for i, v in enumerate(nonspecials):
+            stack.append((v, 2 if i < cut else 0))
     return kept
 
 
@@ -556,20 +472,6 @@ def _best_special_set(skel: _Skeleton, n: int, k: int, delta: int):
 # Driver
 
 
-class _DriverState:
-    """Roots a forest for the per-pair program of one special set."""
-
-    def __init__(self, forest: Graph):
-        self.forest = forest
-        self.connected = len(components(forest)) == 1
-
-    def skeleton_for(self, special: tuple[int, ...]) -> _Skeleton:
-        root = None
-        if self.connected:  # the least non-special vertex
-            root = min(set(range(self.forest.n)).difference(special))
-        return _build_skeleton(self.forest, root, None)
-
-
 def compute_fk_forest(
     forest: Graph,
     k: int,
@@ -603,7 +505,8 @@ def compute_fk_forest(
 
     profile = degree_profile(forest)
     delta_cap = profile.deltas[k - 1]
-    counting = _build_skeleton(forest, None, [comp[0] for comp in components(forest)])
+    comps = components(forest)
+    counting = _build_skeleton(forest, comps, None, [comp[0] for comp in comps])
     best_val = NEG_INF
     best_key: tuple[tuple[int, ...], int] | None = None
     for delta in range(delta_cap + 1):
@@ -623,42 +526,11 @@ def compute_fk_forest(
         return trivial_f, make_certificate(forest, removed, k, "dp")
 
     special, delta = best_key
-    state = _DriverState(forest)
-    skel = state.skeleton_for(special)
-    sflag = bytearray(skel.size)
-    for v in special:
-        sflag[v] = 1
-    size = skel.size
-    n1a = [NEG_INF] * size
-    n2a = [NEG_INF] * size
-    n3a = [NEG_INF] * size
-    _run_pass(skel, sflag, delta, n1a, n2a, n3a)
-    r = skel.root
-    if skel.virtual:
-        root_state = 1
-    else:
-        a, b, c = n1a[r], n2a[r], n3a[r]
-        if a >= b and a >= c:
-            root_state = 1
-        elif b >= c:
-            root_state = 2
-        else:
-            root_state = 3
-    kept = _reconstruct(skel, sflag, delta, n1a, n2a, n3a, root_state)
+    view = root_forest(forest, special, delta)
+    kept = _reconstruct(view.skeleton, *_run_pass(view))
     if len(kept) != best_val:
         raise AssertionError(
             f"reconstruction produced {len(kept)} vertices, expected {best_val}"
         )
     removed = tuple(sorted(set(range(n)) - kept))
     return n - best_val, make_certificate(forest, removed, k, "dp")
-
-
-def dp_size_guard(n: int, k: int, force: bool = False) -> None:
-    """Refuse driver runs whose (n, k) enumeration would be unreasonably big."""
-    limits = {2: 150, 3: 90}
-    limit = limits.get(k, 40)
-    if n > limit and not force:
-        raise ValueError(
-            f"forest solver refused: n={n} exceeds the default limit {limit} "
-            f"for k={k} (pass force/--force to override)"
-        )

@@ -16,8 +16,8 @@ from typing import Iterable
 
 INFINITY = math.inf
 
-_EDGE_LINE = re.compile(r"(\d+) (\d+)$")
-_HEADER_LINE = re.compile(r"(\d+) (\d+)$")
+# ASCII digits only: \d would also accept other scripts' digits, which int() reads.
+_PAIR_LINE = re.compile(r"([0-9]+) ([0-9]+)$")
 
 
 class GraphFormatError(ValueError):
@@ -129,7 +129,7 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
         if raw.startswith("#") or raw.strip() == "":
             continue
         if header is None:
-            match = _HEADER_LINE.fullmatch(raw)
+            match = _PAIR_LINE.fullmatch(raw)
             if not match:
                 raise GraphFormatError(f"malformed header {raw!r}", lineno)
             header = (int(match.group(1)), int(match.group(2)))
@@ -137,7 +137,7 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
         n, m = header
         if len(edges) == m:
             raise GraphFormatError(f"unexpected content after {m} edges", lineno)
-        match = _EDGE_LINE.fullmatch(raw)
+        match = _PAIR_LINE.fullmatch(raw)
         if not match:
             raise GraphFormatError(f"malformed edge line {raw!r}", lineno)
         u, v = int(match.group(1)), int(match.group(2))

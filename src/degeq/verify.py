@@ -20,7 +20,7 @@ from .bounds import ClaimEntry, INAPPLICABLE, PASS, SKIP, VIOLATED
 from .certificates import validate_certificate
 from .constructive import PreconditionError, equalize3_forest, girth5_equalize
 from .extremal import build_extremal_forest, build_path, build_star, build_star_union
-from .forest_dp import DeadlineExceeded, compute_fk_forest, dp_size_guard
+from .forest_dp import DeadlineExceeded, compute_fk_forest
 from .generators import GeneratorConfig, gen_random_forest, gen_random_girth5
 from .graph import Graph, degree_profile, girth, is_forest
 from .oracle import DEFAULT_ORDER_LIMIT, brute_force_fk
@@ -137,14 +137,9 @@ class _InstanceContext:
     def _compute_fk(self, k: int):
         graph = self.graph
         if self.forest:
-            try:
-                dp_size_guard(graph.n, k)
-            except ValueError:
-                pass
-            else:
-                value, cert = compute_fk_forest(graph, k, deadline=self.deadline)
-                self.certificates[k] = cert
-                return value, "dp"
+            value, cert = compute_fk_forest(graph, k, deadline=self.deadline)
+            self.certificates[k] = cert
+            return value, "dp"
         if graph.n <= self.oracle_limit:
             value, cert = brute_force_fk(
                 graph, k, limit=self.oracle_limit, deadline=self.deadline
@@ -171,7 +166,8 @@ def _claim_oracle_equiv(ctx, k_range) -> list[ClaimEntry]:
         if ctx.graph.n > ctx.oracle_limit:
             out.append(_skip("oracle-equiv", {"k": k}, "above oracle limit"))
             continue
-        dp_value, dp_cert = compute_fk_forest(ctx.graph, k, deadline=ctx.deadline)
+        dp_value, _ = ctx.fk(k)
+        dp_cert = ctx.certificates[k]
         bf_value, bf_cert = brute_force_fk(
             ctx.graph, k, limit=ctx.oracle_limit, deadline=ctx.deadline
         )

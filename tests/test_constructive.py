@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import degeq
 from degeq import (
     Graph,
     PreconditionError,
@@ -194,3 +200,20 @@ class TestEqualize3Forest:
         cert = equalize3_forest(forest, t)
         assert validate_certificate(forest, cert, 3)
         assert len(cert.x) <= t
+
+    def test_shape_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; the base case must still refuse
+        # a shape it has no branch for (here d1 = 1 below d2 = 2).
+        src = str(Path(degeq.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "from degeq import Graph; "
+            "from degeq.constructive import _equalize3_base; "
+            "_equalize3_base(Graph.from_edges(3, [(0, 1)]), 1, 2, 0, 0, 1, 2)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode != 0
+        assert "AssertionError" in result.stderr

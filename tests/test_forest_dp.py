@@ -116,34 +116,31 @@ class TestCombine:
 
 class TestEngineAgainstReferenceCombine:
     def test_every_node_matches_dp_combine(self):
-        # the array engine must agree with the reference combine/leaf ops
+        # the evaluation pass must agree with the reference combine/leaf ops
         # at every vertex, for several forests, special sets, and deltas
-        from degeq.forest_dp import _DriverState, _run_pass
+        from degeq.forest_dp import _run_pass
 
         for seed in range(10):
             forest = gen_random_forest(9, split_prob=0.3, seed=seed)
             for s in ((0, 1), (2, 5, 7)):
-                state = _DriverState(forest)
-                skel = state.skeleton_for(s)
-                sflag = bytearray(skel.size)
+                sflag = bytearray(forest.n + 1)
                 for v in s:
                     sflag[v] = 1
                 for delta in range(forest.max_degree() + 1):
-                    n1a = [NEG_INF] * skel.size
-                    n2a = [NEG_INF] * skel.size
-                    n3a = [NEG_INF] * skel.size
-                    _run_pass(skel, sflag, delta, n1a, n2a, n3a)
+                    view = root_forest(forest, s, delta)
+                    skel = view.skeleton
+                    values, _ = _run_pass(view)
                     for u in skel.order:
                         kids = skel.children[u]
                         if kids:
                             part = ChildPartition.from_triples(
-                                [DPTriple(n1a[v], n2a[v], n3a[v]) for v in kids if sflag[v]],
-                                [DPTriple(n1a[v], n2a[v], n3a[v]) for v in kids if not sflag[v]],
+                                [DPTriple(*values[v]) for v in kids if sflag[v]],
+                                [DPTriple(*values[v]) for v in kids if not sflag[v]],
                             )
                             expected = dp_combine(bool(sflag[u]), part, delta)
                         else:
                             expected = dp_leaf_base(bool(sflag[u]), delta)
-                        assert DPTriple(n1a[u], n2a[u], n3a[u]) == expected
+                        assert DPTriple(*values[u]) == expected
 
 
 class TestMaxSubforestOrder:
@@ -216,31 +213,15 @@ class TestMaxSubforestOrder:
 
     def test_realizability_of_reconstruction(self):
         # the kept vertex set must induce what the value promises
-        from degeq.forest_dp import _DriverState, _reconstruct, _run_pass
+        from degeq.forest_dp import _reconstruct, _run_pass
 
         for seed in range(30):
             forest = gen_random_forest(8, split_prob=0.3, seed=seed)
             for k in (2, 3):
                 table = brute_force_subforest_all(forest, k)
                 for (s, delta), value in table.items():
-                    state = _DriverState(forest)
-                    skel = state.skeleton_for(s)
-                    sflag = bytearray(skel.size)
-                    for v in s:
-                        sflag[v] = 1
-                    n1a = [NEG_INF] * skel.size
-                    n2a = [NEG_INF] * skel.size
-                    n3a = [NEG_INF] * skel.size
-                    _run_pass(skel, sflag, delta, n1a, n2a, n3a)
-                    if skel.virtual:
-                        root_state = 1
-                    else:
-                        r = skel.root
-                        best = max(n1a[r], n2a[r], n3a[r])
-                        root_state = (
-                            1 if n1a[r] == best else (2 if n2a[r] == best else 3)
-                        )
-                    kept = _reconstruct(skel, sflag, delta, n1a, n2a, n3a, root_state)
+                    view = root_forest(forest, s, delta)
+                    kept = _reconstruct(view.skeleton, *_run_pass(view))
                     assert len(kept) == value
                     assert set(s) <= kept
                     induced, old_to_new = remove_vertices(
@@ -326,8 +307,10 @@ class TestComputeFkForest:
         assert brute_force_fk(forest, 3)[0] == 0
 
     def test_jobs_bit_identical(self):
-        forest = gen_random_forest(24, split_prob=0.25, seed=99)
+        forest = gen_random_forest(24, split_prob=0.25, seed=0)
         for k in (2, 3):
+            # f_k >= 1, so neither call stops at the already-equalized exit
+            assert not check_fk_condition(forest, (), k)
             seq = compute_fk_forest(forest, k, jobs=1)
             par = compute_fk_forest(forest, k, jobs=2)
             assert seq == par

@@ -68,6 +68,11 @@ class TestParse:
             parse_graph(text)
         assert fragment in str(err.value)
 
+    def test_rejects_non_ascii_digits(self):
+        # int() accepts Arabic-Indic digits; the format takes ASCII digits only
+        with pytest.raises(GraphFormatError):
+            parse_graph("\u0663 \u0661\n\u0660 \u0661")
+
     def test_error_carries_line_number(self):
         with pytest.raises(GraphFormatError) as err:
             parse_graph("# c\n3 3\n0 1\n1 1\n")

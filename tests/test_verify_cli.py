@@ -179,17 +179,24 @@ class TestCli:
         result = self.runner.invoke(main, ["compute", "--input", path])
         assert result.exit_code == 2  # click missing-option error
 
-    def test_dp_size_guard(self, tmp_path):
-        from degeq.forest_dp import dp_size_guard
-
-        edges = "\n".join(f"{i} {i + 1}" for i in range(151))
-        path = self.write_graph(tmp_path, f"152 151\n{edges}\n")
-        result = self.runner.invoke(main, ["compute", "--input", path, "--k", "2"])
-        assert result.exit_code == 2
-        assert "force" in result.output
-        dp_size_guard(152, 2, force=True)  # no raise
-        with pytest.raises(ValueError):
-            dp_size_guard(91, 3)
+    def test_dp_has_no_order_limit(self, tmp_path):
+        # forests of any order go to the tree program; F_12 has 206 vertices
+        forest = degeq.build_extremal_forest(12)
+        path = self.write_graph(tmp_path, to_edgelist(forest))
+        result = self.runner.invoke(
+            main, ["compute", "--input", path, "--k", "3", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert (payload["n"], payload["f_k"], payload["method"]) == (206, 12, "dp")
+        cert = RemovalCertificate(
+            tuple(payload["X"]),
+            payload["residual_max_degree"],
+            tuple(payload["witnesses"]),
+            payload["order_below_k"],
+            payload["method"],
+        )
+        assert validate_certificate(forest, cert, 3)
 
     def test_brute_limit_guard(self, tmp_path):
         edges = "\n".join(f"{i} {i + 1}" for i in range(19))
