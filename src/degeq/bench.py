@@ -51,13 +51,13 @@ def run_suite(suite: str) -> list[BenchRow]:
                     BenchRow(f"forest-n{n}", graph.n, graph.m, k, "dp", value, ms)
                 )
     elif suite == "oracle":
-        for n in (10, 12, 14, 16):
-            graph = gen_random_forest(n, seed=2000 + n)
-            for k in (2, 3):
-                value, ms = _timed(brute_force_fk, graph, k)
-                rows.append(
-                    BenchRow(f"forest-n{n}", graph.n, graph.m, k, "brute", value, ms)
-                )
+        # f_3(F_t) = t, and F_4 has 18 vertices, the default oracle limit
+        for t in (2, 3, 4):
+            graph = build_extremal_forest(t)
+            value, ms = _timed(brute_force_fk, graph, 3)
+            rows.append(
+                BenchRow(f"extremal-F{t}", graph.n, graph.m, 3, "brute", value, ms)
+            )
     else:
         raise ValueError(f"unknown bench suite {suite!r}")
     return rows

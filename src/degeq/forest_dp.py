@@ -250,16 +250,29 @@ def root_forest(
     for v in special_set:
         if not 0 <= v < forest.n:
             raise ValueError(f"special vertex {v} out of range")
-    comps = components(forest)
+    return _rooted_view(
+        forest, components(forest), special_set, delta, root, attachments
+    )
+
+
+def _rooted_view(
+    forest: Graph,
+    comps,
+    special: frozenset[int],
+    delta: int,
+    root: int | None = None,
+    attachments: Iterable[int] | None = None,
+) -> RootedForestView:
+    """``root_forest`` on a valid forest whose components are ``comps``."""
     if len(comps) == 1 and attachments is None:
         if root is None:
-            root = next(v for v in range(forest.n) if v not in special_set)
-        elif root in special_set:
+            root = next(v for v in range(forest.n) if v not in special)
+        elif root in special:
             raise ValueError("root must not be special")
     elif root is not None:
         raise ValueError("disconnected forests are rooted at a virtual vertex")
     skeleton = _build_skeleton(forest, comps, root, attachments)
-    return RootedForestView(forest, skeleton, special_set, delta)
+    return RootedForestView(forest, skeleton, special, delta)
 
 
 def _run_pass(view: RootedForestView):
@@ -498,10 +511,9 @@ def compute_fk_forest(
     if check_fk_condition(forest, (), k):
         return 0, make_certificate(forest, (), k, "dp")
     if n == k:
-        from .oracle import brute_force_fk
-
-        # f_k <= 1 here, so the oracle tries at most n + 1 subsets.
-        return brute_force_fk(forest, k, limit=n)
+        # not equalized, and deleting vertex 0 leaves k - 1 vertices: the
+        # subset oracle's first success, so its method name is kept
+        return 1, make_certificate(forest, (0,), k, "brute")
 
     profile = degree_profile(forest)
     delta_cap = profile.deltas[k - 1]
@@ -526,7 +538,7 @@ def compute_fk_forest(
         return trivial_f, make_certificate(forest, removed, k, "dp")
 
     special, delta = best_key
-    view = root_forest(forest, special, delta)
+    view = _rooted_view(forest, comps, frozenset(special), delta)
     kept = _reconstruct(view.skeleton, *_run_pass(view))
     if len(kept) != best_val:
         raise AssertionError(

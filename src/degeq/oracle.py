@@ -1,7 +1,7 @@
 """Exponential ground-truth computations for small graphs.
 
-``brute_force_fk`` transcribes the definition of the equalization number
-directly: the smallest deletion set, by size then lexicographic order, whose
+``brute_force_fk`` finds what the definition of the equalization number asks
+for: the smallest deletion set, by size then lexicographic order, whose
 removal leaves k vertices of maximum degree or fewer than k vertices.
 ``brute_force_subforest`` exhaustively maximizes induced-subforest order under
 degree constraints; it is the reference the tree dynamic program is validated
@@ -10,18 +10,16 @@ against.
 
 from __future__ import annotations
 
-import logging
 import time
 from itertools import combinations
 
 from .certificates import RemovalCertificate, make_certificate
+from .forest_dp import DeadlineExceeded
 from .graph import Graph
 
 NEG_INF = float("-inf")
 
 DEFAULT_ORDER_LIMIT = 18
-
-log = logging.getLogger(__name__)
 
 
 class OrderLimitError(ValueError):
@@ -33,10 +31,6 @@ def _guard(graph: Graph, limit: int) -> None:
         raise OrderLimitError(
             f"order {graph.n} exceeds brute-force limit {limit}; "
             f"expect ~2^{graph.n} subsets if forced"
-        )
-    if graph.n > DEFAULT_ORDER_LIMIT:
-        log.warning(
-            "brute force on %d vertices: up to %d subsets", graph.n, 2**graph.n
         )
 
 
@@ -56,56 +50,104 @@ def brute_force_fk(
     limit: int = DEFAULT_ORDER_LIMIT,
     deadline: float | None = None,
 ) -> tuple[int, RemovalCertificate]:
-    """Exact equalization number by subset enumeration, with certificate.
+    """Exact equalization number by depth-first search, with certificate.
 
-    Subsets are tried by increasing size, lexicographically within each size;
-    the first success is returned, so results are deterministic.
+    Deletion sets are tried by increasing size; within a size the search
+    picks vertices in increasing index order, so its leaves come in the order
+    of ``itertools.combinations`` and the first success is the
+    lexicographically least minimum deletion set.
+
+    The search keeps the degree of every live vertex and a histogram of those
+    degrees; removing or restoring a vertex touches only its live neighbours.
+    A leaf succeeds when the top non-empty bucket holds at least k vertices.
+
+    Prune: take a node with r picks left, about to try candidate v.  In every
+    branch from v on, each vertex below v that is live at the node stays in
+    the final graph and loses at most r degree there, so the final maximum
+    degree is at least L = (max live degree below v) - r.  A vertex ending at
+    that maximum has degree at least L at the node, so when fewer than k live
+    vertices do, no leaf in those branches succeeds and the node returns.
+    L only grows with v, so the test runs at the node's first candidate and
+    again whenever a tried candidate raises the maximum.  Sizes that leave
+    fewer than k vertices never reach the search: their first set succeeds
+    by the order-below-k escape.
+
+    The deadline is checked every 4096 search nodes; pruned subtrees have no
+    leaves, so counting leaves could leave it unchecked for long.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     _guard(graph, limit)
-    n = graph.n
-    masks = _neighbor_masks(graph)
-    full = (1 << n) - 1
-
-    def condition(removed_mask: int, order: int) -> bool:
-        if order < k:
-            return True
-        alive = full & ~removed_mask
-        max_deg = -1
-        count = 0
-        rest = alive
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            deg = (masks[v] & alive).bit_count()
-            if deg > max_deg:
-                max_deg = deg
-                count = 1
-            elif deg == max_deg:
-                count += 1
-        return count >= k
-
     if deadline is not None and time.monotonic() > deadline:
-        from .forest_dp import DeadlineExceeded
-
         raise DeadlineExceeded("oracle deadline exceeded")
-    counter = 0
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if condition(mask, n - size):
-                return size, make_certificate(graph, subset, k, "brute")
-            counter += 1
-            if deadline is not None and counter % 4096 == 0:
-                if time.monotonic() > deadline:
-                    from .forest_dp import DeadlineExceeded
+    n = graph.n
+    adj = graph.adj
+    deg = [len(nbrs) for nbrs in adj]  # -1 marks a removed vertex
+    top = max(deg, default=0)
+    hist = [0] * (top + 1)
+    for d in deg:
+        hist[d] += 1
+    picked: list[int] = []
+    nodes = 0
 
+    def equalized() -> bool:
+        d = top
+        while not hist[d]:
+            d -= 1
+        return hist[d] >= k
+
+    def hopeless(high: int, r: int) -> bool:
+        # fewer than k live vertices have degree at least high - r
+        return high > r and sum(hist[high - r :]) < k
+
+    def search(start: int, r: int) -> bool:
+        """Pick r more vertices from start on; True, with ``picked`` filled,
+        at the first success."""
+        nonlocal nodes
+        high = max(deg[:start], default=-1)
+        if hopeless(high, r):
+            return False
+        for v in range(start, n - r + 1):
+            nodes += 1
+            if deadline is not None and not nodes % 4096:
+                if time.monotonic() > deadline:
                     raise DeadlineExceeded("oracle deadline exceeded")
-    raise AssertionError("unreachable: removing all vertices always succeeds")
+            dv = deg[v]
+            hist[dv] -= 1
+            deg[v] = -1
+            for w in adj[v]:
+                dw = deg[w]
+                if dw > 0:  # live: a live neighbour of v has degree >= 1
+                    hist[dw] -= 1
+                    hist[dw - 1] += 1
+                    deg[w] = dw - 1
+            if equalized() if r == 1 else search(v + 1, r - 1):
+                picked.append(v)
+                return True
+            for w in adj[v]:
+                dw = deg[w]
+                if dw >= 0:
+                    hist[dw] -= 1
+                    hist[dw + 1] += 1
+                    deg[w] = dw + 1
+            deg[v] = dv
+            hist[dv] += 1
+            if dv > high:
+                high = dv
+                if hopeless(high, r):
+                    return False
+        return False
+
+    x: tuple[int, ...] = ()
+    if n >= k and not equalized():
+        for size in range(1, n - k + 1):
+            if search(0, size):
+                x = tuple(sorted(picked))
+                break
+        else:
+            # the first set that leaves fewer than k vertices
+            x = tuple(range(n - k + 1))
+    return len(x), make_certificate(graph, x, k, "brute")
 
 
 def _induced_degree_ok(masks, subset_mask, required, delta) -> bool:

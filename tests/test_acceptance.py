@@ -32,6 +32,7 @@ from degeq import (
     moore_edge_bound_ok,
     validate_certificate,
 )
+from degeq.bench import run_suite
 from degeq.bounds import (
     corollary2_hypothesis,
     lemma3_hypothesis,
@@ -335,3 +336,10 @@ def test_criterion_9_performance_and_parallel_determinism():
             failures.append(f"performance run k={k}: invalid certificate")
     print(f"\n    [criterion 9: k=2 n=100 in {t_k2:.2f}s, k=3 n=60 in {t_k3:.2f}s]")
     _report("criterion 9 (performance and parallel determinism)", failures)
+
+
+def test_bench_oracle_suite_is_nontrivial():
+    # a row with f_k <= 1 times an early exit or a one-vertex scan, not a search
+    rows = run_suite("oracle")
+    assert rows
+    assert all(row.value >= 2 for row in rows), [(r.name, r.value) for r in rows]

@@ -1,3 +1,6 @@
+from itertools import combinations
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,13 +11,89 @@ from degeq import (
     brute_force_fk,
     brute_force_subforest,
     brute_force_subforest_all,
+    build_extremal_forest,
     build_star,
     build_star_union,
     check_fk_condition,
     gen_random_forest,
+    gen_random_girth5,
+    make_certificate,
+    oracle,
     validate_certificate,
 )
+from degeq.forest_dp import DeadlineExceeded
 from degeq.graph import Graph, parse_graph
+from degeq.prng import SplitMix64, instance_seed
+
+
+def _reference_fk(graph, k):
+    """The definition written out: the first deletion set, by size and then
+    lexicographically, that leaves k vertices of maximum degree or fewer than
+    k vertices."""
+    for size in range(graph.n + 1):
+        for subset in combinations(range(graph.n), size):
+            if check_fk_condition(graph, subset, k):
+                return size, make_certificate(graph, subset, k, "brute")
+    raise AssertionError("unreachable: removing all vertices always succeeds")
+
+
+def _gnp(n, seed):
+    rng = SplitMix64(seed)
+    p = 0.1 + 0.6 * rng.random()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, [pair for pair in pairs if rng.random() < p])
+
+
+def _hubbed_girth5(n, seed):
+    """A random girth-5 graph plus 1-3 hubs joined to about 60% of it, with
+    shuffled labels, so the high-degree vertices are not the lowest ids."""
+    rng = SplitMix64(seed)
+    hubs = min(1 + rng.randrange(3), n - 1)
+    base = gen_random_girth5(n - hubs, seed=seed)
+    edges = [(u + hubs, v + hubs) for u, v in base.edges()]
+    edges += [(h, v) for h in range(hubs) for v in range(hubs, n) if rng.random() < 0.6]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+FAMILIES = {
+    "gnp": _gnp,
+    "forest": lambda n, seed: gen_random_forest(n, split_prob=0.3, seed=seed),
+    "girth5": lambda n, seed: gen_random_girth5(n, seed=seed),
+    "hubbed-girth5": _hubbed_girth5,
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_search_matches_reference(family):
+    values = []
+    for seed in range(100):
+        graph = FAMILIES[family](2 + seed % 11, instance_seed(500, seed))
+        for k in (2, 3, 4, 5):
+            expected = _reference_fk(graph, k)
+            assert brute_force_fk(graph, k) == expected, (family, seed, k)
+            values.append(expected[0])
+    # the corpus must reach deletion sets the prune can cut into
+    assert max(values) >= 3
+
+
+def test_deadline_passing_mid_search_raises(monkeypatch):
+    # F_5 with reversed labels keeps the prune weak: the k = 4 search visits
+    # about 7,400 nodes, past the first periodic check at 4,096.
+    forest = build_extremal_forest(5)
+    n = forest.n
+    graph = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in forest.edges()])
+    calls = []
+
+    def clock():
+        calls.append(None)
+        return 0.0 if len(calls) == 1 else 2.0
+
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(DeadlineExceeded):
+        brute_force_fk(graph, 4, limit=n, deadline=1.0)
+    assert len(calls) == 2
 
 
 def test_star_union_fixture():
