@@ -9,7 +9,7 @@ report-only by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -210,9 +210,19 @@ def moore_edge_bound_ok(n: int, m: int, p: int) -> bool:
     return m**p <= 2**p * n ** (p + 1)
 
 
-def asymptotic_report(
-    graph: Graph, k: int, p: int, fk: int | None = None
-) -> list[ClaimEntry]:
+def moore_entry(graph: Graph, p: int, g: int | float) -> ClaimEntry:
+    """The exact Moore edge bound for girth ``g`` above 2p, pass/fail."""
+    return ClaimEntry(
+        claim="moore",
+        params={"p": p},
+        hypothesis={"girth": g, "needs": f"> {2 * p}"},
+        hypothesis_holds=g > 2 * p,
+        conclusion={"m": graph.m, "bound": 2 * graph.n ** ((p + 1) / p)},
+        conclusion_holds=moore_edge_bound_ok(graph.n, graph.m, p),
+    )
+
+
+def asymptotic_report(graph: Graph, k: int, p: int) -> list[ClaimEntry]:
     """Leading-constant values of the asymptotic consequences, plus the exact
     Moore edge bound for girth above 2p.
 
@@ -224,20 +234,10 @@ def asymptotic_report(
     if p < 1:
         raise ValueError("p must be positive")
     g = girth(graph)
+    moore = moore_entry(graph, p, g)
+    with_holds = {**moore.conclusion, "holds": moore.conclusion_holds}
     entries = [
-        ClaimEntry(
-            claim="moore",
-            params={"p": p},
-            hypothesis={"girth": g, "needs": f"> {2 * p}"},
-            hypothesis_holds=g > 2 * p,
-            conclusion={
-                "m": graph.m,
-                "bound": 2 * graph.n ** ((p + 1) / p),
-                "holds": moore_edge_bound_ok(graph.n, graph.m, p),
-            },
-            conclusion_holds=moore_edge_bound_ok(graph.n, graph.m, p),
-            fk=fk,
-        ),
+        replace(moore, conclusion=with_holds),
         ClaimEntry(
             claim="cor3",
             params={"k": k},
@@ -248,7 +248,6 @@ def asymptotic_report(
                 "note": "size threshold t^3 / (6 C(k,2)) up to O(t^2)",
             },
             conclusion_holds=None,
-            fk=fk,
         ),
         ClaimEntry(
             claim="cor4",
@@ -261,7 +260,6 @@ def asymptotic_report(
                 * graph.n ** ((p + 1) / (3 * p)),
             },
             conclusion_holds=None,
-            fk=fk,
         ),
         ClaimEntry(
             claim="cor5",
@@ -273,7 +271,6 @@ def asymptotic_report(
                 "value": (6 * comb(k, 2)) ** (1 / 3) * graph.n ** (1 / 3),
             },
             conclusion_holds=None,
-            fk=fk,
         ),
     ]
     return entries

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .certificates import RemovalCertificate, make_certificate
-from .graph import Graph, check_fk_condition, components, degree_profile, is_forest
+from .graph import Graph, components, degree_profile
 
 NEG_INF = float("-inf")
 
@@ -244,15 +244,14 @@ def root_forest(
     vertex).  Disconnected forests get a virtual root adjacent to one vertex
     per component (default: the lowest of each; overridable for testing).
     """
-    if not is_forest(forest):
+    comps = components(forest)
+    if forest.m != forest.n - len(comps):
         raise ValueError("input graph is not a forest")
     special_set = frozenset(special)
     for v in special_set:
         if not 0 <= v < forest.n:
             raise ValueError(f"special vertex {v} out of range")
-    return _rooted_view(
-        forest, components(forest), special_set, delta, root, attachments
-    )
+    return _rooted_view(forest, comps, special_set, delta, root, attachments)
 
 
 def _rooted_view(
@@ -503,21 +502,19 @@ def compute_fk_forest(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if not is_forest(forest):
-        raise ValueError("input graph is not a forest")
     n = forest.n
-    if n < k:
-        return 0, make_certificate(forest, (), k, "dp")
-    if check_fk_condition(forest, (), k):
+    comps = components(forest)
+    if forest.m != n - len(comps):
+        raise ValueError("input graph is not a forest")
+    deltas = degree_profile(forest).deltas
+    if n < k or deltas[0] == deltas[k - 1]:  # k vertices share the maximum
         return 0, make_certificate(forest, (), k, "dp")
     if n == k:
         # not equalized, and deleting vertex 0 leaves k - 1 vertices: the
         # subset oracle's first success, so its method name is kept
         return 1, make_certificate(forest, (0,), k, "brute")
 
-    profile = degree_profile(forest)
-    delta_cap = profile.deltas[k - 1]
-    comps = components(forest)
+    delta_cap = deltas[k - 1]
     counting = _build_skeleton(forest, comps, None, [comp[0] for comp in comps])
     best_val = NEG_INF
     best_key: tuple[tuple[int, ...], int] | None = None

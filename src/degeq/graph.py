@@ -249,44 +249,29 @@ def remove_vertices(graph: Graph, removed: Iterable[int]) -> tuple[Graph, dict[i
     return Graph.from_edges(len(kept), edges), old_to_new
 
 
-def residual_degree_stats(graph: Graph, removed: set[int]) -> tuple[int, int, int]:
-    """(order, max degree, number of max-degree vertices) of graph - removed.
+def residual_degrees(graph: Graph, removed: Iterable[int]) -> list[int]:
+    """Degree of every vertex of graph - removed, by original id; -1 marks a
+    removed vertex.
 
-    Avoids building the induced subgraph; equivalent to inspecting the result
-    of :func:`remove_vertices`.  Max degree is 0 for an empty residual.
+    Costs O(n + sum of the removed degrees) and builds no subgraph: whether a
+    deletion set works depends only on these degrees.
     """
-    order = graph.n - len(removed)
-    if order <= 0:
-        return max(order, 0), 0, 0
-    max_deg = -1
-    count = 0
-    adj = graph.adj
-    for v in range(graph.n):
-        if v in removed:
-            continue
-        deg = len(adj[v])
-        if deg >= max_deg:  # cheap pre-filter before subtracting hits
-            deg -= sum(1 for w in adj[v] if w in removed)
-        else:
-            continue
-        if deg > max_deg:
-            max_deg = deg
-            count = 1
-        elif deg == max_deg:
-            count += 1
-    if max_deg < 0:
-        max_deg = 0
-    return order, max_deg, count
+    deg = [len(a) for a in graph.adj]
+    removed_set = set(removed)
+    for v in removed_set:
+        if not (isinstance(v, int) and 0 <= v < graph.n):
+            raise ValueError(f"unknown vertex {v!r}")
+        deg[v] = -1
+    for v in removed_set:
+        for w in graph.adj[v]:
+            if deg[w] >= 0:
+                deg[w] -= 1
+    return deg
 
 
 def check_fk_condition(graph: Graph, removed: Iterable[int], k: int) -> bool:
     """True iff graph - removed has >= k vertices of maximum degree or order < k."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    removed_set = set(removed)
-    for v in removed_set:
-        if not (isinstance(v, int) and 0 <= v < graph.n):
-            raise ValueError(f"unknown vertex {v!r}")
-    order, max_deg, count = residual_degree_stats(graph, removed_set)
-    del max_deg
-    return order < k or count >= k
+    live = [d for d in residual_degrees(graph, removed) if d >= 0]
+    return len(live) < k or live.count(max(live)) >= k

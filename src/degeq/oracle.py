@@ -14,10 +14,8 @@ import time
 from itertools import combinations
 
 from .certificates import RemovalCertificate, make_certificate
-from .forest_dp import DeadlineExceeded
+from .forest_dp import NEG_INF, DeadlineExceeded
 from .graph import Graph
-
-NEG_INF = float("-inf")
 
 DEFAULT_ORDER_LIMIT = 18
 

@@ -385,23 +385,7 @@ def _claim_lemma3_cert(ctx, k_range) -> list[ClaimEntry]:
 
 
 def _claim_moore(ctx, k_range) -> list[ClaimEntry]:
-    out = []
-    for p in (2, 3):
-        holds = bounds.moore_edge_bound_ok(ctx.graph.n, ctx.graph.m, p)
-        out.append(
-            ClaimEntry(
-                "moore",
-                {"p": p},
-                {"girth": ctx.girth, "needs": f"> {2 * p}"},
-                ctx.girth > 2 * p,
-                {
-                    "m": ctx.graph.m,
-                    "bound": 2 * ctx.graph.n ** ((p + 1) / p),
-                },
-                holds,
-            )
-        )
-    return out
+    return [bounds.moore_entry(ctx.graph, p, ctx.girth) for p in (2, 3)]
 
 
 _CLAIM_FUNCS = {

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +10,19 @@ from degeq import (
     GraphFormatError,
     check_fk_condition,
     components,
+    compute_fk_forest,
     degree_profile,
     gen_random_forest,
     girth,
     is_forest,
+    make_certificate,
     parse_graph,
     remove_vertices,
     to_edgelist,
+    validate_certificate,
 )
 from degeq.extremal import build_star, build_star_union
-from degeq.graph import residual_degree_stats
+from degeq.graph import residual_degrees
 
 from conftest import girth_by_edge_removal
 
@@ -211,14 +215,73 @@ class TestCondition:
             if g.n
             else st.just(set())
         )
-        order, max_deg, count = residual_degree_stats(g, set(removed))
-        h, _ = remove_vertices(g, removed)
-        assert order == h.n
+        deg = residual_degrees(g, removed)
+        live = [d for d in deg if d >= 0]
+        h, old_to_new = remove_vertices(g, removed)
+        assert len(live) == h.n
         if h.n:
-            assert max_deg == h.max_degree()
-            assert count == sum(1 for v in range(h.n) if h.degree(v) == h.max_degree())
+            assert max(live) == h.max_degree()
+            assert live.count(max(live)) == sum(
+                1 for v in range(h.n) if h.degree(v) == h.max_degree()
+            )
+        for v in range(g.n):
+            assert deg[v] == (h.degree(old_to_new[v]) if v in old_to_new else -1)
+        new_to_old = {new: old for old, new in old_to_new.items()}
         for k in (2, 3):
             assert check_fk_condition(g, removed, k) == (
                 h.n < k
                 or sum(1 for v in range(h.n) if h.degree(v) == h.max_degree()) >= k
             )
+            if h.n >= k and check_fk_condition(g, removed, k):
+                cert = make_certificate(g, removed, k, "brute")
+                assert cert.residual_max_degree == h.max_degree()
+                tops = [v for v in range(h.n) if h.degree(v) == h.max_degree()]
+                assert cert.witnesses == tuple(sorted(new_to_old[v] for v in tops))
+
+
+class TestCertificates:
+    @pytest.fixture
+    def solved(self):
+        # f_3 = 3: X trims the three star centres to degree 3 each
+        forest = build_star_union([5, 4, 3])
+        value, cert = compute_fk_forest(forest, 3)
+        assert (value, cert.x, cert.residual_max_degree) == (3, (4, 5, 10), 3)
+        return forest, cert
+
+    def test_rejects_tampered_copies(self, solved):
+        forest, cert = solved
+        assert validate_certificate(forest, cert, 3)
+        w = cert.witnesses
+        tampered = [
+            replace(cert, residual_max_degree=cert.residual_max_degree + 1),
+            replace(cert, witnesses=w[:2]),
+            replace(cert, witnesses=(cert.x[0],) + w[1:]),
+            replace(cert, witnesses=w[:2] + (forest.n,)),
+            replace(cert, witnesses=w[:2] + (w[2] - forest.n,)),
+            replace(cert, order_below_k=True),
+        ]
+        below = make_certificate(forest, range(2, forest.n), 3, "dp")
+        assert below.order_below_k and validate_certificate(forest, below, 3)
+        tampered.append(replace(below, order_below_k=False))
+        tampered += [
+            replace(cert, x=cert.x[:i] + cert.x[i + 1 :]) for i in range(len(cert.x))
+        ]
+        for bad in tampered:
+            assert validate_certificate(forest, bad, 3) is False, bad
+        for unknown in (forest.n, -1):
+            with pytest.raises(ValueError):
+                validate_certificate(forest, replace(cert, x=cert.x + (unknown,)), 3)
+        with pytest.raises(ValueError):
+            make_certificate(forest, range(forest.n), 0, "dp")
+
+    def test_no_graph_is_built(self, solved, monkeypatch):
+        forest, cert = solved
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Graph was built")
+
+        monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+        monkeypatch.setattr(Graph, "__post_init__", refuse)
+        assert check_fk_condition(forest, cert.x, 3)
+        assert make_certificate(forest, cert.x, 3, "dp") == cert
+        assert validate_certificate(forest, cert, 3)
