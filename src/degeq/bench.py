@@ -43,9 +43,11 @@ def run_suite(suite: str) -> list[BenchRow]:
                 value, ms = _timed(compute_fk_forest, graph, k)
                 rows.append(BenchRow(name, graph.n, graph.m, k, "dp", value, ms))
     elif suite == "forest-dp":
+        # seeds with f_k >= 1 on every row, so none stops at the
+        # already-equalized exit
         for k, sizes in ((2, (40, 70, 100)), (3, (30, 45, 60))):
             for n in sizes:
-                graph = gen_random_forest(n, seed=1000 + n)
+                graph = gen_random_forest(n, seed=3000 + n)
                 value, ms = _timed(compute_fk_forest, graph, k)
                 rows.append(
                     BenchRow(f"forest-n{n}", graph.n, graph.m, k, "dp", value, ms)

@@ -19,7 +19,10 @@ NEG_INF marks infeasible states; sums absorb it and max ignores it.
 The solver does not run this per-pair program for every (S, delta): one
 counting pass per delta (``_best_special_set``) covers all special sets at
 once and finds the least optimal pair, and the per-pair program then runs
-once on that pair to reconstruct the certificate.
+once on that pair to reconstruct the certificate.  The passes walk delta
+down from the k-th largest degree and stop once a bounded-degree-deletion
+lower bound (``_min_deletions``) shows that no lower delta can reach the
+best order found so far.
 """
 
 from __future__ import annotations
@@ -480,6 +483,37 @@ def _best_special_set(skel: _Skeleton, n: int, k: int, delta: int):
     return score >> n, special
 
 
+def _min_deletions(skel: _Skeleton, delta: int) -> int:
+    """Fewest deletions that bring the forest's maximum degree to delta or
+    below: the scalar tree program for bounded-degree vertex deletion
+    (Betzler, Bredereck, Niedermeier and Uhlmann, DAM 160, 2012).
+
+    Each vertex is deleted, kept with its parent edge (at most delta - 1
+    kept children), or kept without it (at most delta).  A kept vertex
+    keeps the children that save the most over deleting them.  ``skel``
+    must have a virtual root.
+    """
+    children = skel.children
+    size = skel.size  # exceeds every deletion count: an infeasible state
+    drop = [0] * size  # deleted
+    up = [0] * size  # kept with the parent edge
+    free = [0] * size  # deleted, or kept without the parent edge
+    for u in skel.order[:-1]:
+        deleted = 1
+        base = 0  # every child deleted
+        gains = []
+        for v in children[u]:
+            deleted += free[v]
+            base += drop[v]
+            if drop[v] > up[v]:
+                gains.append(drop[v] - up[v])
+        gains.sort(reverse=True)
+        drop[u] = deleted
+        free[u] = min(deleted, base - sum(gains[:delta]))
+        up[u] = base - sum(gains[: delta - 1]) if delta > 0 else size
+    return sum(free[v] for v in children[skel.root])
+
+
 # ---------------------------------------------------------------------------
 # Driver
 
@@ -492,11 +526,17 @@ def compute_fk_forest(
 ) -> tuple[int, RemovalCertificate]:
     """Exact equalization number of a forest, with a deletion certificate.
 
-    For each target degree delta up to the k-th largest degree, one counting
-    pass finds the largest induced subforest with maximum degree at most delta
-    and k special vertices at exactly delta; keeping only k-1 vertices covers
-    the order-below-k escape.  Ties resolve to the lexicographically least
-    (S, delta) pair, whose per-pair program then yields the certificate.
+    For each target degree delta from the k-th largest degree down to 0, one
+    counting pass finds the largest induced subforest with maximum degree at
+    most delta and k special vertices at exactly delta; keeping only k-1
+    vertices covers the order-below-k escape and is the first incumbent.
+    Such a subforest has at most n - bdd(delta) vertices, where bdd(delta) is
+    the fewest deletions that bring the maximum degree to delta or below.
+    bdd does not decrease as delta falls, so the walk stops at the first
+    delta whose bound is below the incumbent order.  The test is strict: a
+    delta that could tie the optimum still runs its pass, so ties resolve to
+    the lexicographically least (S, delta) pair as in a full scan, and its
+    per-pair program then yields the certificate.
     ``jobs`` is accepted for compatibility and ignored: the solve is serial
     and its result does not depend on it.
     """
@@ -514,13 +554,16 @@ def compute_fk_forest(
         # subset oracle's first success, so its method name is kept
         return 1, make_certificate(forest, (0,), k, "brute")
 
-    delta_cap = deltas[k - 1]
     counting = _build_skeleton(forest, comps, None, [comp[0] for comp in comps])
-    best_val = NEG_INF
+    # the incumbent order starts at the keep-(k-1) escape; every pass keeps
+    # k special vertices, so the first one found beats it
+    best_val = k - 1
     best_key: tuple[tuple[int, ...], int] | None = None
-    for delta in range(delta_cap + 1):
+    for delta in range(deltas[k - 1], -1, -1):
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("forest solver deadline exceeded")
+        if n - _min_deletions(counting, delta) < best_val:
+            break  # n - bdd only falls with delta: no lower delta can win
         found = _best_special_set(counting, n, k, delta)
         if found is None:
             continue
@@ -529,10 +572,9 @@ def compute_fk_forest(
             best_val = val
             best_key = (special, delta)
 
-    trivial_f = n - (k - 1)
-    if best_val == NEG_INF or n - best_val > trivial_f:
+    if best_key is None:
         removed = tuple(range(k - 1, n))
-        return trivial_f, make_certificate(forest, removed, k, "dp")
+        return n - (k - 1), make_certificate(forest, removed, k, "dp")
 
     special, delta = best_key
     view = _rooted_view(forest, comps, frozenset(special), delta)

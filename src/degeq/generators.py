@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -55,23 +54,36 @@ def gen_random_forest(
     return Graph.from_edges(n, edges)
 
 
+def _expand(adj: list[set[int]], frontier: list[int], seen: set[int]) -> list[int]:
+    """One breadth-first step: the unseen neighbours of ``frontier``, which
+    are added to ``seen``."""
+    out = []
+    for u in frontier:
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                out.append(w)
+    return out
+
+
 def _within_distance(adj: list[set[int]], source: int, target: int, cap: int) -> bool:
-    """True iff target is reachable from source in at most cap steps."""
+    """True iff target is reachable from source in at most cap steps, that
+    is, iff some vertex within ceil(cap/2) - 1 steps of source has a
+    neighbour within floor(cap/2) steps of target."""
     if source == target:
         return True
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        if d > cap:
-            continue
-        for w in adj[u]:
-            if w == target:
+    near_target = {target}
+    frontier = [target]
+    for _ in range(cap // 2):
+        frontier = _expand(adj, frontier, near_target)
+    seen = {source}
+    frontier = [source]
+    for step in range((cap + 1) // 2):
+        if step:
+            frontier = _expand(adj, frontier, seen)
+        for u in frontier:
+            if not near_target.isdisjoint(adj[u]):
                 return True
-            if w not in dist:
-                dist[w] = d
-                queue.append(w)
     return False
 
 

@@ -343,3 +343,10 @@ def test_bench_oracle_suite_is_nontrivial():
     rows = run_suite("oracle")
     assert rows
     assert all(row.value >= 2 for row in rows), [(r.name, r.value) for r in rows]
+
+
+def test_bench_forest_dp_suite_is_nontrivial():
+    # a row with f_k = 0 times the already-equalized exit, not a counting pass
+    rows = run_suite("forest-dp")
+    assert rows
+    assert all(row.value >= 1 for row in rows), [(r.name, r.k, r.value) for r in rows]

@@ -3,11 +3,13 @@ the +1 for the vertex itself, validated against the exhaustive oracle before
 anything else), the full solver, its certificates, and its invariances."""
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_forests
 from degeq import (
     NEG_INF,
     ChildPartition,
@@ -28,8 +30,19 @@ from degeq import (
     root_forest,
     validate_certificate,
 )
-from degeq.forest_dp import evaluate_view
-from degeq.graph import parse_graph, remove_vertices
+from degeq import forest_dp
+from degeq.certificates import make_certificate
+from degeq.forest_dp import (
+    DeadlineExceeded,
+    _best_special_set,
+    _build_skeleton,
+    _min_deletions,
+    _reconstruct,
+    _rooted_view,
+    _run_pass,
+    evaluate_view,
+)
+from degeq.graph import components, degree_profile, parse_graph, remove_vertices
 
 
 class TestLeafBase:
@@ -450,3 +463,148 @@ class TestRootedView:
         view = root_forest(forest, (0, 3), 1)
         triple = evaluate_view(view)
         assert triple.n1 == max_subforest_order(forest, (0, 3), 1)
+
+
+def counting_skeleton(forest):
+    comps = components(forest)
+    return _build_skeleton(forest, comps, None, [comp[0] for comp in comps])
+
+
+def exhaustive_min_deletions(forest):
+    """Least |X| such that G - X has maximum degree <= delta, for every
+    delta from 0 to the maximum degree, over all 2^n vertex subsets."""
+    n = forest.n
+    nbrs = [sum(1 << w for w in forest.adj[v]) for v in range(n)]
+    best = [n] * (forest.max_degree() + 1)
+    for mask in range(1 << n):
+        live = [v for v in range(n) if not mask >> v & 1]
+        top = max(((nbrs[v] & ~mask).bit_count() for v in live), default=0)
+        for delta in range(top, len(best)):
+            best[delta] = min(best[delta], n - len(live))
+    return best
+
+
+def reference_fk_forest(forest, k):
+    """The solver without the bound: every delta scored in ascending order."""
+    n = forest.n
+    comps = components(forest)
+    deltas = degree_profile(forest).deltas
+    if n < k or deltas[0] == deltas[k - 1]:
+        return 0, make_certificate(forest, (), k, "dp")
+    if n == k:
+        return 1, make_certificate(forest, (0,), k, "brute")
+    skel = counting_skeleton(forest)
+    best_val, best_key = NEG_INF, None
+    for delta in range(deltas[k - 1] + 1):
+        found = _best_special_set(skel, n, k, delta)
+        if found is None:
+            continue
+        val, special = found
+        if val > best_val or (val == best_val and (special, delta) < best_key):
+            best_val, best_key = val, (special, delta)
+    if best_val == NEG_INF or n - best_val > n - (k - 1):
+        removed = tuple(range(k - 1, n))
+        return n - (k - 1), make_certificate(forest, removed, k, "dp")
+    special, delta = best_key
+    view = _rooted_view(forest, comps, frozenset(special), delta)
+    kept = _reconstruct(view.skeleton, *_run_pass(view))
+    removed = tuple(sorted(set(range(n)) - kept))
+    return n - best_val, make_certificate(forest, removed, k, "dp")
+
+
+def double_star(a, b):
+    """Adjacent centres 0 and 1 with a and b leaves."""
+    edges = [(0, 1)] + [(0, 2 + i) for i in range(a)]
+    edges += [(1, 2 + a + j) for j in range(b)]
+    return Graph.from_edges(2 + a + b, edges)
+
+
+def spider(legs):
+    """Centre 0 with one path of each given length hanging from it."""
+    edges, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph.from_edges(n, edges)
+
+
+def caterpillar(leaves):
+    """A spine path with ``leaves[i]`` leaves on its i-th vertex."""
+    spine = len(leaves)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i, count in enumerate(leaves):
+        edges.extend((i, n + j) for j in range(count))
+        n += count
+    return Graph.from_edges(n, edges)
+
+
+# the optimum is reached at several deltas on many of these, so a prune that
+# skips a delta able to tie it changes the winning (S, delta)
+TIE_HEAVY_SHAPES = [
+    *(
+        build_star_union(s)
+        for s in ([3, 3, 1], [4, 4, 2], [5, 5, 5], [6, 5, 5], [4, 3, 3, 3],
+                  [2, 2, 2, 2], [7, 7, 6, 1], [4, 3, 1], [6, 2, 2])
+    ),
+    *(double_star(a, b) for a, b in ((2, 2), (3, 3), (4, 3), (5, 5), (6, 2))),
+    *(spider(legs) for legs in ((1, 1, 2), (2, 2, 2), (1, 2, 3, 3), (2, 2, 2, 2, 1))),
+    *(
+        caterpillar(c)
+        for c in ((2, 2, 2), (3, 0, 3), (1, 3, 3, 1), (2, 1, 2, 1, 2),
+                  (0, 0, 1, 1), (0, 2, 0, 1))
+    ),
+]
+
+
+class TestDeletionBound:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_exhaustive_search_on_every_small_forest(self, n):
+        for forest in all_forests(n):
+            skel = counting_skeleton(forest)
+            got = [_min_deletions(skel, d) for d in range(forest.max_degree() + 1)]
+            assert got == exhaustive_min_deletions(forest), forest.edges()
+
+
+class TestDownwardWalk:
+    @pytest.mark.parametrize("index", range(len(TIE_HEAVY_SHAPES)))
+    def test_matches_full_scan_on_tie_heavy_shapes(self, index):
+        forest = TIE_HEAVY_SHAPES[index]
+        for k in range(2, 6):
+            got = compute_fk_forest(forest, k)
+            assert repr(got) == repr(reference_fk_forest(forest, k)), k
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_forests(), st.integers(min_value=2, max_value=5))
+    def test_matches_full_scan_on_any_small_forest(self, forest, k):
+        got = compute_fk_forest(forest, k)
+        assert repr(got) == repr(reference_fk_forest(forest, k))
+
+    def test_star_union_runs_one_counting_pass(self, monkeypatch):
+        # f_2 = 1: the pass at delta = 200 keeps n - 1 vertices, and every
+        # lower delta needs two deletions
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return _best_special_set(*args)
+
+        monkeypatch.setattr(forest_dp, "_best_special_set", counted)
+        value, cert = compute_fk_forest(build_star_union([201, 200]), 2)
+        assert value == 1
+        assert calls == [200]
+
+    def test_deadline_passing_mid_walk_raises(self, monkeypatch):
+        # f_3(F_6) = 6 is large, so the bound skips none of its 8 passes
+        calls = []
+
+        def clock():
+            calls.append(None)
+            return 0.0 if len(calls) == 1 else 2.0
+
+        monkeypatch.setattr(forest_dp, "time", SimpleNamespace(monotonic=clock))
+        with pytest.raises(DeadlineExceeded):
+            compute_fk_forest(build_extremal_forest(6), 3, deadline=1.0)
+        assert len(calls) == 2

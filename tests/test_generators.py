@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,27 @@ from degeq import (
     instance_seed,
     is_forest,
 )
+from degeq.generators import _within_distance
+
+
+def bfs_within_distance(adj, source, target, cap):
+    """The breadth-first check the generator used before its ball test."""
+    if source == target:
+        return True
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        d = dist[u] + 1
+        if d > cap:
+            continue
+        for w in adj[u]:
+            if w == target:
+                return True
+            if w not in dist:
+                dist[w] = d
+                queue.append(w)
+    return False
 
 
 class TestSplitMix64:
@@ -106,6 +129,26 @@ class TestGirth5Generator:
     def test_higher_girth_option(self):
         g = gen_random_girth5(16, None, seed=2, min_girth=7)
         assert girth(g) >= 7
+
+    def test_ball_check_matches_breadth_first_search(self):
+        # sparse and dense graphs with short cycles, forests and girth-5
+        # graphs, at caps 0..6 (girth 2..8)
+        for seed in range(24):
+            n = 4 + seed % 17
+            graphs = [
+                gen_random_girth5(n, n * (1 + seed % 3) // 2, seed=seed, min_girth=3),
+                gen_random_girth5(n, None, seed=seed),
+                gen_random_forest(n, split_prob=0.2, seed=seed),
+            ]
+            rng = SplitMix64(seed)
+            for graph in graphs:
+                adj = [set(graph.adj[v]) for v in range(n)]
+                for _ in range(30):
+                    u, v = rng.randrange(n), rng.randrange(n)
+                    for cap in range(7):
+                        assert _within_distance(adj, u, v, cap) == bfs_within_distance(
+                            adj, u, v, cap
+                        ), (seed, graph.edges(), u, v, cap)
 
 
 class TestGeneratorConfig:
