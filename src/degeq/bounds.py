@@ -123,39 +123,61 @@ def theorem1_hypothesis(graph: Graph, t: int) -> bool:
     return graph.m < bound_theorem1(t)
 
 
+def weighted_degrees(profile: DegreeProfile, k: int) -> int:
+    """sum_{i<k} i * d_i; for k = 3 this is Theorem 2's d_1 + 2 d_2."""
+    return sum(i * profile_value(profile, i) for i in range(1, k))
+
+
 def theorem2_hypothesis(profile: DegreeProfile, t: int) -> bool:
-    return (
-        profile_value(profile, 1) + 2 * profile_value(profile, 2)
-        <= bound_theorem2(t)
-    )
+    return weighted_degrees(profile, 3) <= bound_theorem2(t)
 
 
 def corollary2_hypothesis(graph: Graph, t: int) -> bool:
     return graph.m < bound_corollary2(t)
 
 
+def lemma3_surplus(profile: DegreeProfile, k: int) -> int:
+    """Top-degree surplus d_1 + ... + d_{k-1} - (k-1) d_k."""
+    return sum(profile_value(profile, i) for i in range(1, k)) - (
+        k - 1
+    ) * profile_value(profile, k)
+
+
 def lemma3_hypothesis(profile: DegreeProfile, k: int, t: int) -> bool:
     if t < (k - 1) ** 2:
         return False
-    surplus = sum(profile_value(profile, i) for i in range(1, k)) - (
-        k - 1
-    ) * profile_value(profile, k)
-    return surplus <= t
+    return lemma3_surplus(profile, k) <= t
 
 
 def theorem3_hypothesis(profile: DegreeProfile, k: int, t: int) -> bool:
     if t < (k - 1) ** 2:
         return False
-    weighted = sum(i * profile_value(profile, i) for i in range(1, k))
-    return weighted <= bound_theorem3(k, t)
+    return weighted_degrees(profile, k) <= bound_theorem3(k, t)
 
 
 def minimal_t(predicate, start: int, limit: int = 10_000) -> int | None:
-    """Smallest t >= start satisfying a monotone hypothesis predicate."""
+    """Smallest t >= start satisfying a monotone hypothesis predicate; the
+    ``*_t`` functions below apply it to each result that concludes f_k <= t."""
     for t in range(start, limit):
         if predicate(t):
             return t
     return None
+
+
+def theorem1_t(graph: Graph) -> int | None:
+    return minimal_t(lambda t: theorem1_hypothesis(graph, t), 1)
+
+
+def theorem2_t(profile: DegreeProfile) -> int | None:
+    return minimal_t(lambda t: theorem2_hypothesis(profile, t), 2)
+
+
+def corollary2_t(graph: Graph) -> int | None:
+    return minimal_t(lambda t: corollary2_hypothesis(graph, t), 2)
+
+
+def theorem3_t(profile: DegreeProfile, k: int) -> int | None:
+    return minimal_t(lambda t: theorem3_hypothesis(profile, k, t), (k - 1) ** 2)
 
 
 def corollary1_check(
@@ -210,12 +232,17 @@ def moore_edge_bound_ok(n: int, m: int, p: int) -> bool:
     return m**p <= 2**p * n ** (p + 1)
 
 
+def girth_field(g: int | float) -> int | str:
+    """A girth as strict JSON can carry it: "inf" for a forest."""
+    return "inf" if g == float("inf") else g
+
+
 def moore_entry(graph: Graph, p: int, g: int | float) -> ClaimEntry:
     """The exact Moore edge bound for girth ``g`` above 2p, pass/fail."""
     return ClaimEntry(
         claim="moore",
         params={"p": p},
-        hypothesis={"girth": g, "needs": f"> {2 * p}"},
+        hypothesis={"girth": girth_field(g), "needs": f"> {2 * p}"},
         hypothesis_holds=g > 2 * p,
         conclusion={"m": graph.m, "bound": 2 * graph.n ** ((p + 1) / p)},
         conclusion_holds=moore_edge_bound_ok(graph.n, graph.m, p),
@@ -241,7 +268,7 @@ def asymptotic_report(graph: Graph, k: int, p: int) -> list[ClaimEntry]:
         ClaimEntry(
             claim="cor3",
             params={"k": k},
-            hypothesis={"girth": g, "needs": ">= 5"},
+            hypothesis={"girth": girth_field(g), "needs": ">= 5"},
             hypothesis_holds=g >= 5,
             conclusion={
                 "leading_divisor": 6 * comb(k, 2),
@@ -252,7 +279,7 @@ def asymptotic_report(graph: Graph, k: int, p: int) -> list[ClaimEntry]:
         ClaimEntry(
             claim="cor4",
             params={"k": k, "p": p},
-            hypothesis={"girth": g, "needs": f"> {2 * p}"},
+            hypothesis={"girth": girth_field(g), "needs": f"> {2 * p}"},
             hypothesis_holds=g > 2 * p,
             conclusion={
                 "constant": (12 * comb(k, 2)) ** (1 / 3),
@@ -264,7 +291,7 @@ def asymptotic_report(graph: Graph, k: int, p: int) -> list[ClaimEntry]:
         ClaimEntry(
             claim="cor5",
             params={"k": k},
-            hypothesis={"girth": g, "needs": "forest (girth inf)"},
+            hypothesis={"girth": girth_field(g), "needs": "forest (girth inf)"},
             hypothesis_holds=g == float("inf"),
             conclusion={
                 "constant": (6 * comb(k, 2)) ** (1 / 3),

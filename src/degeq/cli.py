@@ -16,12 +16,6 @@ import click
 from . import bench as bench_mod
 from .certificates import validate_certificate
 from .constructive import PreconditionError, girth5_equalize, peel_removal
-from .extremal import (
-    build_extremal_forest,
-    build_path,
-    build_star,
-    build_star_union,
-)
 from .forest_dp import compute_fk_forest
 from .generators import GeneratorConfig, gen_random_forest, gen_random_girth5
 from .graph import (
@@ -41,15 +35,15 @@ from .bounds import (
     bound_theorem3,
     c_k,
     corollary1_check,
-    minimal_t,
-    theorem1_hypothesis,
-    theorem2_hypothesis,
-    corollary2_hypothesis,
-    theorem3_hypothesis,
+    corollary2_t,
+    girth_field,
+    theorem1_t,
+    theorem2_t,
+    theorem3_t,
 )
 from .oracle import DEFAULT_ORDER_LIMIT, brute_force_fk
 from .prng import instance_seed
-from .verify import CLAIM_TAGS, run_verification
+from .verify import CLAIM_TAGS, expand_corpus, realize, run_verification
 
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
@@ -81,7 +75,7 @@ def _result_payload(graph, k, value, cert, method, elapsed_ms) -> dict:
 
 def _emit_result(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload, indent=2, allow_nan=False))
     elif fmt == "csv":
         keys = list(payload)
         click.echo(",".join(keys))
@@ -115,7 +109,7 @@ def main():
 
 @main.command()
 @click.option("--input", "input_path", required=True, help="Edge-list file.")
-@click.option("--k", "k", type=int, required=True)
+@click.option("--k", "k", type=click.IntRange(min=2), required=True)
 @click.option(
     "--method",
     type=click.Choice(["dp", "brute", "auto"]),
@@ -133,15 +127,8 @@ def main():
     "--force", is_flag=True,
     help="Let brute force run past its default order limit; forests need no limit.",
 )
-@click.option(
-    "--jobs", type=int, default=1, show_default=True,
-    help="Accepted and ignored: the forest solver runs in one process.",
-)
-def compute(input_path, k, method, fmt, force, jobs):
+def compute(input_path, k, method, fmt, force):
     """Exact equalization number of a graph."""
-    if k < 2:
-        click.echo("usage error: k must be at least 2", err=True)
-        sys.exit(EXIT_USAGE)
     graph = _load_graph(input_path)
     forest = is_forest(graph)
     if method == "auto":
@@ -151,7 +138,7 @@ def compute(input_path, k, method, fmt, force, jobs):
         sys.exit(EXIT_INPUT)
     start = time.perf_counter()
     if method == "dp":
-        value, cert = compute_fk_forest(graph, k, jobs=jobs)
+        value, cert = compute_fk_forest(graph, k)
     else:
         limit = graph.n if force else DEFAULT_ORDER_LIMIT
         try:
@@ -168,7 +155,7 @@ def compute(input_path, k, method, fmt, force, jobs):
 
 @main.command()
 @click.option("--input", "input_path", required=True)
-@click.option("--k", "k", type=int, required=True)
+@click.option("--k", "k", type=click.IntRange(min=2), required=True)
 @click.option("--limit", type=int, default=DEFAULT_ORDER_LIMIT, show_default=True)
 @click.option(
     "--format",
@@ -179,9 +166,6 @@ def compute(input_path, k, method, fmt, force, jobs):
 )
 def brute(input_path, k, limit, fmt):
     """Ground-truth equalization number by subset enumeration."""
-    if k < 2:
-        click.echo("usage error: k must be at least 2", err=True)
-        sys.exit(EXIT_USAGE)
     graph = _load_graph(input_path)
     start = time.perf_counter()
     try:
@@ -205,23 +189,11 @@ def brute(input_path, k, limit, fmt):
 @click.option("--out", "out_path", default=None, help="Output file (default stdout).")
 def construct(family, t, n, sizes, out_path):
     """Write a deterministic family member as an edge list."""
+    kind = "extremal-Ft" if family == "extremal-ft" else family
     try:
-        if family == "extremal-ft":
-            if t is None:
-                raise ValueError("--t is required for extremal-ft")
-            graph = build_extremal_forest(t)
-        elif family == "star-union":
-            if not sizes:
-                raise ValueError("--sizes is required for star-union")
-            graph = build_star_union([int(s) for s in sizes.split(",")])
-        elif family == "star":
-            if n is None:
-                raise ValueError("--n is required for star")
-            graph = build_star(n)
-        else:
-            if n is None:
-                raise ValueError("--n is required for path")
-            graph = build_path(n)
+        sizes = tuple(int(s) for s in sizes.split(",")) if sizes else None
+        config = GeneratorConfig(kind, n=n, t=t, sizes=sizes)
+        graph = realize(expand_corpus([config])[0])
     except ValueError as exc:
         click.echo(f"usage error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
@@ -264,9 +236,9 @@ def gen(kind, n, m, seed, count, out_dir):
 
 @main.command()
 @click.option("--input", "input_path", required=True)
-@click.option("--k", "k", type=int, default=None)
-@click.option("--t", "t", type=int, default=None)
-@click.option("--p", "p", type=int, default=None)
+@click.option("--k", "k", type=click.IntRange(min=2), default=3, show_default=True)
+@click.option("--t", "t", type=click.IntRange(min=2), default=None)
+@click.option("--p", "p", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option(
     "--format",
     "fmt",
@@ -280,29 +252,25 @@ def bounds(input_path, k, t, p, fmt):
     profile = degree_profile(graph)
     g = girth(graph)
     forest = is_forest(graph)
-    k = k or 3
-    p = p or 2
     report: dict = {
         "n": graph.n,
         "m": graph.m,
-        "girth": "inf" if g == float("inf") else g,
+        "girth": girth_field(g),
         "is_forest": forest,
         "degree_profile_head": list(profile.deltas[:10]),
         "constants": {"c_2": c_k(2), "c_3": c_k(3)},
     }
     if forest:
-        t1 = minimal_t(lambda s: theorem1_hypothesis(graph, s), 1)
-        t2 = minimal_t(lambda s: theorem2_hypothesis(profile, s), 2)
-        t3 = minimal_t(lambda s: corollary2_hypothesis(graph, s), 2)
+        t1 = theorem1_t(graph)
+        t2 = theorem2_t(profile)
+        t3 = corollary2_t(graph)
         report["forest_thresholds"] = {
             "two-max-degrees": {"t": t1, "edge_bound": bound_theorem1(t1)},
             "three-max-degrees-profile": {"t": t2, "bound": bound_theorem2(t2)},
             "three-max-degrees-size": {"t": t3, "bound": str(bound_corollary2(t3))},
         }
     if g >= 5:
-        t_g5 = minimal_t(
-            lambda s: theorem3_hypothesis(profile, k, s), (k - 1) ** 2
-        )
+        t_g5 = theorem3_t(profile, k)
         report["girth5_threshold"] = {
             "k": k,
             "t": t_g5,
@@ -314,7 +282,7 @@ def bounds(input_path, k, t, p, fmt):
         e.to_dict() for e in asymptotic_report(graph, k, p)
     ]
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, default=str))
+        click.echo(json.dumps(report, indent=2, default=str, allow_nan=False))
     else:
         for key, value in report.items():
             click.echo(f"{key}: {value}")
@@ -389,7 +357,7 @@ def bench(suite, fmt):
 
 @main.command()
 @click.option("--input", "input_path", required=True)
-@click.option("--k", "k", type=int, required=True)
+@click.option("--k", "k", type=click.IntRange(min=2), required=True)
 @click.option("--t", "t", type=int, required=True)
 @click.option(
     "--procedure",
@@ -410,7 +378,7 @@ def equalize(input_path, k, t, procedure):
         sys.exit(EXIT_USAGE)
     payload = cert.to_dict()
     payload["valid"] = validate_certificate(graph, cert, k)
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(json.dumps(payload, indent=2, allow_nan=False))
     if not payload["valid"]:
         sys.exit(EXIT_VIOLATION)
 

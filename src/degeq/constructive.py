@@ -9,8 +9,7 @@ module; a branch whose hypothesis fails raises instead of guessing.
 
 from __future__ import annotations
 
-from math import comb
-
+from .bounds import bound_theorem2, lemma3_surplus, weighted_degrees
 from .certificates import RemovalCertificate, make_certificate
 from .graph import (
     Graph,
@@ -85,7 +84,7 @@ def girth5_equalize(graph: Graph, k: int, t: int) -> RemovalCertificate:
 
     profile = degree_profile(graph)
     deltas = profile.deltas
-    surplus = sum(deltas[:k - 1]) - (k - 1) * deltas[k - 1]
+    surplus = lemma3_surplus(profile, k)
     if surplus > t:
         raise PreconditionError(
             "hypothesis",
@@ -159,7 +158,7 @@ def _equalize3(graph: Graph, t: int, to_original: list[int]) -> list[int]:
     u1, u2, u3 = profile.witnesses[0], profile.witnesses[1], profile.witnesses[2]
     if d1 == d3:
         return []
-    bound = comb(t + 2, 2) + 2
+    bound = bound_theorem2(t)
     if d1 + 2 * d2 > bound:
         raise AssertionError(f"recursion hypothesis {d1}+2*{d2} <= {bound} broken")
 
@@ -172,7 +171,7 @@ def _equalize3(graph: Graph, t: int, to_original: list[int]) -> list[int]:
         return [to_original[v] for v in x]
 
     # Dominant first witness: remove it and recurse with a smaller budget.
-    if d2 + 2 * d3 > comb(t + 1, 2) + 2:
+    if d2 + 2 * d3 > bound_theorem2(t - 1):
         raise AssertionError("recursion bound violated; hypothesis arithmetic broken")
     sub, old_to_new = remove_vertices(graph, {u1})
     sub_map = [0] * sub.n
@@ -259,14 +258,12 @@ def equalize3_forest(forest: Graph, t: int) -> RemovalCertificate:
         raise PreconditionError("forest", "input graph is not a forest")
     if t < 2:
         raise PreconditionError("t", "budget t must be at least 2")
-    if forest.n >= 2:
-        profile = degree_profile(forest)
-        value = profile.deltas[0] + 2 * profile.deltas[1]
-        bound = comb(t + 2, 2) + 2
-        if value > bound:
-            raise PreconditionError(
-                "hypothesis", f"d1 + 2*d2 = {value} exceeds {bound}"
-            )
+    value = weighted_degrees(degree_profile(forest), 3)
+    bound = bound_theorem2(t)
+    if value > bound:
+        raise PreconditionError(
+            "hypothesis", f"d1 + 2*d2 = {value} exceeds {bound}"
+        )
     removed = _equalize3(forest, t, list(range(forest.n)))
     if len(removed) > t:
         raise AssertionError("equalizer exceeded its budget t")

@@ -14,6 +14,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import bounds
 from .bounds import ClaimEntry, INAPPLICABLE, PASS, SKIP, VIOLATED
@@ -104,29 +105,20 @@ class _InstanceContext:
         self.graph = graph
         self.oracle_limit = oracle_limit
         self.deadline = deadline
-        self._profile = None
-        self._girth = None
-        self._forest = None
         self._fk: dict[int, tuple[int | None, str]] = {}
         self.certificates = {}
 
-    @property
+    @cached_property
     def profile(self):
-        if self._profile is None:
-            self._profile = degree_profile(self.graph)
-        return self._profile
+        return degree_profile(self.graph)
 
-    @property
+    @cached_property
     def girth(self):
-        if self._girth is None:
-            self._girth = girth(self.graph)
-        return self._girth
+        return girth(self.graph)
 
-    @property
+    @cached_property
     def forest(self) -> bool:
-        if self._forest is None:
-            self._forest = is_forest(self.graph)
-        return self._forest
+        return is_forest(self.graph)
 
     def fk(self, k: int) -> tuple[int | None, str]:
         """(value, method) with value None when no exact solver applies."""
@@ -155,6 +147,22 @@ def _skip(claim: str, params: dict, note: str) -> ClaimEntry:
 
 def _inapplicable(claim: str, params: dict, hypothesis: dict) -> ClaimEntry:
     return ClaimEntry(claim, params, hypothesis, False, {}, True)
+
+
+def _at_most_t(ctx, claim: str, k: int, t: int, hypothesis: dict) -> ClaimEntry:
+    """The entry for a claim that concludes f_k <= t; its hypothesis holds."""
+    value, method = ctx.fk(k)
+    if value is None:
+        return _skip(claim, {"k": k, "t": t}, f"no exact solver for f_{k}")
+    return ClaimEntry(
+        claim,
+        {"k": k, "t": t},
+        hypothesis,
+        True,
+        {f"f_{k}": value, "needs": f"<= {t}", "method": method},
+        value <= t,
+        fk=value,
+    )
 
 
 def _claim_oracle_equiv(ctx, k_range) -> list[ClaimEntry]:
@@ -189,55 +197,22 @@ def _claim_oracle_equiv(ctx, k_range) -> list[ClaimEntry]:
 
 
 def _claim_thm1(ctx, k_range) -> list[ClaimEntry]:
-    if not ctx.forest:
-        return [_skip("thm1", {}, "not a forest")]
-    t = bounds.minimal_t(lambda t: bounds.theorem1_hypothesis(ctx.graph, t), 1)
-    value, method = ctx.fk(2)
-    if value is None:
-        return [_skip("thm1", {"t": t}, "no exact solver for f_2")]
-    return [
-        ClaimEntry(
-            "thm1",
-            {"k": 2, "t": t},
-            {"m": ctx.graph.m, "bound": bounds.bound_theorem1(t)},
-            True,
-            {"f_2": value, "needs": f"<= {t}", "method": method},
-            value <= t,
-            fk=value,
-        )
-    ]
-
-
-def _minimal_t_thm2(ctx) -> int:
-    return bounds.minimal_t(lambda t: bounds.theorem2_hypothesis(ctx.profile, t), 2)
+    t = bounds.theorem1_t(ctx.graph)
+    hypothesis = {"m": ctx.graph.m, "bound": bounds.bound_theorem1(t)}
+    return [_at_most_t(ctx, "thm1", 2, t, hypothesis)]
 
 
 def _claim_thm2(ctx, k_range) -> list[ClaimEntry]:
-    if not ctx.forest:
-        return [_skip("thm2", {}, "not a forest")]
-    t = _minimal_t_thm2(ctx)
-    value, method = ctx.fk(3)
-    if value is None:
-        return [_skip("thm2", {"t": t}, "no exact solver for f_3")]
-    d1 = ctx.profile.deltas[0] if ctx.graph.n else 0
-    d2 = ctx.profile.deltas[1] if ctx.graph.n > 1 else 0
-    return [
-        ClaimEntry(
-            "thm2",
-            {"k": 3, "t": t},
-            {"d1_plus_2d2": d1 + 2 * d2, "bound": bounds.bound_theorem2(t)},
-            True,
-            {"f_3": value, "needs": f"<= {t}", "method": method},
-            value <= t,
-            fk=value,
-        )
-    ]
+    t = bounds.theorem2_t(ctx.profile)
+    hypothesis = {
+        "d1_plus_2d2": bounds.weighted_degrees(ctx.profile, 3),
+        "bound": bounds.bound_theorem2(t),
+    }
+    return [_at_most_t(ctx, "thm2", 3, t, hypothesis)]
 
 
 def _claim_thm2_cert(ctx, k_range) -> list[ClaimEntry]:
-    if not ctx.forest:
-        return [_skip("thm2-cert", {}, "not a forest")]
-    t = _minimal_t_thm2(ctx)
+    t = bounds.theorem2_t(ctx.profile)
     try:
         cert = equalize3_forest(ctx.graph, t)
     except PreconditionError as exc:
@@ -256,11 +231,7 @@ def _claim_thm2_cert(ctx, k_range) -> list[ClaimEntry]:
 
 
 def _claim_cor1(ctx, k_range) -> list[ClaimEntry]:
-    if not ctx.forest:
-        return [_skip("cor1", {}, "not a forest")]
     value, _ = ctx.fk(3)
-    if value is None:
-        return [_skip("cor1", {}, "no exact solver for f_3")]
     if value <= 2:
         return [
             _inapplicable("cor1", {"t": 2}, {"f_3": value, "needs": "> 2"})
@@ -272,58 +243,21 @@ def _claim_cor1(ctx, k_range) -> list[ClaimEntry]:
 
 
 def _claim_cor2(ctx, k_range) -> list[ClaimEntry]:
-    if not ctx.forest:
-        return [_skip("cor2", {}, "not a forest")]
-    t = bounds.minimal_t(lambda t: bounds.corollary2_hypothesis(ctx.graph, t), 2)
-    value, method = ctx.fk(3)
-    if value is None:
-        return [_skip("cor2", {"t": t}, "no exact solver for f_3")]
-    return [
-        ClaimEntry(
-            "cor2",
-            {"k": 3, "t": t},
-            {"m": ctx.graph.m, "bound": str(bounds.bound_corollary2(t))},
-            True,
-            {"f_3": value, "needs": f"<= {t}", "method": method},
-            value <= t,
-            fk=value,
-        )
-    ]
+    t = bounds.corollary2_t(ctx.graph)
+    hypothesis = {"m": ctx.graph.m, "bound": str(bounds.bound_corollary2(t))}
+    return [_at_most_t(ctx, "cor2", 3, t, hypothesis)]
 
 
 def _claim_thm3(ctx, k_range) -> list[ClaimEntry]:
-    if ctx.girth < 5:
-        return [
-            _inapplicable("thm3", {"k": k}, {"girth": ctx.girth, "needs": ">= 5"})
-            for k in k_range
-        ]
     out = []
     for k in k_range:
-        t = bounds.minimal_t(
-            lambda s: bounds.theorem3_hypothesis(ctx.profile, k, s), (k - 1) ** 2
-        )
-        value, method = ctx.fk(k)
-        if value is None:
-            out.append(_skip("thm3", {"k": k, "t": t}, f"no exact solver for f_{k}"))
-            continue
-        out.append(
-            ClaimEntry(
-                "thm3",
-                {"k": k, "t": t},
-                {
-                    "weighted_degrees": sum(
-                        i * bounds.profile_value(ctx.profile, i)
-                        for i in range(1, k)
-                    ),
-                    "bound": bounds.bound_theorem3(k, t),
-                    "c_k": bounds.c_k(k),
-                },
-                True,
-                {f"f_{k}": value, "needs": f"<= {t}", "method": method},
-                value <= t,
-                fk=value,
-            )
-        )
+        t = bounds.theorem3_t(ctx.profile, k)
+        hypothesis = {
+            "weighted_degrees": bounds.weighted_degrees(ctx.profile, k),
+            "bound": bounds.bound_theorem3(k, t),
+            "c_k": bounds.c_k(k),
+        }
+        out.append(_at_most_t(ctx, "thm3", k, t, hypothesis))
     return out
 
 
@@ -332,8 +266,6 @@ def _claim_lemma2(ctx, k_range) -> list[ClaimEntry]:
         return [_inapplicable("lemma2", {}, {"kind": ctx.spec.kind})]
     t = ctx.spec.params["t"]
     value, method = ctx.fk(3)
-    if value is None:
-        return [_skip("lemma2", {"t": t}, "no exact solver for f_3")]
     return [
         ClaimEntry(
             "lemma2",
@@ -348,13 +280,6 @@ def _claim_lemma2(ctx, k_range) -> list[ClaimEntry]:
 
 
 def _claim_lemma3_cert(ctx, k_range) -> list[ClaimEntry]:
-    if ctx.girth < 5:
-        return [
-            _inapplicable(
-                "lemma3-cert", {"k": k}, {"girth": ctx.girth, "needs": ">= 5"}
-            )
-            for k in k_range
-        ]
     out = []
     for k in k_range:
         if ctx.graph.n < k:
@@ -362,8 +287,7 @@ def _claim_lemma3_cert(ctx, k_range) -> list[ClaimEntry]:
                 _inapplicable("lemma3-cert", {"k": k}, {"n": ctx.graph.n})
             )
             continue
-        deltas = ctx.profile.deltas
-        surplus = sum(deltas[: k - 1]) - (k - 1) * deltas[k - 1]
+        surplus = bounds.lemma3_surplus(ctx.profile, k)
         t = max((k - 1) ** 2, surplus)
         try:
             cert = girth5_equalize(ctx.graph, k, t)
@@ -387,6 +311,11 @@ def _claim_lemma3_cert(ctx, k_range) -> list[ClaimEntry]:
 def _claim_moore(ctx, k_range) -> list[ClaimEntry]:
     return [bounds.moore_entry(ctx.graph, p, ctx.girth) for p in (2, 3)]
 
+
+# Claims about forests only; any other graph gets one "not a forest" skip.
+_FOREST_ONLY = frozenset({"thm1", "thm2", "thm2-cert", "cor1", "cor2"})
+# Claims about girth >= 5 only; below it each k is inapplicable.
+_GIRTH5_ONLY = frozenset({"thm3", "lemma3-cert"})
 
 _CLAIM_FUNCS = {
     "oracle-equiv": _claim_oracle_equiv,
@@ -437,6 +366,13 @@ def _run_instance(args) -> RunResult:
     ctx = _InstanceContext(spec, graph, oracle_limit, deadline)
     entries: list[ClaimEntry] = []
     for claim in claims:
+        if claim in _FOREST_ONLY and not ctx.forest:
+            entries.append(_skip(claim, {}, "not a forest"))
+            continue
+        if claim in _GIRTH5_ONLY and ctx.girth < 5:
+            hypothesis = {"girth": ctx.girth, "needs": ">= 5"}
+            entries.extend(_inapplicable(claim, {"k": k}, hypothesis) for k in k_range)
+            continue
         try:
             entries.extend(_CLAIM_FUNCS[claim](ctx, k_range))
         except DeadlineExceeded:
@@ -494,7 +430,7 @@ class VerificationReport:
             "summary": self.summary,
             "ok": self.ok,
         }
-        return json.dumps(payload, indent=2, default=str) + "\n"
+        return json.dumps(payload, indent=2, default=str, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         # No timing columns: identical (corpus, claims, seed) runs must be

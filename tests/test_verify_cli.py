@@ -237,6 +237,45 @@ class TestCli:
         assert second.exit_code == 0
         assert [f.read_text() for f in files] == contents
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compute", "--k", "1"],
+            ["brute", "--k", "1"],
+            ["equalize", "--k", "1", "--t", "3"],
+            ["bounds", "--k", "1"],
+            ["bounds", "--k", "0"],
+            ["bounds", "--t", "1"],
+            ["bounds", "--p", "-1"],
+            ["bounds", "--p", "0"],
+        ],
+    )
+    def test_out_of_range_integer_options_are_usage_errors(self, tmp_path, args):
+        path = self.write_graph(tmp_path, "4 3\n0 1\n0 2\n0 3\n")
+        result = self.runner.invoke(main, [args[0], "--input", path, *args[1:]])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_json_output_is_strict_for_forests(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        path = self.write_graph(tmp_path, "4 3\n0 1\n0 2\n0 3\n")
+        result = self.runner.invoke(main, ["bounds", "--input", path, "--format", "json"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output, parse_constant=reject)
+        assert report["girth"] == "inf"
+        assert {e["hypothesis"]["girth"] for e in report["asymptotics"]} == {"inf"}
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"kind": "star", "n": 5}]))
+        result = self.runner.invoke(
+            main, ["verify", "--claims", "moore", "--corpus", str(corpus), "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output, parse_constant=reject)
+        entries = payload["results"][0]["entries"]
+        assert [e["hypothesis"]["girth"] for e in entries] == ["inf", "inf"]
+
     def test_bounds_text(self, tmp_path):
         path = self.write_graph(tmp_path, "4 3\n0 1\n0 2\n0 3\n")
         result = self.runner.invoke(main, ["bounds", "--input", path, "--k", "3"])
