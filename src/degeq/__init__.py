@@ -34,12 +34,8 @@ from .extremal import (
 )
 from .forest_dp import (
     NEG_INF,
-    ChildPartition,
-    DPTriple,
     RootedForestView,
     compute_fk_forest,
-    dp_combine,
-    dp_leaf_base,
     max_subforest_order,
     root_forest,
 )
@@ -72,9 +68,7 @@ from .prng import SplitMix64, instance_seed
 from .verify import run_verification
 
 __all__ = [
-    "ChildPartition",
     "ClaimEntry",
-    "DPTriple",
     "DegreeProfile",
     "GeneratorConfig",
     "GirthSaturationError",
@@ -106,8 +100,6 @@ __all__ = [
     "compute_fk_forest",
     "corollary1_check",
     "degree_profile",
-    "dp_combine",
-    "dp_leaf_base",
     "equalize3_forest",
     "extremal_size",
     "gen_random_forest",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .graph import DegreeProfile, Graph, girth
+from .graph import DegreeProfile, Graph
 
 
 def bound_theorem1(t: int) -> int:
@@ -249,9 +249,11 @@ def moore_entry(graph: Graph, p: int, g: int | float) -> ClaimEntry:
     )
 
 
-def asymptotic_report(graph: Graph, k: int, p: int) -> list[ClaimEntry]:
+def asymptotic_report(
+    graph: Graph, k: int, p: int, g: int | float
+) -> list[ClaimEntry]:
     """Leading-constant values of the asymptotic consequences, plus the exact
-    Moore edge bound for girth above 2p.
+    Moore edge bound for girth above 2p; ``g`` is the graph's girth.
 
     Only the Moore inequality is pass/fail; the growth-rate statements carry
     unspecified lower-order terms and are reported without a verdict.
@@ -260,7 +262,6 @@ def asymptotic_report(graph: Graph, k: int, p: int) -> list[ClaimEntry]:
         raise ValueError("k must be at least 2")
     if p < 1:
         raise ValueError("p must be positive")
-    g = girth(graph)
     moore = moore_entry(graph, p, g)
     with_holds = {**moore.conclusion, "holds": moore.conclusion_holds}
     entries = [

@@ -279,7 +279,7 @@ def bounds(input_path, k, t, p, fmt):
     if t is not None and graph.n >= t + 1:
         report["degree_lower_bounds_at_t"] = corollary1_check(profile, t).to_dict()
     report["asymptotics"] = [
-        e.to_dict() for e in asymptotic_report(graph, k, p)
+        e.to_dict() for e in asymptotic_report(graph, k, p, g)
     ]
     if fmt == "json":
         click.echo(json.dumps(report, indent=2, default=str, allow_nan=False))

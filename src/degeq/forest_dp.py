@@ -14,7 +14,9 @@ Each vertex u of the rooted tree carries a triple (n1, n2, n3):
 * n3 -- best one including u with u at degree delta-1 if u is special,
   at most delta-1 otherwise (so u can still accept its parent edge).
 
-NEG_INF marks infeasible states; sums absorb it and max ignores it.
+NEG_INF marks infeasible states; sums absorb it and max ignores it.  Every
+forest is rooted at a virtual vertex n, never special, adjacent to one vertex
+per component; its n1 is the maximum order.
 
 The solver does not run this per-pair program for every (S, delta): one
 counting pass per delta (``_best_special_set``) covers all special sets at
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .certificates import RemovalCertificate, make_certificate
 from .graph import Graph, components, degree_profile
@@ -39,15 +41,6 @@ NEG_INF = float("-inf")
 
 class DeadlineExceeded(Exception):
     """Cooperative timeout raised by long-running solvers."""
-
-
-class DPTriple(NamedTuple):
-    """The (n1, n2, n3) state of one rooted subtree; entries are non-negative
-    integers or NEG_INF."""
-
-    n1: int | float
-    n2: int | float
-    n3: int | float
 
 
 def _pair_key(triple) -> float:
@@ -88,8 +81,8 @@ def _combine(special, specials, nonspecials, delta: int):
         if p > delta - 1:
             cut3 = None
         else:
-            # keep leading children whose n3 is no worse than their n1 (the
-            # first qprime), as many as the degree bound allows
+            # keep leading children whose n3 is no worse than their n1, as
+            # many as the degree bound allows
             cut3 = 0
             limit = min(q, delta - 1 - p)
             while cut3 < limit and _pair_key(nonspecials[cut3]) >= 0:
@@ -108,69 +101,17 @@ def _combine(special, specials, nonspecials, delta: int):
     return (n1, kept[0], kept[1]), cut2, cut3
 
 
-@dataclass(frozen=True)
-class ChildPartition:
-    """Children triples of one vertex, split into special and non-special,
-    the latter ordered by non-increasing n3 - n1."""
-
-    specials: tuple[DPTriple, ...]
-    nonspecials: tuple[DPTriple, ...]
-
-    @classmethod
-    def from_triples(cls, specials, nonspecials) -> "ChildPartition":
-        ordered = sorted(nonspecials, key=_pair_key, reverse=True)
-        return cls(tuple(specials), tuple(ordered))
-
-    @property
-    def p(self) -> int:
-        return len(self.specials)
-
-    @property
-    def q(self) -> int:
-        return len(self.nonspecials)
-
-    @property
-    def qprime(self) -> int:
-        """How many leading non-special children a non-special vertex keeps
-        in its n3 state when its degree bound does not bind."""
-        return _combine(False, (), self.nonspecials, self.q + 1)[2]
-
-    def __post_init__(self):
-        keys = [_pair_key(t) for t in self.nonspecials]
-        if keys != sorted(keys, reverse=True):
-            raise ValueError("non-special children not ordered by n3 - n1")
-
-
-def dp_combine(special: bool, partition: ChildPartition, delta: int) -> DPTriple:
-    """Evaluate the four recursions at an internal vertex.
-
-    The vertex itself contributes +1 to every state that includes it (n2, n3);
-    with an empty partition this reproduces ``dp_leaf_base``.
-    """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    triple, _, _ = _combine(special, partition.specials, partition.nonspecials, delta)
-    return DPTriple(*triple)
-
-
-def dp_leaf_base(special: bool, delta: int) -> DPTriple:
-    """State of a leaf (a vertex with no children in the rooted view)."""
-    return dp_combine(special, ChildPartition((), ()), delta)
-
-
 # ---------------------------------------------------------------------------
 # Rooted views and the evaluation pass
 
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """Rooted structure of a forest, independent of (S, delta)."""
+    """A forest rooted at the virtual vertex n, which is adjacent to one
+    attachment vertex per component; independent of (S, delta)."""
 
-    root: int
-    size: int  # number of dp nodes (n, or n + 1 with a virtual root)
-    order: tuple[int, ...]  # children-before-parent traversal
+    order: tuple[int, ...]  # children-before-parent traversal, ending at n
     children: tuple[tuple[int, ...], ...]
-    virtual: bool
 
 
 @dataclass(frozen=True)
@@ -182,42 +123,23 @@ class RootedForestView:
     special: frozenset[int]
     delta: int
 
-    @property
-    def root(self) -> int:
-        return self.skeleton.root
-
     def __post_init__(self):
-        if self.root in self.special:
-            raise ValueError("root must not be special")
         if not 0 <= self.delta <= max(self.base.max_degree(), 0):
             raise ValueError("delta out of range for this forest")
 
 
-def _build_skeleton(
-    forest: Graph, comps, root: int | None, attachments: Iterable[int] | None
-) -> _Skeleton:
+def _build_skeleton(forest: Graph, comps, attachments: Iterable[int]) -> _Skeleton:
     """Rooted structure of ``forest``, whose components are ``comps``."""
     n = forest.n
-    virtual = len(comps) != 1 or attachments is not None
-    if not virtual:
-        if root is None:
-            raise ValueError("a real root is required for a connected forest")
-        r, size, tops = root, n, [root]
-    else:
-        if attachments is None:
-            attachments = [comp[0] for comp in comps]
-        tops = sorted(attachments)
-        rep_comp = {v: idx for idx, comp in enumerate(comps) for v in comp}
-        if sorted(rep_comp[a] for a in tops) != list(range(len(comps))):
-            raise ValueError("attachments must cover each component exactly once")
-        r, size = n, n + 1
-    child_lists: list[list[int]] = [[] for _ in range(size)]
-    preorder = [r] if virtual else []
+    tops = sorted(attachments)
+    rep_comp = {v: idx for idx, comp in enumerate(comps) for v in comp}
+    if sorted(rep_comp[a] for a in tops) != list(range(len(comps))):
+        raise ValueError("attachments must cover each component exactly once")
+    child_lists: list[list[int]] = [[] for _ in range(n)] + [tops]
+    preorder = [n]
     seen = [False] * n
     for a in tops:
         seen[a] = True
-        if virtual:
-            child_lists[r].append(a)
     stack = list(tops)
     while stack:
         u = stack.pop()
@@ -230,22 +152,23 @@ def _build_skeleton(
     # children were appended in adjacency (ascending) order except possibly
     # reversed by stack handling; normalize to ascending ids.
     children = tuple(tuple(sorted(c)) for c in child_lists)
-    order = tuple(reversed(preorder))
-    return _Skeleton(r, size, order, children, virtual)
+    return _Skeleton(tuple(reversed(preorder)), children)
 
 
 def root_forest(
     forest: Graph,
     special,
     delta: int,
-    root: int | None = None,
     attachments: Iterable[int] | None = None,
 ) -> RootedForestView:
-    """Build the rooted view used by the dynamic program.
+    """Build the rooted view used by the dynamic program: a virtual root n
+    adjacent to one vertex per component.
 
-    Connected forests are rooted at ``root`` (default: the lowest non-special
-    vertex).  Disconnected forests get a virtual root adjacent to one vertex
-    per component (default: the lowest of each; overridable for testing).
+    By default it is attached to the lowest non-special vertex of a
+    connected forest (vertex 0 if all are special), and to the lowest vertex
+    of each component otherwise.
+    Any attachments give the same values; they decide which of several
+    optimal subforests the reconstruction replays.
     """
     comps = components(forest)
     if forest.m != forest.n - len(comps):
@@ -254,7 +177,7 @@ def root_forest(
     for v in special_set:
         if not 0 <= v < forest.n:
             raise ValueError(f"special vertex {v} out of range")
-    return _rooted_view(forest, comps, special_set, delta, root, attachments)
+    return _rooted_view(forest, comps, special_set, delta, attachments)
 
 
 def _rooted_view(
@@ -262,18 +185,16 @@ def _rooted_view(
     comps,
     special: frozenset[int],
     delta: int,
-    root: int | None = None,
     attachments: Iterable[int] | None = None,
 ) -> RootedForestView:
     """``root_forest`` on a valid forest whose components are ``comps``."""
-    if len(comps) == 1 and attachments is None:
-        if root is None:
-            root = next(v for v in range(forest.n) if v not in special)
-        elif root in special:
-            raise ValueError("root must not be special")
-    elif root is not None:
-        raise ValueError("disconnected forests are rooted at a virtual vertex")
-    skeleton = _build_skeleton(forest, comps, root, attachments)
+    if attachments is None:
+        if len(comps) == 1:
+            free = (v for v in range(forest.n) if v not in special)
+            attachments = [next(free, 0)]
+        else:
+            attachments = [comp[0] for comp in comps]
+    skeleton = _build_skeleton(forest, comps, attachments)
     return RootedForestView(forest, skeleton, special, delta)
 
 
@@ -285,9 +206,10 @@ def _run_pass(view: RootedForestView):
     """
     skeleton = view.skeleton
     special = view.special
-    values: list = [None] * skeleton.size
-    keys: list = [None] * skeleton.size  # _pair_key of each triple
-    plans: list = [None] * skeleton.size
+    size = len(skeleton.children)
+    values: list = [None] * size
+    keys: list = [None] * size  # _pair_key of each triple
+    plans: list = [None] * size
     leaves = {}  # the two leaf entries of this delta
     for u in skeleton.order:
         kids = skeleton.children[u]
@@ -311,17 +233,10 @@ def _run_pass(view: RootedForestView):
     return values, plans
 
 
-def evaluate_view(view: RootedForestView) -> DPTriple:
-    """Run the program over a rooted view and return the root triple."""
-    values, _ = _run_pass(view)
-    return DPTriple(*values[view.root])
-
-
 def max_subforest_order(
     forest: Graph,
     special,
     delta: int,
-    root: int | None = None,
     attachments: Iterable[int] | None = None,
 ):
     """Maximum order of an induced subforest of ``forest`` containing all of
@@ -336,11 +251,9 @@ def max_subforest_order(
     delta_cap = forest.max_degree()
     if delta > delta_cap:
         return NEG_INF  # special vertices cannot reach degree delta
-    view = root_forest(forest, special, delta, root=root, attachments=attachments)
-    triple = evaluate_view(view)
-    if view.skeleton.virtual:
-        return triple.n1
-    return max(triple)
+    view = root_forest(forest, special, delta, attachments)
+    values, _ = _run_pass(view)
+    return values[forest.n][0]  # the virtual root, which is always deleted
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +267,9 @@ def _best_state(triple) -> int:
 
 def _reconstruct(skeleton: _Skeleton, values, plans) -> set[int]:
     """Vertex set of an optimal subforest, found by replaying the plans of
-    ``_run_pass`` from the root down.  States index the triple: 0 deleted,
-    1 kept at degree delta, 2 kept with room for the parent edge."""
-    root = skeleton.root
-    stack = [(root, 0 if skeleton.virtual else _best_state(values[root]))]
+    ``_run_pass`` from the virtual root down.  States index the triple: 0
+    deleted, 1 kept at degree delta, 2 kept with room for the parent edge."""
+    stack = [(skeleton.order[-1], 0)]
     kept: set[int] = set()
     while stack:
         u, state = stack.pop()
@@ -441,14 +353,12 @@ def _best_special_set(skel: _Skeleton, n: int, k: int, delta: int):
     """Largest induced subforest with max degree <= delta and at least k
     vertices of degree delta, as (order, S) with S the lexicographically least
     k of those vertices over all largest subforests; None if there is none.
-
-    ``skel`` must have a virtual root.
     """
     gain = 1 << n
     children = skel.children
-    drop = [None] * skel.size  # deleted
-    up = [None] * skel.size  # kept with the parent edge
-    free = [None] * skel.size  # deleted, or kept without the parent edge
+    drop = [None] * n  # deleted
+    up = [None] * n  # kept with the parent edge
+    free = [None] * n  # deleted, or kept without the parent edge
     for u in skel.order[:-1]:
         deleted = [0]
         rows = [[0]]  # rows[c]: exactly c kept children
@@ -473,7 +383,7 @@ def _best_special_set(skel: _Skeleton, n: int, k: int, delta: int):
             up[u] = _kept(low, last, gain, bit, k)
         free[u] = _vmax(deleted, _kept(_vmax(low, top), top, gain, bit, k))
     total = [0]
-    for v in children[skel.root]:
+    for v in children[n]:
         total = _merge(total, free[v], k)
     if len(total) <= k or total[k] < 0:
         return None
@@ -490,11 +400,10 @@ def _min_deletions(skel: _Skeleton, delta: int) -> int:
 
     Each vertex is deleted, kept with its parent edge (at most delta - 1
     kept children), or kept without it (at most delta).  A kept vertex
-    keeps the children that save the most over deleting them.  ``skel``
-    must have a virtual root.
+    keeps the children that save the most over deleting them.
     """
     children = skel.children
-    size = skel.size  # exceeds every deletion count: an infeasible state
+    size = len(children)  # exceeds every deletion count: an infeasible state
     drop = [0] * size  # deleted
     up = [0] * size  # kept with the parent edge
     free = [0] * size  # deleted, or kept without the parent edge
@@ -511,7 +420,7 @@ def _min_deletions(skel: _Skeleton, delta: int) -> int:
         drop[u] = deleted
         free[u] = min(deleted, base - sum(gains[:delta]))
         up[u] = base - sum(gains[: delta - 1]) if delta > 0 else size
-    return sum(free[v] for v in children[skel.root])
+    return sum(free[v] for v in children[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +430,6 @@ def _min_deletions(skel: _Skeleton, delta: int) -> int:
 def compute_fk_forest(
     forest: Graph,
     k: int,
-    jobs: int = 1,
     deadline: float | None = None,
 ) -> tuple[int, RemovalCertificate]:
     """Exact equalization number of a forest, with a deletion certificate.
@@ -537,8 +445,6 @@ def compute_fk_forest(
     delta that could tie the optimum still runs its pass, so ties resolve to
     the lexicographically least (S, delta) pair as in a full scan, and its
     per-pair program then yields the certificate.
-    ``jobs`` is accepted for compatibility and ignored: the solve is serial
-    and its result does not depend on it.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -554,7 +460,7 @@ def compute_fk_forest(
         # subset oracle's first success, so its method name is kept
         return 1, make_certificate(forest, (0,), k, "brute")
 
-    counting = _build_skeleton(forest, comps, None, [comp[0] for comp in comps])
+    counting = _build_skeleton(forest, comps, [comp[0] for comp in comps])
     # the incumbent order starts at the keep-(k-1) escape; every pass keeps
     # k special vertices, so the first one found beats it
     best_val = k - 1

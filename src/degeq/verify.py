@@ -100,10 +100,9 @@ def realize(spec: InstanceSpec) -> Graph:
 class _InstanceContext:
     """Lazily computed facts about one instance, shared by all claims."""
 
-    def __init__(self, spec, graph, oracle_limit, deadline):
+    def __init__(self, spec, graph, deadline):
         self.spec = spec
         self.graph = graph
-        self.oracle_limit = oracle_limit
         self.deadline = deadline
         self._fk: dict[int, tuple[int | None, str]] = {}
         self.certificates = {}
@@ -132,10 +131,8 @@ class _InstanceContext:
             value, cert = compute_fk_forest(graph, k, deadline=self.deadline)
             self.certificates[k] = cert
             return value, "dp"
-        if graph.n <= self.oracle_limit:
-            value, cert = brute_force_fk(
-                graph, k, limit=self.oracle_limit, deadline=self.deadline
-            )
+        if graph.n <= DEFAULT_ORDER_LIMIT:
+            value, cert = brute_force_fk(graph, k, deadline=self.deadline)
             self.certificates[k] = cert
             return value, "brute"
         return None, "none"
@@ -171,14 +168,12 @@ def _claim_oracle_equiv(ctx, k_range) -> list[ClaimEntry]:
         if not ctx.forest:
             out.append(_skip("oracle-equiv", {"k": k}, "not a forest"))
             continue
-        if ctx.graph.n > ctx.oracle_limit:
+        if ctx.graph.n > DEFAULT_ORDER_LIMIT:
             out.append(_skip("oracle-equiv", {"k": k}, "above oracle limit"))
             continue
         dp_value, _ = ctx.fk(k)
         dp_cert = ctx.certificates[k]
-        bf_value, bf_cert = brute_force_fk(
-            ctx.graph, k, limit=ctx.oracle_limit, deadline=ctx.deadline
-        )
+        bf_value, bf_cert = brute_force_fk(ctx.graph, k, deadline=ctx.deadline)
         certs_ok = validate_certificate(ctx.graph, dp_cert, k) and validate_certificate(
             ctx.graph, bf_cert, k
         )
@@ -356,14 +351,14 @@ class RunResult:
 
 
 def _run_instance(args) -> RunResult:
-    spec, claims, k_range, timeout, oracle_limit = args
+    spec, claims, k_range, timeout = args
     start = time.monotonic()
     try:
         graph = realize(spec)
     except Exception as exc:  # generator failures must not abort the run
         return RunResult(spec, None, None, error=f"{type(exc).__name__}: {exc}")
     deadline = None if timeout is None else start + timeout
-    ctx = _InstanceContext(spec, graph, oracle_limit, deadline)
+    ctx = _InstanceContext(spec, graph, deadline)
     entries: list[ClaimEntry] = []
     for claim in claims:
         if claim in _FOREST_ONLY and not ctx.forest:
@@ -528,17 +523,13 @@ def run_verification(
     k_range=(2, 3),
     jobs: int = 1,
     timeout: float | None = None,
-    oracle_limit: int = DEFAULT_ORDER_LIMIT,
 ) -> VerificationReport:
     """Evaluate the requested claims on every instance of the corpus."""
     for claim in claims:
         if claim not in _CLAIM_FUNCS:
             raise ValueError(f"unknown claim {claim!r}")
     specs = expand_corpus(configs)
-    work = [
-        (spec, tuple(claims), tuple(k_range), timeout, oracle_limit)
-        for spec in specs
-    ]
+    work = [(spec, tuple(claims), tuple(k_range), timeout) for spec in specs]
     if jobs > 1 and len(work) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -19,6 +19,7 @@ from degeq import (
     corollary1_check,
     degree_profile,
     extremal_size,
+    girth,
     moore_edge_bound_ok,
 )
 from degeq.extremal import a_closed_form
@@ -147,7 +148,7 @@ class TestAsymptotics:
         assert 15**2 <= 4 * 10**3
 
     def test_report_entries(self, petersen):
-        entries = asymptotic_report(petersen, 3, 2)
+        entries = asymptotic_report(petersen, 3, 2, girth(petersen))
         by_claim = {e.claim: e for e in entries}
         moore = by_claim["moore"]
         assert moore.hypothesis_holds is True  # girth 5 > 4
@@ -158,7 +159,7 @@ class TestAsymptotics:
 
     def test_forest_constant(self):
         forest = build_path(8)
-        entries = asymptotic_report(forest, 2, 2)
+        entries = asymptotic_report(forest, 2, 2, float("inf"))
         cor5 = next(e for e in entries if e.claim == "cor5")
         assert cor5.hypothesis_holds is True
         assert cor5.conclusion["constant"] == pytest.approx(6 ** (1 / 3))

@@ -1,7 +1,9 @@
-"""Tests of the rooted-tree program: leaf bases, the combine step (including
-the +1 for the vertex itself, validated against the exhaustive oracle before
-anything else), the full solver, its certificates, and its invariances."""
+"""Tests of the rooted-tree program: the recursion kernel at one vertex
+(including the +1 for the vertex itself, validated against the exhaustive
+oracle before anything else), the full solver, its certificates, and its
+invariances."""
 
+import hashlib
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -9,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degeq
 from conftest import all_forests
 from degeq import (
     NEG_INF,
-    ChildPartition,
-    DPTriple,
     Graph,
     brute_force_fk,
     brute_force_subforest,
@@ -23,11 +24,10 @@ from degeq import (
     build_star_union,
     check_fk_condition,
     compute_fk_forest,
-    dp_combine,
-    dp_leaf_base,
     gen_random_forest,
     max_subforest_order,
     root_forest,
+    to_edgelist,
     validate_certificate,
 )
 from degeq import forest_dp
@@ -36,13 +36,20 @@ from degeq.forest_dp import (
     DeadlineExceeded,
     _best_special_set,
     _build_skeleton,
+    _combine,
     _min_deletions,
+    _pair_key,
     _reconstruct,
     _rooted_view,
     _run_pass,
-    evaluate_view,
 )
 from degeq.graph import components, degree_profile, parse_graph, remove_vertices
+from degeq.prng import SplitMix64, instance_seed
+
+
+def ordered(nonspecials):
+    """Non-special children in the kernel's order: non-increasing n3 - n1."""
+    return sorted(nonspecials, key=_pair_key, reverse=True)
 
 
 class TestLeafBase:
@@ -59,54 +66,53 @@ class TestLeafBase:
         ],
     )
     def test_base_cases(self, special, delta, expected):
-        assert dp_leaf_base(special, delta) == DPTriple(*expected)
+        assert _combine(special, (), (), delta)[0] == expected
 
     @pytest.mark.parametrize("special", [False, True])
     @pytest.mark.parametrize("delta", [0, 1, 2, 4])
     def test_combine_with_no_children_reproduces_base(self, special, delta):
-        empty = ChildPartition.from_triples([], [])
-        assert dp_combine(special, empty, delta) == dp_leaf_base(special, delta)
+        # the pass shares one leaf entry per flag; each leaf must still get
+        # the kernel's childless triple and cuts
+        star = build_star(5)
+        view = root_forest(star, (1, 2), delta)
+        values, plans = _run_pass(view)
+        triple, cut2, cut3 = _combine(special, (), (), delta)
+        for leaf in (1, 2) if special else (3, 4):
+            assert values[leaf] == triple
+            assert plans[leaf] == ((), (), cut2, cut3)
 
 
 class TestCombine:
     def test_single_special_child(self):
-        part = ChildPartition.from_triples([DPTriple(NEG_INF, NEG_INF, 1)], [])
-        assert dp_combine(False, part, 1) == DPTriple(NEG_INF, 2, NEG_INF)
+        triple, _, _ = _combine(False, [(NEG_INF, NEG_INF, 1)], [], 1)
+        assert triple == (NEG_INF, 2, NEG_INF)
 
     def test_two_nonspecial_leaves_delta0(self):
-        leaf = dp_leaf_base(False, 0)
-        part = ChildPartition.from_triples([], [leaf, leaf])
-        result = dp_combine(False, part, 0)
-        assert result.n1 == 2
+        leaf, _, _ = _combine(False, (), (), 0)
+        triple, _, _ = _combine(False, [], [leaf, leaf], 0)
+        assert triple[0] == 2
         # confirmed against the exhaustive oracle on the 3-vertex star
         assert brute_force_subforest(build_star(3), (), 0) == 2
 
     def test_partition_orders_by_pair_key(self):
-        triples = [DPTriple(5, 1, 2), DPTriple(0, 1, 4), DPTriple(3, NEG_INF, NEG_INF)]
-        part = ChildPartition.from_triples([], triples)
-        assert part.nonspecials[0] == DPTriple(0, 1, 4)
-        assert part.nonspecials[-1] == DPTriple(3, NEG_INF, NEG_INF)
-        assert (part.p, part.q, part.qprime) == (0, 3, 1)
+        children = ordered([(5, 1, 2), (0, 1, 4), (3, NEG_INF, NEG_INF)])
+        assert children[0] == (0, 1, 4)
+        assert children[-1] == (3, NEG_INF, NEG_INF)
+        # with room for every child, the n3 state keeps those with n3 >= n1
+        assert _combine(False, (), children, len(children) + 1)[2] == 1
 
     def test_must_keep_child_sorts_first(self):
-        must_keep = DPTriple(NEG_INF, NEG_INF, 3)  # infeasible to drop
-        other = DPTriple(1, NEG_INF, 9)
-        part = ChildPartition.from_triples([], [other, must_keep])
-        assert part.nonspecials[0] == must_keep
-        assert part.qprime == 2
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            ChildPartition(
-                specials=(),
-                nonspecials=(DPTriple(5, 1, 2), DPTriple(0, 1, 4)),
-            )
+        must_keep = (NEG_INF, NEG_INF, 3)  # infeasible to drop
+        other = (1, NEG_INF, 9)
+        children = ordered([other, must_keep])
+        assert children[0] == must_keep
+        assert _combine(False, (), children, len(children) + 1)[2] == 2
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_permuting_children_never_changes_values(self, data):
-        triples = st.builds(
-            DPTriple,
+        # the pass sorts ties by vertex id; the values must not depend on it
+        triples = st.tuples(
             st.one_of(st.just(NEG_INF), st.integers(0, 6)),
             st.one_of(st.just(NEG_INF), st.integers(1, 6)),
             st.one_of(st.just(NEG_INF), st.integers(1, 6)),
@@ -115,45 +121,49 @@ class TestCombine:
         nonspecials = data.draw(st.lists(triples, max_size=4))
         delta = data.draw(st.integers(0, 6))
         special = data.draw(st.booleans())
-        base = dp_combine(
-            special, ChildPartition.from_triples(specials, nonspecials), delta
-        )
-        shuffled = data.draw(st.permutations(nonspecials))
-        assert (
-            dp_combine(
-                special, ChildPartition.from_triples(specials, list(shuffled)), delta
-            )
-            == base
-        )
+        base = _combine(special, specials, ordered(nonspecials), delta)[0]
+        sp = data.draw(st.permutations(specials))
+        ns = data.draw(st.permutations(nonspecials))
+        assert _combine(special, sp, ordered(ns), delta)[0] == base
 
 
-class TestEngineAgainstReferenceCombine:
-    def test_every_node_matches_dp_combine(self):
-        # the evaluation pass must agree with the reference combine/leaf ops
-        # at every vertex, for several forests, special sets, and deltas
-        from degeq.forest_dp import _run_pass
-
+class TestEngineAgainstPlans:
+    def test_every_node_matches_its_plan(self):
+        # every recorded plan must split the vertex's children by flag, order
+        # the non-special ones for the kernel, give the vertex the degree its
+        # state needs, and add up to the value the pass stored
         for seed in range(10):
             forest = gen_random_forest(9, split_prob=0.3, seed=seed)
             for s in ((0, 1), (2, 5, 7)):
-                sflag = bytearray(forest.n + 1)
-                for v in s:
-                    sflag[v] = 1
                 for delta in range(forest.max_degree() + 1):
                     view = root_forest(forest, s, delta)
                     skel = view.skeleton
-                    values, _ = _run_pass(view)
+                    values, plans = _run_pass(view)
                     for u in skel.order:
-                        kids = skel.children[u]
-                        if kids:
-                            part = ChildPartition.from_triples(
-                                [DPTriple(*values[v]) for v in kids if sflag[v]],
-                                [DPTriple(*values[v]) for v in kids if not sflag[v]],
+                        sp, ns, cut2, cut3 = plans[u]
+                        assert sorted([*sp, *ns]) == list(skel.children[u])
+                        assert all(v in s for v in sp)
+                        assert not any(v in s for v in ns)
+                        keys = [_pair_key(values[v]) for v in ns]
+                        assert keys == sorted(keys, reverse=True)
+                        n1 = NEG_INF if u in s else (
+                            sum(values[v][1] for v in sp)
+                            + sum(max(values[v]) for v in ns)
+                        )
+                        kept = [NEG_INF, NEG_INF]
+                        for state, cut in enumerate((cut2, cut3)):
+                            if cut is None:
+                                continue
+                            degree = len(sp) + cut
+                            if state == 0 or u in s:
+                                assert degree == delta - state
+                            else:
+                                assert degree <= delta - 1
+                            kept[state] = 1 + sum(values[v][2] for v in sp) + sum(
+                                values[v][2] if i < cut else values[v][0]
+                                for i, v in enumerate(ns)
                             )
-                            expected = dp_combine(bool(sflag[u]), part, delta)
-                        else:
-                            expected = dp_leaf_base(bool(sflag[u]), delta)
-                        assert DPTriple(*values[u]) == expected
+                        assert values[u] == (n1, *kept)
 
 
 class TestMaxSubforestOrder:
@@ -191,16 +201,17 @@ class TestMaxSubforestOrder:
                     assert max_subforest_order(forest, s, delta) == expected
 
     def test_root_invariance_on_connected_trees(self):
+        # the virtual root may hang from any vertex, special or not
         for seed in range(12):
             tree = gen_random_forest(7, seed=seed, m=6)
-            for s in combinations(range(7), 2):
-                for delta in range(tree.max_degree() + 1):
-                    values = {
-                        max_subforest_order(tree, s, delta, root=r)
-                        for r in range(7)
-                        if r not in s
-                    }
-                    assert len(values) == 1
+            for size in (1, 2, 3):
+                for s in combinations(range(7), size):
+                    for delta in range(tree.max_degree() + 1):
+                        values = {
+                            max_subforest_order(tree, s, delta, attachments=(r,))
+                            for r in range(7)
+                        }
+                        assert values == {max_subforest_order(tree, s, delta)}
 
     def test_attachment_invariance_on_disconnected_forests(self):
         from itertools import product
@@ -226,8 +237,6 @@ class TestMaxSubforestOrder:
 
     def test_realizability_of_reconstruction(self):
         # the kept vertex set must induce what the value promises
-        from degeq.forest_dp import _reconstruct, _run_pass
-
         for seed in range(30):
             forest = gen_random_forest(8, split_prob=0.3, seed=seed)
             for k in (2, 3):
@@ -320,13 +329,16 @@ class TestComputeFkForest:
         assert brute_force_fk(forest, 3)[0] == 0
 
     def test_jobs_bit_identical(self):
+        # a solve depends only on the forest: repeating it, or solving a copy
+        # parsed back from its edge list, gives the same value and certificate
         forest = gen_random_forest(24, split_prob=0.25, seed=0)
+        copy = parse_graph(to_edgelist(forest))
         for k in (2, 3):
-            # f_k >= 1, so neither call stops at the already-equalized exit
+            # f_k >= 1, so no call stops at the already-equalized exit
             assert not check_fk_condition(forest, (), k)
-            seq = compute_fk_forest(forest, k, jobs=1)
-            par = compute_fk_forest(forest, k, jobs=2)
-            assert seq == par
+            first = compute_fk_forest(forest, k)
+            assert compute_fk_forest(forest, k) == first
+            assert compute_fk_forest(copy, k) == first
 
     def test_tie_prefers_least_pair(self):
         # P_4 with k=2: several (S, delta) reach the same best order; the
@@ -430,9 +442,9 @@ class TestCountingSolverDifferential:
         monkeypatch.setattr(forest_dp, "ProcessPoolExecutor", refuse, raising=False)
         forest = build_extremal_forest(5)  # f_3 = f_4 = 5: no early exit
         for k in (3, 4):
-            value, cert = compute_fk_forest(forest, k, jobs=4)
+            value, cert = compute_fk_forest(forest, k)
             assert value == 5
-            assert (value, cert) == compute_fk_forest(forest, k)
+            assert validate_certificate(forest, cert, k)
 
     def test_order_equal_k_above_oracle_limit(self):
         # twenty vertices, one edge, k = 20: one deletion leaves order 19 < k
@@ -448,26 +460,46 @@ class TestCountingSolverDifferential:
 
 
 class TestRootedView:
-    def test_root_must_not_be_special(self, path4):
-        with pytest.raises(ValueError):
-            root_forest(path4, (1, 2), 1, root=1)
+    def test_special_attachment_is_valid(self, path4):
+        view = root_forest(path4, (1, 2), 1, attachments=(1,))
+        assert view.skeleton.children[path4.n] == (1,)
+        values, _ = _run_pass(view)
+        assert values[path4.n][0] == brute_force_subforest(path4, (1, 2), 1) == 2
 
     def test_virtual_root_for_disconnected(self):
         forest = build_star_union([1, 1])
         view = root_forest(forest, (0, 2), 1)
-        assert view.skeleton.virtual
-        assert view.root == forest.n
+        assert view.skeleton.order[-1] == forest.n
+        assert view.skeleton.children[forest.n] == (0, 2)
+
+    def test_default_attachments(self):
+        # a connected forest hangs from its lowest non-special vertex, a
+        # disconnected one from the lowest vertex of each component, special
+        # or not; certificates depend on this choice among tied optima
+        path = parse_graph("4 3\n0 1\n1 2\n2 3")
+        assert root_forest(path, (0, 1), 1).skeleton.children[4] == (2,)
+        assert root_forest(path, (0, 1, 2, 3), 1).skeleton.children[4] == (0,)
+        forest = build_star_union([2, 1])  # components {0, 1, 2} and {3, 4}
+        assert root_forest(forest, (0, 3), 1).skeleton.children[5] == (0, 3)
 
     def test_view_evaluation_matches_public_value(self):
         forest = build_star_union([2, 2])
-        view = root_forest(forest, (0, 3), 1)
-        triple = evaluate_view(view)
-        assert triple.n1 == max_subforest_order(forest, (0, 3), 1)
+        values, _ = _run_pass(root_forest(forest, (0, 3), 1))
+        assert values[forest.n][0] == max_subforest_order(forest, (0, 3), 1)
+        assert values[forest.n][0] == brute_force_subforest(forest, (0, 3), 1)
+
+
+def test_public_names_resolve():
+    for name in degeq.__all__:
+        assert getattr(degeq, name) is not None, name
+    namespace = {}
+    exec("from degeq import *", namespace)
+    assert set(degeq.__all__) <= set(namespace)
 
 
 def counting_skeleton(forest):
     comps = components(forest)
-    return _build_skeleton(forest, comps, None, [comp[0] for comp in comps])
+    return _build_skeleton(forest, comps, [comp[0] for comp in comps])
 
 
 def exhaustive_min_deletions(forest):
@@ -557,6 +589,36 @@ TIE_HEAVY_SHAPES = [
                   (0, 0, 1, 1), (0, 2, 0, 1))
     ),
 ]
+
+
+def golden_forests():
+    """400 seeded labelled forests: n from 2 to 30, split 0, 0.1 and 0.3, and
+    shuffled labels, so that vertex 0 is often special and the lowest
+    non-special vertex varies."""
+    forests = []
+    for i in range(400):
+        n = 2 + i % 29
+        split = (0.0, 0.1, 0.3)[i % 3]
+        base = gen_random_forest(n, split_prob=split, seed=instance_seed(909, i))
+        label = list(range(n))
+        SplitMix64(instance_seed(910, i)).shuffle(label)
+        edges = [(label[u], label[v]) for u, v in base.edges()]
+        forests.append(Graph.from_edges(n, edges))
+    return forests
+
+
+# sha256 of every repr(compute_fk_forest(F, k)) for the forests above and
+# k = 2..5, one per line; recorded when the reconstruction view had a real
+# root, so it pins which tied optimum each certificate replays
+GOLDEN_DIGEST = "8b7768958a17df5fd934dbea426974ca49df16571de6b00506f335ac526b6473"
+
+
+def test_golden_certificate_digest():
+    digest = hashlib.sha256()
+    for forest in golden_forests():
+        for k in range(2, 6):
+            digest.update(repr(compute_fk_forest(forest, k)).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 class TestDeletionBound:
