@@ -10,6 +10,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -41,7 +42,7 @@ from .bounds import (
     theorem2_t,
     theorem3_t,
 )
-from .oracle import DEFAULT_ORDER_LIMIT, brute_force_fk
+from .oracle import DEFAULT_ORDER_LIMIT, OrderLimitError, brute_force_fk
 from .prng import instance_seed
 from .verify import CLAIM_TAGS, expand_corpus, realize, run_verification
 
@@ -50,27 +51,47 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 
 
+def _fail(code: int, message: str) -> NoReturn:
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
+def _format_option(*choices: str):
+    return click.option(
+        "--format", "fmt", type=click.Choice(choices), default="text", show_default=True
+    )
+
+
 def _load_graph(path: str) -> Graph:
     try:
         return parse_graph(Path(path).read_text(encoding="utf-8"))
     except (OSError, GraphFormatError, ValueError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(EXIT_INPUT, f"input error: {exc}")
 
 
-def _result_payload(graph, k, value, cert, method, elapsed_ms) -> dict:
-    return {
+def _solve_and_emit(graph: Graph, k: int, fmt: str, solve, **options) -> None:
+    """Time one exact solve, re-validate its certificate and print the result."""
+    start = time.perf_counter()
+    try:
+        value, cert = solve(graph, k, **options)
+    except OrderLimitError as exc:
+        _fail(EXIT_USAGE, f"usage error: {exc}")
+    elapsed = (time.perf_counter() - start) * 1000.0
+    if not validate_certificate(graph, cert, k):
+        _fail(EXIT_VIOLATION, "internal error: produced certificate failed validation")
+    payload = {
         "n": graph.n,
         "m": graph.m,
         "k": k,
         "f_k": value,
-        "method": method,
+        "method": cert.method,
         "X": list(cert.x),
         "residual_max_degree": cert.residual_max_degree,
         "witnesses": list(cert.witnesses),
         "order_below_k": cert.order_below_k,
-        "elapsed_ms": round(elapsed_ms, 3),
+        "elapsed_ms": round(elapsed, 3),
     }
+    _emit_result(payload, fmt)
 
 
 def _emit_result(payload: dict, fmt: str) -> None:
@@ -116,13 +137,7 @@ def main():
     default="auto",
     show_default=True,
 )
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-)
+@_format_option("text", "json", "csv")
 @click.option(
     "--force", is_flag=True,
     help="Let brute force run past its default order limit; forests need no limit.",
@@ -134,47 +149,22 @@ def compute(input_path, k, method, fmt, force):
     if method == "auto":
         method = "dp" if forest else "brute"
     if method == "dp" and not forest:
-        click.echo("input error: the tree solver requires a forest", err=True)
-        sys.exit(EXIT_INPUT)
-    start = time.perf_counter()
+        _fail(EXIT_INPUT, "input error: the tree solver requires a forest")
     if method == "dp":
-        value, cert = compute_fk_forest(graph, k)
+        _solve_and_emit(graph, k, fmt, compute_fk_forest)
     else:
         limit = graph.n if force else DEFAULT_ORDER_LIMIT
-        try:
-            value, cert = brute_force_fk(graph, k, limit=limit)
-        except ValueError as exc:
-            click.echo(f"usage error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    if not validate_certificate(graph, cert, k):
-        click.echo("internal error: produced certificate failed validation", err=True)
-        sys.exit(EXIT_VIOLATION)
-    _emit_result(_result_payload(graph, k, value, cert, cert.method, elapsed), fmt)
+        _solve_and_emit(graph, k, fmt, brute_force_fk, limit=limit)
 
 
 @main.command()
 @click.option("--input", "input_path", required=True)
 @click.option("--k", "k", type=click.IntRange(min=2), required=True)
 @click.option("--limit", type=int, default=DEFAULT_ORDER_LIMIT, show_default=True)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-)
+@_format_option("text", "json", "csv")
 def brute(input_path, k, limit, fmt):
     """Ground-truth equalization number by subset enumeration."""
-    graph = _load_graph(input_path)
-    start = time.perf_counter()
-    try:
-        value, cert = brute_force_fk(graph, k, limit=limit)
-    except ValueError as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    _emit_result(_result_payload(graph, k, value, cert, "brute", elapsed), fmt)
+    _solve_and_emit(_load_graph(input_path), k, fmt, brute_force_fk, limit=limit)
 
 
 @main.command()
@@ -195,8 +185,7 @@ def construct(family, t, n, sizes, out_path):
         config = GeneratorConfig(kind, n=n, t=t, sizes=sizes)
         graph = realize(expand_corpus([config])[0])
     except ValueError as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _fail(EXIT_USAGE, f"usage error: {exc}")
     text = to_edgelist(graph)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
@@ -227,8 +216,7 @@ def gen(kind, n, m, seed, count, out_dir):
             else:
                 graph = gen_random_girth5(n, m, seed=inst_seed)
         except ValueError as exc:
-            click.echo(f"input error: instance {i}: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
+            _fail(EXIT_INPUT, f"input error: instance {i}: {exc}")
         path = out / f"{kind}-n{n}-s{seed}-i{i:04d}.txt"
         path.write_text(to_edgelist(graph), encoding="utf-8")
         click.echo(str(path))
@@ -239,13 +227,7 @@ def gen(kind, n, m, seed, count, out_dir):
 @click.option("--k", "k", type=click.IntRange(min=2), default=3, show_default=True)
 @click.option("--t", "t", type=click.IntRange(min=2), default=None)
 @click.option("--p", "p", type=click.IntRange(min=1), default=2, show_default=True)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json"]),
-    default="text",
-    show_default=True,
-)
+@_format_option("text", "json")
 def bounds(input_path, k, t, p, fmt):
     """Print all applicable bound evaluations for one instance."""
     graph = _load_graph(input_path)
@@ -293,36 +275,27 @@ def bounds(input_path, k, t, p, fmt):
 @click.option("--corpus", "corpus_path", required=True, help="JSON corpus spec.")
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--timeout", type=float, default=None, help="Seconds per instance.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-)
+@_format_option("text", "json", "csv")
 @click.option("--k-range", default="2,3", show_default=True)
 def verify(claims, corpus_path, jobs, timeout, fmt, k_range):
     """Run claim checks over a generated corpus; exit 1 on any violation."""
     claim_list = [c.strip() for c in claims.split(",") if c.strip()]
     unknown = [c for c in claim_list if c not in CLAIM_TAGS]
     if unknown:
-        click.echo(f"usage error: unknown claims {unknown}", err=True)
-        sys.exit(EXIT_USAGE)
+        _fail(EXIT_USAGE, f"usage error: unknown claims {unknown}")
     try:
         ks = tuple(int(x) for x in k_range.split(","))
         if any(k < 2 for k in ks):
             raise ValueError("k values must be at least 2")
     except ValueError as exc:
-        click.echo(f"usage error: bad --k-range: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _fail(EXIT_USAGE, f"usage error: bad --k-range: {exc}")
     try:
         raw = json.loads(Path(corpus_path).read_text(encoding="utf-8"))
         if isinstance(raw, dict):
             raw = raw["configs"]
         configs = [GeneratorConfig.from_dict(item) for item in raw]
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        click.echo(f"input error: bad corpus spec: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(EXIT_INPUT, f"input error: bad corpus spec: {exc}")
     report = run_verification(
         configs, claim_list, k_range=ks, jobs=jobs, timeout=timeout
     )
@@ -342,13 +315,7 @@ def verify(claims, corpus_path, jobs, timeout, fmt, k_range):
     type=click.Choice(["small", "forest-dp", "oracle"]),
     required=True,
 )
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-)
+@_format_option("text", "json", "csv")
 def bench(suite, fmt):
     """Time the solvers on fixed seeded instances."""
     rows = bench_mod.run_suite(suite)
@@ -372,10 +339,9 @@ def equalize(input_path, k, t, procedure):
         if procedure == "peel":
             cert = peel_removal(graph, k)
         else:
-            cert = girth5_equalize(graph, k, t)
+            cert = girth5_equalize(graph, k, t, girth(graph))
     except PreconditionError as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _fail(EXIT_USAGE, f"usage error: {exc}")
     payload = cert.to_dict()
     payload["valid"] = validate_certificate(graph, cert, k)
     click.echo(json.dumps(payload, indent=2, allow_nan=False))

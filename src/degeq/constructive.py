@@ -16,7 +16,6 @@ from .graph import (
     check_fk_condition,
     components,
     degree_profile,
-    girth,
     is_forest,
     remove_vertices,
 )
@@ -64,18 +63,18 @@ def peel_removal(graph: Graph, k: int) -> RemovalCertificate:
     return make_certificate(graph, removed, k, "peel")
 
 
-def girth5_equalize(graph: Graph, k: int, t: int) -> RemovalCertificate:
+def girth5_equalize(graph: Graph, k: int, t: int, g: int | float) -> RemovalCertificate:
     """Equalize k maximum degrees in a graph of girth at least 5 by deleting,
     for each of the top k-1 witnesses, its surplus neighbors outside the other
     witnesses' closed neighborhoods; at most t deletions.
 
-    Requires girth >= 5, t >= (k-1)^2, and the top-degree surplus
-    d_1 + ... + d_{k-1} - (k-1) d_k at most t.  When the k-th largest degree is
-    below k-1 the peeling procedure is used instead.
+    ``g`` is the graph's girth.  Requires g >= 5, t >= (k-1)^2, and the
+    top-degree surplus d_1 + ... + d_{k-1} - (k-1) d_k at most t.  When the
+    k-th largest degree is below k-1 the peeling procedure is used instead.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if girth(graph) < 5:
+    if g < 5:
         raise PreconditionError("girth", "graph has girth below 5")
     if t < (k - 1) ** 2:
         raise PreconditionError("t", f"t={t} is below (k-1)^2={(k - 1) ** 2}")

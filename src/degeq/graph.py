@@ -82,9 +82,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 @dataclass(frozen=True)
 class DegreeProfile:
@@ -103,11 +100,6 @@ class DegreeProfile:
         if not 1 <= i <= len(self.deltas):
             raise IndexError(f"degree index {i} out of range")
         return self.deltas[i - 1]
-
-    def witness(self, i: int) -> int:
-        if not 1 <= i <= len(self.witnesses):
-            raise IndexError(f"witness index {i} out of range")
-        return self.witnesses[i - 1]
 
 
 def parse_graph(text: str | Iterable[str]) -> Graph:

@@ -18,27 +18,14 @@ from functools import cached_property
 
 from . import bounds
 from .bounds import ClaimEntry, INAPPLICABLE, PASS, SKIP, VIOLATED
-from .certificates import validate_certificate
+from .certificates import RemovalCertificate, validate_certificate
 from .constructive import PreconditionError, equalize3_forest, girth5_equalize
 from .extremal import build_extremal_forest, build_path, build_star, build_star_union
 from .forest_dp import DeadlineExceeded, compute_fk_forest
 from .generators import GeneratorConfig, gen_random_forest, gen_random_girth5
 from .graph import Graph, degree_profile, girth, is_forest
-from .oracle import DEFAULT_ORDER_LIMIT, brute_force_fk
+from .oracle import OrderLimitError, brute_force_fk
 from .prng import instance_seed
-
-CLAIM_TAGS = (
-    "oracle-equiv",
-    "thm1",
-    "thm2",
-    "cor1",
-    "cor2",
-    "thm3",
-    "lemma2",
-    "lemma3-cert",
-    "thm2-cert",
-    "moore",
-)
 
 
 @dataclass(frozen=True)
@@ -104,8 +91,8 @@ class _InstanceContext:
         self.spec = spec
         self.graph = graph
         self.deadline = deadline
-        self._fk: dict[int, tuple[int | None, str]] = {}
-        self.certificates = {}
+        # k -> the exact solver's certificate, None where no solver reaches
+        self.certificates: dict[int, RemovalCertificate | None] = {}
 
     @cached_property
     def profile(self):
@@ -121,21 +108,20 @@ class _InstanceContext:
 
     def fk(self, k: int) -> tuple[int | None, str]:
         """(value, method) with value None when no exact solver applies."""
-        if k not in self._fk:
-            self._fk[k] = self._compute_fk(k)
-        return self._fk[k]
+        if k not in self.certificates:
+            self.certificates[k] = self._solve(k)
+        if self.certificates[k] is None:
+            return None, "none"
+        return len(self.certificates[k].x), "dp" if self.forest else "brute"
 
-    def _compute_fk(self, k: int):
-        graph = self.graph
+    def _solve(self, k: int) -> RemovalCertificate | None:
+        """The exact solver's certificate; None past the oracle's reach."""
         if self.forest:
-            value, cert = compute_fk_forest(graph, k, deadline=self.deadline)
-            self.certificates[k] = cert
-            return value, "dp"
-        if graph.n <= DEFAULT_ORDER_LIMIT:
-            value, cert = brute_force_fk(graph, k, deadline=self.deadline)
-            self.certificates[k] = cert
-            return value, "brute"
-        return None, "none"
+            return compute_fk_forest(self.graph, k, deadline=self.deadline)[1]
+        try:
+            return brute_force_fk(self.graph, k, deadline=self.deadline)[1]
+        except OrderLimitError:
+            return None
 
 
 def _skip(claim: str, params: dict, note: str) -> ClaimEntry:
@@ -162,18 +148,38 @@ def _at_most_t(ctx, claim: str, k: int, t: int, hypothesis: dict) -> ClaimEntry:
     )
 
 
+def _within_budget(
+    ctx, claim: str, k: int, t: int, hypothesis: dict, skip_params: dict, procedure
+) -> ClaimEntry:
+    """The entry for a procedure that must equalize with at most t deletions."""
+    try:
+        cert = procedure()
+    except PreconditionError as exc:
+        return _skip(claim, skip_params, f"precondition: {exc}")
+    ok = validate_certificate(ctx.graph, cert, k) and len(cert.x) <= t
+    return ClaimEntry(
+        claim,
+        {"k": k, "t": t},
+        hypothesis,
+        True,
+        {"x_size": len(cert.x), "certificate_valid": ok},
+        ok,
+    )
+
+
 def _claim_oracle_equiv(ctx, k_range) -> list[ClaimEntry]:
     out = []
     for k in k_range:
         if not ctx.forest:
             out.append(_skip("oracle-equiv", {"k": k}, "not a forest"))
             continue
-        if ctx.graph.n > DEFAULT_ORDER_LIMIT:
+        try:  # the oracle first: past its reach the tree program need not run
+            bf_value, bf_cert = brute_force_fk(ctx.graph, k, deadline=ctx.deadline)
+        except OrderLimitError:
             out.append(_skip("oracle-equiv", {"k": k}, "above oracle limit"))
             continue
         dp_value, _ = ctx.fk(k)
         dp_cert = ctx.certificates[k]
-        bf_value, bf_cert = brute_force_fk(ctx.graph, k, deadline=ctx.deadline)
         certs_ok = validate_certificate(ctx.graph, dp_cert, k) and validate_certificate(
             ctx.graph, bf_cert, k
         )
@@ -208,19 +214,10 @@ def _claim_thm2(ctx, k_range) -> list[ClaimEntry]:
 
 def _claim_thm2_cert(ctx, k_range) -> list[ClaimEntry]:
     t = bounds.theorem2_t(ctx.profile)
-    try:
-        cert = equalize3_forest(ctx.graph, t)
-    except PreconditionError as exc:
-        return [_skip("thm2-cert", {"t": t}, f"precondition: {exc}")]
-    ok = validate_certificate(ctx.graph, cert, 3) and len(cert.x) <= t
     return [
-        ClaimEntry(
-            "thm2-cert",
-            {"k": 3, "t": t},
-            {"budget": t},
-            True,
-            {"x_size": len(cert.x), "certificate_valid": ok},
-            ok,
+        _within_budget(
+            ctx, "thm2-cert", 3, t, {"budget": t}, {"t": t},
+            lambda: equalize3_forest(ctx.graph, t),
         )
     ]
 
@@ -284,20 +281,10 @@ def _claim_lemma3_cert(ctx, k_range) -> list[ClaimEntry]:
             continue
         surplus = bounds.lemma3_surplus(ctx.profile, k)
         t = max((k - 1) ** 2, surplus)
-        try:
-            cert = girth5_equalize(ctx.graph, k, t)
-        except PreconditionError as exc:
-            out.append(_skip("lemma3-cert", {"k": k, "t": t}, f"precondition: {exc}"))
-            continue
-        ok = validate_certificate(ctx.graph, cert, k) and len(cert.x) <= t
         out.append(
-            ClaimEntry(
-                "lemma3-cert",
-                {"k": k, "t": t},
-                {"surplus": surplus, "budget": t},
-                True,
-                {"x_size": len(cert.x), "certificate_valid": ok},
-                ok,
+            _within_budget(
+                ctx, "lemma3-cert", k, t, {"surplus": surplus, "budget": t},
+                {"k": k, "t": t}, lambda: girth5_equalize(ctx.graph, k, t, ctx.girth),
             )
         )
     return out
@@ -324,6 +311,7 @@ _CLAIM_FUNCS = {
     "thm2-cert": _claim_thm2_cert,
     "moore": _claim_moore,
 }
+CLAIM_TAGS = tuple(_CLAIM_FUNCS)
 
 
 @dataclass
@@ -373,8 +361,8 @@ def _run_instance(args) -> RunResult:
         except DeadlineExceeded:
             entries.append(_skip(claim, {}, "timeout"))
     computed = {}
-    for k, (value, method) in sorted(ctx._fk.items()):
-        cert = ctx.certificates.get(k)
+    for k, cert in sorted(ctx.certificates.items()):
+        value, method = ctx.fk(k)
         cert_ok = None if cert is None else validate_certificate(graph, cert, k)
         computed[str(k)] = {
             "f_k": value,

@@ -250,7 +250,8 @@ def test_criterion_7_girth5_procedures():
     cert_checks = 0
     bound_checks = 0
     for i, graph in _girth5_corpus(300, base_seed=707):
-        if girth(graph) < 5:
+        g = girth(graph)
+        if g < 5:
             failures.append(f"instance #{i}: generator girth violation")
             continue
         profile = degree_profile(graph)
@@ -260,7 +261,7 @@ def test_criterion_7_girth5_procedures():
                 surplus = sum(profile.deltas[: k - 1]) - (k - 1) * profile.deltas[k - 1]
                 t = max((k - 1) ** 2, surplus)
                 if lemma3_hypothesis(profile, k, t):
-                    cert = girth5_equalize(graph, k, t)
+                    cert = girth5_equalize(graph, k, t, g)
                     cert_checks += 1
                     if not validate_certificate(graph, cert, k) or len(cert.x) > t:
                         failures.append(
@@ -308,14 +309,16 @@ def test_criterion_8_moore_sanity():
 
 def test_criterion_9_performance_and_parallel_determinism():
     failures = []
-    forest100 = gen_random_forest(100, split_prob=0.2, seed=instance_seed(900, 0))
+    # seeds whose forests need deletions (f_2 = 1, f_3 = 2), so the timed
+    # solves run counting passes instead of the already-equalized exit
+    forest100 = gen_random_forest(100, split_prob=0.2, seed=instance_seed(900, 1))
     start = time.monotonic()
     value_a, cert_a = compute_fk_forest(forest100, 2)
     t_k2 = time.monotonic() - start
     if t_k2 >= 60:
         failures.append(f"k=2 n=100 took {t_k2:.1f}s")
 
-    forest60 = gen_random_forest(60, split_prob=0.2, seed=instance_seed(900, 1))
+    forest60 = gen_random_forest(60, split_prob=0.2, seed=instance_seed(900, 0))
     start = time.monotonic()
     value_b, cert_b = compute_fk_forest(forest60, 3)
     t_k3 = time.monotonic() - start
@@ -328,6 +331,8 @@ def test_criterion_9_performance_and_parallel_determinism():
     ):
         if not validate_certificate(forest, cert, k) or len(cert.x) != value:
             failures.append(f"performance run k={k}: invalid certificate")
+        if value < 1:
+            failures.append(f"performance run k={k}: f_k = 0 times an early exit")
     print(f"\n    [criterion 9: k=2 n=100 in {t_k2:.2f}s, k=3 n=60 in {t_k3:.2f}s]")
     _report("criterion 9 (performance and certificates)", failures)
 

@@ -1,12 +1,21 @@
 """Pins on what verify reports for every claim, and on its agreement with
 `degeq bounds` about each theorem's threshold t."""
 
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from degeq import GeneratorConfig, run_verification, to_edgelist
+from degeq import (
+    GeneratorConfig,
+    Graph,
+    PreconditionError,
+    constructive,
+    run_verification,
+    to_edgelist,
+    verify,
+)
 from degeq.cli import main
 from degeq.verify import CLAIM_TAGS, expand_corpus, realize
 
@@ -121,3 +130,99 @@ def test_bounds_thresholds_match_verify(tmp_path, config):
         assert forest["two-max-degrees"]["t"] == verify_t[("thm1", 2)]
         assert forest["three-max-degrees-profile"]["t"] == verify_t[("thm2", 3)]
         assert forest["three-max-degrees-size"]["t"] == verify_t[("cor2", 3)]
+
+
+C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+
+
+@pytest.mark.parametrize("graph, g", [(C4, 4), (TRIANGLES, 3)], ids=["C_4", "triangles"])
+def test_girth_below_5_gate(monkeypatch, graph, g):
+    # no generator kind yields girth 3 or 4, so feed the graph in directly
+    monkeypatch.setattr(verify, "realize", lambda spec: graph)
+    k_range = (2, 3, 4)
+    report = run_verification(
+        [GeneratorConfig("path", n=1)], ["thm3", "lemma3-cert"], k_range=k_range
+    )
+    (result,) = report.results
+    got = [(e.claim, e.params, e.status, e.hypothesis) for e in result.entries]
+    hypothesis = {"girth": g, "needs": ">= 5"}
+    assert got == [
+        (claim, {"k": k}, "inapplicable", hypothesis)
+        for claim in ("thm3", "lemma3-cert")
+        for k in k_range
+    ]
+
+
+def test_girth_is_computed_once_per_instance(monkeypatch):
+    # constructive must take the girth verify already has, not compute it per k
+    calls = []
+    girth = verify.girth
+
+    def counted(graph):
+        calls.append(graph.n)
+        return girth(graph)
+
+    monkeypatch.setattr(verify, "girth", counted)
+    monkeypatch.setattr(constructive, "girth", counted, raising=False)
+    configs = [
+        GeneratorConfig("random-forest", n=12, seed=1, count=2),
+        GeneratorConfig("random-girth5", n=12, seed=5, count=2),
+        GeneratorConfig("extremal-Ft", t=3),
+        GeneratorConfig("star", n=6),
+    ]
+    report = run_verification(configs, list(CLAIM_TAGS), k_range=(2, 3, 4, 5))
+    assert not any(r.error for r in report.results)
+    assert len(calls) == len(report.results) == 6
+
+
+def test_certificate_claims_report_precondition_skips(monkeypatch):
+    def refuse(*args):
+        raise PreconditionError("hypothesis", "refused")
+
+    monkeypatch.setattr(verify, "equalize3_forest", refuse)
+    monkeypatch.setattr(verify, "girth5_equalize", refuse)
+    report = run_verification(
+        [GeneratorConfig("extremal-Ft", t=4)], ["thm2-cert", "lemma3-cert"], k_range=(2, 3, 4)
+    )
+    note = "skip: precondition: hypothesis: refused"
+    got = [(e.claim, e.params, e.status, e.note) for e in report.results[0].entries]
+    assert got == [
+        ("thm2-cert", {"t": 4}, "skip", note),
+        ("lemma3-cert", {"k": 2, "t": 4}, "skip", note),
+        ("lemma3-cert", {"k": 3, "t": 4}, "skip", note),
+        ("lemma3-cert", {"k": 4, "t": 10}, "skip", note),
+    ]
+
+
+# Every generator kind, one generator error, oracle-limit and no-solver skips
+# and one violation (lemma2 on F_1).
+GOLDEN_CORPUS = [
+    GeneratorConfig("random-forest", n=12, seed=1, count=12, split=0.0),
+    GeneratorConfig("random-forest", n=16, m=11, seed=2, count=8, split=0.5),
+    GeneratorConfig("random-forest", n=24, seed=3, count=8, split=0.15),
+    GeneratorConfig("random-forest", n=40, seed=4, count=4, split=1.0),
+    GeneratorConfig("random-girth5", n=12, seed=5, count=10),
+    GeneratorConfig("random-girth5", n=16, m=20, seed=6, count=6),
+    GeneratorConfig("random-girth5", n=18, seed=7, count=4),
+    GeneratorConfig("random-girth5", n=30, seed=8, count=2),
+    GeneratorConfig("random-girth5", n=5, m=10),
+    GeneratorConfig("extremal-Ft", t=1, count=8),
+    GeneratorConfig("star-union", sizes=(3, 3, 1)),
+    GeneratorConfig("star-union", sizes=(5, 4, 4, 2)),
+    GeneratorConfig("star-union", sizes=(21, 20)),
+    GeneratorConfig("path", n=1),
+    GeneratorConfig("path", n=7),
+    GeneratorConfig("star", n=1),
+    GeneratorConfig("star", n=6),
+]
+# sha256 of the verify CSV for all claims at k (2, 3), then at k 2..5
+GOLDEN_VERIFY_DIGEST = "374f8cd396335b028c72c4c0dda109dd943debffe74371e96124c9d03e334992"
+
+
+def test_golden_verify_digest():
+    digest = hashlib.sha256()
+    for k_range in ((2, 3), (2, 3, 4, 5)):
+        report = run_verification(GOLDEN_CORPUS, list(CLAIM_TAGS), k_range=k_range)
+        digest.update(report.to_csv().encode())
+    assert digest.hexdigest() == GOLDEN_VERIFY_DIGEST

@@ -17,6 +17,7 @@ from degeq import (
     equalize3_forest,
     gen_random_forest,
     gen_random_girth5,
+    girth,
     girth5_equalize,
     peel_removal,
     remove_vertices,
@@ -57,34 +58,34 @@ class TestPeel:
 
 class TestGirth5:
     def test_star_trim(self):
-        cert = girth5_equalize(build_star(5), 2, 3)
+        cert = girth5_equalize(build_star(5), 2, 3, girth(build_star(5)))
         assert cert.x == (2, 3, 4)
         assert cert.residual_max_degree == 1
         assert cert.witnesses == (0, 1)
 
     def test_cycle_noop(self, cycle5):
-        cert = girth5_equalize(cycle5, 2, 1)
+        cert = girth5_equalize(cycle5, 2, 1, girth(cycle5))
         assert cert.x == ()
 
     def test_petersen_regular_noop(self, petersen):
-        cert = girth5_equalize(petersen, 3, 4)
+        cert = girth5_equalize(petersen, 3, 4, girth(petersen))
         assert cert.x == ()
 
     def test_girth_precondition(self):
         triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(PreconditionError) as err:
-            girth5_equalize(triangle, 2, 5)
+            girth5_equalize(triangle, 2, 5, girth(triangle))
         assert err.value.what == "girth"
 
     def test_budget_precondition(self, petersen):
         with pytest.raises(PreconditionError) as err:
-            girth5_equalize(petersen, 3, 3)
+            girth5_equalize(petersen, 3, 3, girth(petersen))
         assert err.value.what == "t"
 
     def test_hypothesis_precondition(self):
         star = build_star(9)  # surplus 8 - 1 = 7 > t = 4
         with pytest.raises(PreconditionError) as err:
-            girth5_equalize(star, 2, 4)
+            girth5_equalize(star, 2, 4, girth(star))
         assert err.value.what == "hypothesis"
 
     def test_all_top_witnesses_land_on_kth_degree(self):
@@ -97,7 +98,7 @@ class TestGirth5:
                     continue
                 surplus = sum(prof.deltas[: k - 1]) - (k - 1) * prof.deltas[k - 1]
                 t = max((k - 1) ** 2, surplus)
-                cert = girth5_equalize(g, k, t)
+                cert = girth5_equalize(g, k, t, girth(g))
                 assert validate_certificate(g, cert, k)
                 assert len(cert.x) <= t
                 residual, old_to_new = remove_vertices(g, cert.x)
@@ -107,7 +108,7 @@ class TestGirth5:
 
     def test_delegates_to_peel_below_degree_threshold(self):
         g = build_star_union([1, 1, 1])  # third degree 1 < k - 1 = 2
-        cert = girth5_equalize(g, 3, 4)
+        cert = girth5_equalize(g, 3, 4, girth(g))
         assert cert.method == "peel"
         assert validate_certificate(g, cert, 3)
         assert len(cert.x) <= 4

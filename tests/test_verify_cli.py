@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from degeq import (
 )
 from degeq.certificates import RemovalCertificate
 from degeq.cli import main
-from degeq.verify import expand_corpus, realize
+from degeq.verify import CLAIM_TAGS, expand_corpus, realize
 
 
 def forest_config(**overrides):
@@ -151,6 +152,28 @@ class TestCli:
         }
         assert payload["f_k"] == 2
         assert payload["method"] == "dp"
+
+    def test_compute_csv_header_follows_json_keys(self, tmp_path):
+        path = self.write_graph(tmp_path, "6 4\n0 1\n0 2\n0 3\n4 5\n")
+        args = ["compute", "--input", path, "--k", "3", "--format"]
+        as_json = self.runner.invoke(main, [*args, "json"])
+        as_csv = self.runner.invoke(main, [*args, "csv"])
+        assert as_json.exit_code == as_csv.exit_code == 0
+        header = as_csv.output.splitlines()[0]
+        assert header.split(",") == list(json.loads(as_json.output))
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_brute_matches_compute_method_brute(self, tmp_path, fmt):
+        path = self.write_graph(tmp_path, to_edgelist(degeq.gen_random_girth5(12, None, 3)))
+        outputs = []
+        for command in (["brute"], ["compute", "--method", "brute"]):
+            result = self.runner.invoke(
+                main, [*command, "--input", path, "--k", "3", "--format", fmt]
+            )
+            assert result.exit_code == 0, result.output
+            outputs.append(re.sub(r"[0-9]+\.[0-9]+", "<elapsed>", result.output))
+        assert outputs[0] == outputs[1]
+        assert "brute" in outputs[0]
 
     def test_compute_auto_picks_brute_for_cycles(self, tmp_path):
         path = self.write_graph(tmp_path, "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
@@ -299,6 +322,25 @@ class TestCli:
         assert result.exit_code == 0, result.output
         header = result.output.splitlines()[0]
         assert header.startswith("instance,kind,n,m,claim")
+
+    def test_verify_text_report(self, tmp_path):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(
+            json.dumps(
+                [{"kind": "extremal-Ft", "t": 1}, {"kind": "random-girth5", "n": 5, "m": 10}]
+            )
+        )
+        claims = ",".join(CLAIM_TAGS)
+        result = self.runner.invoke(main, ["verify", "--claims", claims, "--corpus", str(corpus)])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert lines[0] == "0:extremal-Ft(t=1) n=2 m=1: inapplicable=2 pass=11 violated=1"
+        assert lines[1].startswith("  VIOLATED lemma2 params={'k': 3, 't': 1} ")
+        assert lines[2].startswith("1:random-girth5(m=10,n=5,seed=0): ERROR ")
+        assert lines[3:] == [
+            "summary: errors=1 inapplicable=2 instances=2 pass=11 report=0 skip=0 violated=1",
+            "RESULT: VIOLATIONS FOUND",
+        ]
 
     def test_verify_unknown_claim(self, tmp_path):
         corpus = tmp_path / "corpus.json"
