@@ -32,13 +32,7 @@ from .extremal import (
     build_star_union,
     extremal_size,
 )
-from .forest_dp import (
-    NEG_INF,
-    RootedForestView,
-    compute_fk_forest,
-    max_subforest_order,
-    root_forest,
-)
+from .forest_dp import NEG_INF, RootedForestView, compute_fk_forest
 from .generators import (
     GeneratorConfig,
     GirthSaturationError,
@@ -58,12 +52,7 @@ from .graph import (
     remove_vertices,
     to_edgelist,
 )
-from .oracle import (
-    OrderLimitError,
-    brute_force_fk,
-    brute_force_subforest,
-    brute_force_subforest_all,
-)
+from .oracle import OrderLimitError, brute_force_fk
 from .prng import SplitMix64, instance_seed
 from .verify import run_verification
 
@@ -88,8 +77,6 @@ __all__ = [
     "bound_theorem2",
     "bound_theorem3",
     "brute_force_fk",
-    "brute_force_subforest",
-    "brute_force_subforest_all",
     "build_extremal_forest",
     "build_path",
     "build_star",
@@ -109,12 +96,10 @@ __all__ = [
     "instance_seed",
     "is_forest",
     "make_certificate",
-    "max_subforest_order",
     "moore_edge_bound_ok",
     "parse_graph",
     "peel_removal",
     "remove_vertices",
-    "root_forest",
     "run_verification",
     "to_edgelist",
     "validate_certificate",

@@ -143,40 +143,35 @@ def lemma3_surplus(profile: DegreeProfile, k: int) -> int:
     ) * profile_value(profile, k)
 
 
-def lemma3_hypothesis(profile: DegreeProfile, k: int, t: int) -> bool:
-    if t < (k - 1) ** 2:
-        return False
-    return lemma3_surplus(profile, k) <= t
-
-
 def theorem3_hypothesis(profile: DegreeProfile, k: int, t: int) -> bool:
     if t < (k - 1) ** 2:
         return False
     return weighted_degrees(profile, k) <= bound_theorem3(k, t)
 
 
-def minimal_t(predicate, start: int, limit: int = 10_000) -> int | None:
+def minimal_t(predicate, start: int) -> int:
     """Smallest t >= start satisfying a monotone hypothesis predicate; the
-    ``*_t`` functions below apply it to each result that concludes f_k <= t."""
-    for t in range(start, limit):
-        if predicate(t):
-            return t
-    return None
+    ``*_t`` functions below apply it to each result that concludes f_k <= t.
+    Every threshold grows without bound in t, so the scan always ends."""
+    t = start
+    while not predicate(t):
+        t += 1
+    return t
 
 
-def theorem1_t(graph: Graph) -> int | None:
+def theorem1_t(graph: Graph) -> int:
     return minimal_t(lambda t: theorem1_hypothesis(graph, t), 1)
 
 
-def theorem2_t(profile: DegreeProfile) -> int | None:
+def theorem2_t(profile: DegreeProfile) -> int:
     return minimal_t(lambda t: theorem2_hypothesis(profile, t), 2)
 
 
-def corollary2_t(graph: Graph) -> int | None:
+def corollary2_t(graph: Graph) -> int:
     return minimal_t(lambda t: corollary2_hypothesis(graph, t), 2)
 
 
-def theorem3_t(profile: DegreeProfile, k: int) -> int | None:
+def theorem3_t(profile: DegreeProfile, k: int) -> int:
     return minimal_t(lambda t: theorem3_hypothesis(profile, k, t), (k - 1) ** 2)
 
 

@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from .certificates import validate_certificate
 from .constructive import PreconditionError, girth5_equalize, peel_removal
 from .forest_dp import compute_fk_forest
-from .generators import GeneratorConfig, gen_random_forest, gen_random_girth5
+from .generators import CORPUS_KINDS, GeneratorConfig
 from .graph import (
     Graph,
     GraphFormatError,
@@ -43,12 +43,15 @@ from .bounds import (
     theorem3_t,
 )
 from .oracle import DEFAULT_ORDER_LIMIT, OrderLimitError, brute_force_fk
-from .prng import instance_seed
 from .verify import CLAIM_TAGS, expand_corpus, realize, run_verification
 
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+
+# construct writes the deterministic kinds, gen the random ones
+_RANDOM_KINDS = [kind for kind, entry in CORPUS_KINDS.items() if entry.random]
+_FAMILIES = {kind.lower(): kind for kind in CORPUS_KINDS if kind not in _RANDOM_KINDS}
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -168,21 +171,16 @@ def brute(input_path, k, limit, fmt):
 
 
 @main.command()
-@click.option(
-    "--family",
-    type=click.Choice(["extremal-ft", "star", "path", "star-union"]),
-    required=True,
-)
+@click.option("--family", type=click.Choice(list(_FAMILIES)), required=True)
 @click.option("--t", "t", type=int, default=None, help="Extremal family parameter.")
 @click.option("--n", "n", type=int, default=None, help="Order for star/path.")
 @click.option("--sizes", default=None, help="Comma-separated star leaf counts.")
 @click.option("--out", "out_path", default=None, help="Output file (default stdout).")
 def construct(family, t, n, sizes, out_path):
     """Write a deterministic family member as an edge list."""
-    kind = "extremal-Ft" if family == "extremal-ft" else family
     try:
         sizes = tuple(int(s) for s in sizes.split(",")) if sizes else None
-        config = GeneratorConfig(kind, n=n, t=t, sizes=sizes)
+        config = GeneratorConfig(_FAMILIES[family], n=n, t=t, sizes=sizes)
         graph = realize(expand_corpus([config])[0])
     except ValueError as exc:
         _fail(EXIT_USAGE, f"usage error: {exc}")
@@ -194,30 +192,23 @@ def construct(family, t, n, sizes, out_path):
 
 
 @main.command()
-@click.option(
-    "--kind",
-    type=click.Choice(["random-forest", "random-girth5"]),
-    required=True,
-)
-@click.option("--n", "n", type=int, required=True)
+@click.option("--kind", type=click.Choice(_RANDOM_KINDS), required=True)
+@click.option("--n", "n", type=click.IntRange(min=1), required=True)
 @click.option("--m", "m", type=int, default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=int, default=1, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_dir", required=True, help="Output directory.")
 def gen(kind, n, m, seed, count, out_dir):
     """Generate seeded random instances into a directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for i in range(count):
-        inst_seed = instance_seed(seed, i)
+    config = GeneratorConfig(kind, n=n, m=m, seed=seed, count=count)
+    for spec in expand_corpus([config]):
         try:
-            if kind == "random-forest":
-                graph = gen_random_forest(n, seed=inst_seed, m=m)
-            else:
-                graph = gen_random_girth5(n, m, seed=inst_seed)
+            graph = realize(spec)
         except ValueError as exc:
-            _fail(EXIT_INPUT, f"input error: instance {i}: {exc}")
-        path = out / f"{kind}-n{n}-s{seed}-i{i:04d}.txt"
+            _fail(EXIT_INPUT, f"input error: instance {spec.index}: {exc}")
+        path = out / f"{kind}-n{n}-s{seed}-i{spec.index:04d}.txt"
         path.write_text(to_edgelist(graph), encoding="utf-8")
         click.echo(str(path))
 
@@ -273,7 +264,7 @@ def bounds(input_path, k, t, p, fmt):
 @main.command()
 @click.option("--claims", required=True, help="Comma-separated claim tags.")
 @click.option("--corpus", "corpus_path", required=True, help="JSON corpus spec.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--timeout", type=float, default=None, help="Seconds per instance.")
 @_format_option("text", "json", "csv")
 @click.option("--k-range", default="2,3", show_default=True)

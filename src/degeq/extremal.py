@@ -25,13 +25,6 @@ def a_sequence(i: int) -> int:
     return prev
 
 
-def a_closed_form(i: int) -> int:
-    if i < 1:
-        raise ValueError("index must be positive")
-    half = i // 2
-    return half * half + half + 1
-
-
 def build_star(n: int) -> Graph:
     """Star on n vertices: center 0, leaves 1..n-1."""
     if n < 1:

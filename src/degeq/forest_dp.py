@@ -155,31 +155,6 @@ def _build_skeleton(forest: Graph, comps, attachments: Iterable[int]) -> _Skelet
     return _Skeleton(tuple(reversed(preorder)), children)
 
 
-def root_forest(
-    forest: Graph,
-    special,
-    delta: int,
-    attachments: Iterable[int] | None = None,
-) -> RootedForestView:
-    """Build the rooted view used by the dynamic program: a virtual root n
-    adjacent to one vertex per component.
-
-    By default it is attached to the lowest non-special vertex of a
-    connected forest (vertex 0 if all are special), and to the lowest vertex
-    of each component otherwise.
-    Any attachments give the same values; they decide which of several
-    optimal subforests the reconstruction replays.
-    """
-    comps = components(forest)
-    if forest.m != forest.n - len(comps):
-        raise ValueError("input graph is not a forest")
-    special_set = frozenset(special)
-    for v in special_set:
-        if not 0 <= v < forest.n:
-            raise ValueError(f"special vertex {v} out of range")
-    return _rooted_view(forest, comps, special_set, delta, attachments)
-
-
 def _rooted_view(
     forest: Graph,
     comps,
@@ -187,7 +162,14 @@ def _rooted_view(
     delta: int,
     attachments: Iterable[int] | None = None,
 ) -> RootedForestView:
-    """``root_forest`` on a valid forest whose components are ``comps``."""
+    """The rooted view of a forest whose components are ``comps``.
+
+    By default the virtual root n is attached to the lowest non-special
+    vertex of a connected forest (vertex 0 if all are special), and to the
+    lowest vertex of each component otherwise.  Any attachments give the same
+    values; they decide which of several optimal subforests the
+    reconstruction replays.
+    """
     if attachments is None:
         if len(comps) == 1:
             free = (v for v in range(forest.n) if v not in special)
@@ -231,29 +213,6 @@ def _run_pass(view: RootedForestView):
         keys[u] = _pair_key(triple)
         plans[u] = (sp, ns, cut2, cut3)
     return values, plans
-
-
-def max_subforest_order(
-    forest: Graph,
-    special,
-    delta: int,
-    attachments: Iterable[int] | None = None,
-):
-    """Maximum order of an induced subforest of ``forest`` containing all of
-    ``special`` with max degree <= delta and every special vertex at exactly
-    delta; NEG_INF when no such subforest exists.
-    """
-    special = tuple(sorted(set(special)))
-    if forest.n <= len(special):
-        raise ValueError("forest order must exceed the special set size")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    delta_cap = forest.max_degree()
-    if delta > delta_cap:
-        return NEG_INF  # special vertices cannot reach degree delta
-    view = root_forest(forest, special, delta, attachments)
-    values, _ = _run_pass(view)
-    return values[forest.n][0]  # the virtual root, which is always deleted
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Seeded random instance generators for corpora and benchmarks."""
+"""Seeded random instance generators, and the table of corpus kinds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
+from .extremal import build_extremal_forest, build_path, build_star, build_star_union
 from .graph import Graph
-from .prng import SplitMix64
+from .prng import SplitMix64, instance_seed
 
 
 class GirthSaturationError(ValueError):
@@ -124,13 +126,66 @@ def gen_random_girth5(
     return Graph.from_edges(n, edges)
 
 
+def _needs_n(config: GeneratorConfig) -> None:
+    if config.n is None or config.n < 1:
+        raise ValueError(f"kind {config.kind} requires n >= 1")
+
+
+def _needs_t(config: GeneratorConfig) -> None:
+    if config.t is None or config.t < 1:
+        raise ValueError(f"{config.kind} requires t >= 1")
+
+
+def _needs_sizes(config: GeneratorConfig) -> None:
+    if not config.sizes:
+        raise ValueError(f"{config.kind} requires a sizes list")
+
+
+@dataclass(frozen=True)
+class CorpusKind:
+    """What a corpus kind needs of its config, the params of its instance i,
+    and how an instance is built from those params.  A random kind takes one
+    seed per instance; the others are deterministic families."""
+
+    require: Callable[[GeneratorConfig], None]
+    params: Callable[[GeneratorConfig, int], dict]
+    build: Callable[[dict], Graph]
+    random: bool = False
+
+
+# Every corpus kind; configs, corpus expansion and the CLI read this table.
+CORPUS_KINDS = {
+    "random-forest": CorpusKind(
+        _needs_n,
+        lambda c, i: {
+            "n": c.n, "m": c.m, "seed": instance_seed(c.seed, i), "split": c.split
+        },
+        lambda p: gen_random_forest(p["n"], p["split"], p["seed"], p["m"]),
+        random=True,
+    ),
+    "random-girth5": CorpusKind(
+        _needs_n,
+        lambda c, i: {"n": c.n, "m": c.m, "seed": instance_seed(c.seed, i)},
+        lambda p: gen_random_girth5(p["n"], p["m"], p["seed"]),
+        random=True,
+    ),
+    "extremal-Ft": CorpusKind(  # t steps upward from the config's t
+        _needs_t, lambda c, i: {"t": c.t + i}, lambda p: build_extremal_forest(p["t"])
+    ),
+    "star": CorpusKind(_needs_n, lambda c, i: {"n": c.n}, lambda p: build_star(p["n"])),
+    "path": CorpusKind(_needs_n, lambda c, i: {"n": c.n}, lambda p: build_path(p["n"])),
+    "star-union": CorpusKind(
+        _needs_sizes,
+        lambda c, i: {"sizes": c.sizes},
+        lambda p: build_star_union(p["sizes"]),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """One corpus line: a family, its parameters, a seed, and a count.
-
-    ``count`` produces that many instances; random kinds derive one seed per
-    instance, the extremal family instead steps t upward from ``t``.
-    """
+    """One corpus line: a kind from ``CORPUS_KINDS``, its parameters, a seed,
+    and a count of instances."""
 
     kind: str
     n: int | None = None
@@ -141,32 +196,16 @@ class GeneratorConfig:
     count: int = 1
     split: float = 0.15
 
-    KINDS = (
-        "random-forest",
-        "random-girth5",
-        "star-union",
-        "extremal-Ft",
-        "path",
-        "star",
-    )
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in CORPUS_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.count < 1:
             raise ValueError("count must be positive")
-        needs_n = self.kind in ("random-forest", "random-girth5", "path", "star")
-        if needs_n and (self.n is None or self.n < 1):
-            raise ValueError(f"kind {self.kind} requires n >= 1")
-        if self.kind == "extremal-Ft" and (self.t is None or self.t < 1):
-            raise ValueError("extremal-Ft requires t >= 1")
-        if self.kind == "star-union" and not self.sizes:
-            raise ValueError("star-union requires a sizes list")
+        CORPUS_KINDS[self.kind].require(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
-        known = {"kind", "n", "m", "t", "sizes", "seed", "count", "split"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "sizes" in data and data["sizes"] is not None:

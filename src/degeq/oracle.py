@@ -3,18 +3,14 @@
 ``brute_force_fk`` finds what the definition of the equalization number asks
 for: the smallest deletion set, by size then lexicographic order, whose
 removal leaves k vertices of maximum degree or fewer than k vertices.
-``brute_force_subforest`` exhaustively maximizes induced-subforest order under
-degree constraints; it is the reference the tree dynamic program is validated
-against.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations
 
 from .certificates import RemovalCertificate, make_certificate
-from .forest_dp import NEG_INF, DeadlineExceeded
+from .forest_dp import DeadlineExceeded
 from .graph import Graph
 
 DEFAULT_ORDER_LIMIT = 18
@@ -30,16 +26,6 @@ def _guard(graph: Graph, limit: int) -> None:
             f"order {graph.n} exceeds brute-force limit {limit}; "
             f"expect ~2^{graph.n} subsets if forced"
         )
-
-
-def _neighbor_masks(graph: Graph) -> list[int]:
-    masks = [0] * graph.n
-    for v in range(graph.n):
-        acc = 0
-        for w in graph.adj[v]:
-            acc |= 1 << w
-        masks[v] = acc
-    return masks
 
 
 def brute_force_fk(
@@ -146,83 +132,3 @@ def brute_force_fk(
             # the first set that leaves fewer than k vertices
             x = tuple(range(n - k + 1))
     return len(x), make_certificate(graph, x, k, "brute")
-
-
-def _induced_degree_ok(masks, subset_mask, required, delta) -> bool:
-    rest = subset_mask
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        deg = (masks[v] & subset_mask).bit_count()
-        if deg > delta:
-            return False
-        if deg != delta and (required >> v) & 1:
-            return False
-    return True
-
-
-def brute_force_subforest(
-    forest: Graph, special, delta: int, limit: int = DEFAULT_ORDER_LIMIT
-):
-    """Max order of an induced subgraph containing ``special`` with max degree
-    <= delta and every special vertex at exactly delta; NEG_INF if none.
-    """
-    _guard(forest, limit)
-    n = forest.n
-    special = tuple(sorted(set(special)))
-    for v in special:
-        if not 0 <= v < n:
-            raise ValueError(f"special vertex {v} out of range")
-    masks = _neighbor_masks(forest)
-    required = 0
-    for v in special:
-        required |= 1 << v
-    others = [v for v in range(n) if not (required >> v) & 1]
-    best = NEG_INF
-    for size in range(len(others) + 1):
-        for extra in combinations(others, size):
-            mask = required
-            for v in extra:
-                mask |= 1 << v
-            if _induced_degree_ok(masks, mask, required, delta):
-                order = len(special) + size
-                if order > best:
-                    best = order
-    return best
-
-
-def brute_force_subforest_all(
-    forest: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT
-) -> dict[tuple[tuple[int, ...], int], int]:
-    """All (S, delta) -> best order, in one sweep over vertex subsets.
-
-    Any nonempty vertex subset is valid exactly for delta equal to its induced
-    maximum degree, with S any k-subset of its maximum-degree vertices; missing
-    keys mean NEG_INF.  Used to validate the dynamic program pairwise.
-    """
-    _guard(forest, limit)
-    n = forest.n
-    masks = _neighbor_masks(forest)
-    table: dict[tuple[tuple[int, ...], int], int] = {}
-    for subset_mask in range(1, 1 << n):
-        degs = []
-        max_deg = 0
-        rest = subset_mask
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            deg = (masks[v] & subset_mask).bit_count()
-            degs.append((v, deg))
-            if deg > max_deg:
-                max_deg = deg
-        top = [v for v, deg in degs if deg == max_deg]
-        if len(top) < k:
-            continue
-        order = len(degs)
-        for s in combinations(top, k):
-            key = (s, max_deg)
-            if table.get(key, -1) < order:
-                table[key] = order
-    return table

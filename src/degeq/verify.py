@@ -20,12 +20,10 @@ from . import bounds
 from .bounds import ClaimEntry, INAPPLICABLE, PASS, SKIP, VIOLATED
 from .certificates import RemovalCertificate, validate_certificate
 from .constructive import PreconditionError, equalize3_forest, girth5_equalize
-from .extremal import build_extremal_forest, build_path, build_star, build_star_union
 from .forest_dp import DeadlineExceeded, compute_fk_forest
-from .generators import GeneratorConfig, gen_random_forest, gen_random_girth5
+from .generators import CORPUS_KINDS, GeneratorConfig
 from .graph import Graph, degree_profile, girth, is_forest
 from .oracle import OrderLimitError, brute_force_fk
-from .prng import instance_seed
 
 
 @dataclass(frozen=True)
@@ -40,48 +38,18 @@ class InstanceSpec:
 
 
 def expand_corpus(configs: list[GeneratorConfig]) -> list[InstanceSpec]:
+    """One spec per instance, numbered across the corpus; its params come
+    from the kind's entry in ``CORPUS_KINDS``."""
     specs: list[InstanceSpec] = []
     for config in configs:
         for i in range(config.count):
-            params: dict = {}
-            if config.kind == "random-forest":
-                params = {
-                    "n": config.n,
-                    "m": config.m,
-                    "seed": instance_seed(config.seed, i),
-                    "split": config.split,
-                }
-            elif config.kind == "random-girth5":
-                params = {
-                    "n": config.n,
-                    "m": config.m,
-                    "seed": instance_seed(config.seed, i),
-                }
-            elif config.kind == "extremal-Ft":
-                params = {"t": config.t + i}
-            elif config.kind == "star-union":
-                params = {"sizes": config.sizes}
-            elif config.kind in ("path", "star"):
-                params = {"n": config.n}
+            params = CORPUS_KINDS[config.kind].params(config, i)
             specs.append(InstanceSpec(len(specs), config.kind, params))
     return specs
 
 
 def realize(spec: InstanceSpec) -> Graph:
-    p = spec.params
-    if spec.kind == "random-forest":
-        return gen_random_forest(p["n"], p["split"], p["seed"], p["m"])
-    if spec.kind == "random-girth5":
-        return gen_random_girth5(p["n"], p["m"], p["seed"])
-    if spec.kind == "extremal-Ft":
-        return build_extremal_forest(p["t"])
-    if spec.kind == "star-union":
-        return build_star_union(p["sizes"])
-    if spec.kind == "path":
-        return build_path(p["n"])
-    if spec.kind == "star":
-        return build_star(p["n"])
-    raise ValueError(f"unknown kind {spec.kind!r}")
+    return CORPUS_KINDS[spec.kind].build(spec.params)
 
 
 class _InstanceContext:

@@ -22,8 +22,8 @@ from degeq import (
     girth,
     moore_edge_bound_ok,
 )
-from degeq.extremal import a_closed_form
 from degeq.bounds import corollary1_threshold_iii, minimal_t, theorem1_hypothesis
+from reference import a_closed_form
 
 
 class TestASequence:

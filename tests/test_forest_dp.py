@@ -17,16 +17,12 @@ from degeq import (
     NEG_INF,
     Graph,
     brute_force_fk,
-    brute_force_subforest,
-    brute_force_subforest_all,
     build_extremal_forest,
     build_star,
     build_star_union,
     check_fk_condition,
     compute_fk_forest,
     gen_random_forest,
-    max_subforest_order,
-    root_forest,
     to_edgelist,
     validate_certificate,
 )
@@ -45,6 +41,12 @@ from degeq.forest_dp import (
 )
 from degeq.graph import components, degree_profile, parse_graph, remove_vertices
 from degeq.prng import SplitMix64, instance_seed
+from reference import (
+    brute_force_subforest,
+    brute_force_subforest_all,
+    max_subforest_order,
+    root_forest,
+)
 
 
 def ordered(nonspecials):
@@ -495,6 +497,10 @@ def test_public_names_resolve():
     namespace = {}
     exec("from degeq import *", namespace)
     assert set(degeq.__all__) <= set(namespace)
+    # the exhaustive and per-pair references live in tests/reference.py
+    for name in ("brute_force_subforest", "brute_force_subforest_all",
+                 "root_forest", "max_subforest_order"):
+        assert not hasattr(degeq, name), name
 
 
 def counting_skeleton(forest):

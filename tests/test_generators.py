@@ -171,3 +171,19 @@ class TestGeneratorConfig:
     def test_rejects_bad_configs(self, data):
         with pytest.raises(ValueError):
             GeneratorConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"kind": "nonsense"}, "unknown generator kind 'nonsense'"),
+            ({"kind": "path", "n": 3, "count": 0}, "count must be positive"),
+            ({"kind": "star"}, "kind star requires n >= 1"),
+            ({"kind": "random-girth5", "n": 0}, "kind random-girth5 requires n >= 1"),
+            ({"kind": "extremal-Ft", "t": 0}, "extremal-Ft requires t >= 1"),
+            ({"kind": "star-union", "sizes": []}, "star-union requires a sizes list"),
+        ],
+    )
+    def test_refusal_messages(self, data, message):
+        with pytest.raises(ValueError) as info:
+            GeneratorConfig.from_dict(data)
+        assert str(info.value) == message

@@ -9,8 +9,6 @@ from degeq import (
     NEG_INF,
     OrderLimitError,
     brute_force_fk,
-    brute_force_subforest,
-    brute_force_subforest_all,
     build_extremal_forest,
     build_star,
     build_star_union,
@@ -24,6 +22,7 @@ from degeq import (
 from degeq.forest_dp import DeadlineExceeded
 from degeq.graph import Graph, parse_graph
 from degeq.prng import SplitMix64, instance_seed
+from reference import brute_force_subforest, brute_force_subforest_all
 
 
 def _reference_fk(graph, k):

@@ -18,6 +18,7 @@ from degeq import (
 )
 from degeq.certificates import RemovalCertificate
 from degeq.cli import main
+from degeq.generators import CORPUS_KINDS
 from degeq.verify import CLAIM_TAGS, expand_corpus, realize
 
 
@@ -259,6 +260,86 @@ class TestCli:
         second = self.runner.invoke(main, args)
         assert second.exit_code == 0
         assert [f.read_text() for f in files] == contents
+
+    @pytest.mark.parametrize("kind", ["random-forest", "random-girth5"])
+    @pytest.mark.parametrize("m", [None, 6])
+    def test_gen_writes_the_verify_instances(self, tmp_path, kind, m):
+        args = ["gen", "--kind", kind, "--n", "9", "--seed", "4", "--count", "3"]
+        if m is not None:
+            args += ["--m", str(m)]
+        result = self.runner.invoke(main, [*args, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        paths = [Path(line) for line in result.output.splitlines()]
+        assert [p.name for p in paths] == [f"{kind}-n9-s4-i{i:04d}.txt" for i in range(3)]
+        config = GeneratorConfig(kind, n=9, m=m, seed=4, count=3)
+        expected = [to_edgelist(realize(spec)) for spec in expand_corpus([config])]
+        assert [p.read_text() for p in paths] == expected
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--kind", "random-forest", "--n", "0"],
+            ["--kind", "random-girth5", "--n", "-3"],
+            ["--kind", "random-forest", "--n", "5", "--count", "0"],
+            ["--kind", "random-girth5", "--n", "5", "--count", "-2"],
+        ],
+    )
+    def test_gen_refuses_values_below_one(self, tmp_path, args):
+        out = tmp_path / "corpus"
+        result = self.runner.invoke(main, ["gen", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "is not in the range x>=1" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_verify_refuses_jobs_below_one(self, tmp_path, jobs):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text('[{"kind": "star", "n": 4}]')
+        result = self.runner.invoke(
+            main, ["verify", "--claims", "moore", "--corpus", str(corpus), "--jobs", jobs]
+        )
+        assert result.exit_code == 2, result.output
+        assert "is not in the range x>=1" in result.output
+
+    def test_kind_choices_follow_the_table(self):
+        def choices(command, option):
+            (param,) = [p for p in main.commands[command].params if p.name == option]
+            return list(param.type.choices)
+
+        random = [kind for kind, spec in CORPUS_KINDS.items() if spec.random]
+        families = [kind for kind, spec in CORPUS_KINDS.items() if not spec.random]
+        assert choices("gen", "kind") == random
+        assert choices("construct", "family") == [kind.lower() for kind in families]
+        for family, kind in zip(choices("construct", "family"), families):
+            args = ["--family", family, "--t", "3", "--n", "4", "--sizes", "2,1"]
+            result = self.runner.invoke(main, ["construct", *args])
+            assert result.exit_code == 0, result.output
+            config = GeneratorConfig(kind, n=4, t=3, sizes=(2, 1))
+            assert result.output == to_edgelist(realize(expand_corpus([config])[0]))
+
+    def test_theorem3_threshold_for_k_above_100(self, tmp_path):
+        # the threshold scan starts at t = (k - 1)^2 = 10,000 for k = 101
+        path = self.write_graph(tmp_path, "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        result = self.runner.invoke(
+            main, ["bounds", "--input", path, "--k", "101", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        threshold = json.loads(result.output)["girth5_threshold"]
+        assert threshold == {"k": 101, "t": 10000, "bound": 100}
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text('[{"kind": "random-girth5", "n": 8, "seed": 1}]')
+        result = self.runner.invoke(
+            main,
+            [
+                "verify", "--claims", "thm3", "--corpus", str(corpus),
+                "--k-range", "2,101", "--format", "json",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        entries = json.loads(result.output)["results"][0]["entries"]
+        assert [e["params"]["k"] for e in entries] == [2, 101]
+        assert entries[1]["params"]["t"] >= 10000
+        assert entries[1]["status"] == "pass"
 
     @pytest.mark.parametrize(
         "args",
