@@ -1,108 +1,62 @@
 """Solvers, constructive procedures, and bound checkers for the minimum
-number of vertex deletions that leaves k vertices of maximum degree."""
+number of vertex deletions that leaves k vertices of maximum degree.
 
-from .bounds import (
-    ClaimEntry,
-    asymptotic_report,
-    bound_corollary2,
-    bound_theorem1,
-    bound_theorem2,
-    bound_theorem3,
-    c_k,
-    corollary1_check,
-    moore_edge_bound_ok,
-)
-from .certificates import (
-    InvalidCertificateError,
-    RemovalCertificate,
-    make_certificate,
-    validate_certificate,
-)
-from .constructive import (
-    PreconditionError,
-    equalize3_forest,
-    girth5_equalize,
-    peel_removal,
-)
-from .extremal import (
-    a_sequence,
-    build_extremal_forest,
-    build_path,
-    build_star,
-    build_star_union,
-    extremal_size,
-)
-from .forest_dp import NEG_INF, RootedForestView, compute_fk_forest
-from .generators import (
-    GeneratorConfig,
-    GirthSaturationError,
-    gen_random_forest,
-    gen_random_girth5,
-)
-from .graph import (
-    DegreeProfile,
-    Graph,
-    GraphFormatError,
-    check_fk_condition,
-    components,
-    degree_profile,
-    girth,
-    is_forest,
-    parse_graph,
-    remove_vertices,
-    to_edgelist,
-)
-from .oracle import OrderLimitError, brute_force_fk
-from .prng import SplitMix64, instance_seed
-from .verify import run_verification
+The namespace is lazy (PEP 562): ``import degeq`` loads no submodule, and
+each public name imports its home module on first access."""
 
-__all__ = [
-    "ClaimEntry",
-    "DegreeProfile",
-    "GeneratorConfig",
-    "GirthSaturationError",
-    "Graph",
-    "GraphFormatError",
-    "InvalidCertificateError",
-    "NEG_INF",
-    "OrderLimitError",
-    "PreconditionError",
-    "RemovalCertificate",
-    "RootedForestView",
-    "SplitMix64",
-    "a_sequence",
-    "asymptotic_report",
-    "bound_corollary2",
-    "bound_theorem1",
-    "bound_theorem2",
-    "bound_theorem3",
-    "brute_force_fk",
-    "build_extremal_forest",
-    "build_path",
-    "build_star",
-    "build_star_union",
-    "c_k",
-    "check_fk_condition",
-    "components",
-    "compute_fk_forest",
-    "corollary1_check",
-    "degree_profile",
-    "equalize3_forest",
-    "extremal_size",
-    "gen_random_forest",
-    "gen_random_girth5",
-    "girth",
-    "girth5_equalize",
-    "instance_seed",
-    "is_forest",
-    "make_certificate",
-    "moore_edge_bound_ok",
-    "parse_graph",
-    "peel_removal",
-    "remove_vertices",
-    "run_verification",
-    "to_edgelist",
-    "validate_certificate",
-]
+from importlib import import_module
+
+# Each public name and the submodule that defines it.
+_HOME = {
+    **dict.fromkeys(
+        ["ClaimEntry", "asymptotic_report", "bound_corollary2", "bound_theorem1",
+         "bound_theorem2", "bound_theorem3", "c_k", "corollary1_check",
+         "moore_edge_bound_ok"],
+        "bounds",
+    ),
+    **dict.fromkeys(
+        ["InvalidCertificateError", "RemovalCertificate", "make_certificate",
+         "validate_certificate"],
+        "certificates",
+    ),
+    **dict.fromkeys(
+        ["PreconditionError", "equalize3_forest", "girth5_equalize", "peel_removal"],
+        "constructive",
+    ),
+    **dict.fromkeys(
+        ["a_sequence", "build_extremal_forest", "build_path", "build_star",
+         "build_star_union", "extremal_size"],
+        "extremal",
+    ),
+    **dict.fromkeys(["NEG_INF", "RootedForestView", "compute_fk_forest"], "forest_dp"),
+    **dict.fromkeys(
+        ["GeneratorConfig", "GirthSaturationError", "gen_random_forest",
+         "gen_random_girth5"],
+        "generators",
+    ),
+    **dict.fromkeys(
+        ["DegreeProfile", "Graph", "GraphFormatError", "check_fk_condition",
+         "components", "degree_profile", "girth", "is_forest", "parse_graph",
+         "remove_vertices", "to_edgelist"],
+        "graph",
+    ),
+    **dict.fromkeys(["OrderLimitError", "brute_force_fk"], "oracle"),
+    **dict.fromkeys(["SplitMix64", "instance_seed"], "prng"),
+    "run_verification": "verify",
+}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

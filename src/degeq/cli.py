@@ -6,6 +6,7 @@ error, 3 input error.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import sys
 import time
@@ -14,10 +15,8 @@ from typing import NoReturn
 
 import click
 
-from . import bench as bench_mod
 from .certificates import validate_certificate
-from .constructive import PreconditionError, girth5_equalize, peel_removal
-from .forest_dp import compute_fk_forest
+from .forest_dp import DeadlineExceeded, compute_fk_forest
 from .generators import CORPUS_KINDS, GeneratorConfig
 from .graph import (
     Graph,
@@ -28,22 +27,28 @@ from .graph import (
     parse_graph,
     to_edgelist,
 )
-from .bounds import (
-    asymptotic_report,
-    bound_corollary2,
-    bound_theorem1,
-    bound_theorem2,
-    bound_theorem3,
-    c_k,
-    corollary1_check,
-    corollary2_t,
-    girth_field,
-    theorem1_t,
-    theorem2_t,
-    theorem3_t,
-)
 from .oracle import DEFAULT_ORDER_LIMIT, OrderLimitError, brute_force_fk
-from .verify import CLAIM_TAGS, expand_corpus, realize, run_verification
+
+
+def _register_unexecuted(*names: str) -> None:
+    """Put the submodules ``names`` in ``sys.modules`` unexecuted; each runs
+    on its first attribute access (``importlib.util.LazyLoader``).  Only some
+    commands run them, yet a tool that wraps the package's functions after
+    ``import degeq.cli`` (perfbench's tracer) looks every module up there."""
+    package = sys.modules[__package__]
+    for name in names:
+        fullname = f"{__package__}.{name}"
+        if fullname in sys.modules:
+            continue
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(package, name, module)
+
+
+_register_unexecuted("bench", "bounds", "constructive", "verify")
 
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
@@ -72,13 +77,20 @@ def _load_graph(path: str) -> Graph:
         _fail(EXIT_INPUT, f"input error: {exc}")
 
 
-def _solve_and_emit(graph: Graph, k: int, fmt: str, solve, **options) -> None:
-    """Time one exact solve, re-validate its certificate and print the result."""
+def _solve_and_emit(
+    graph: Graph, k: int, fmt: str, solve, timeout: float | None = None, **options
+) -> None:
+    """Time one exact solve, re-validate its certificate and print the result.
+    A solve that outlives ``timeout`` seconds is refused."""
     start = time.perf_counter()
+    if timeout is not None:
+        options["deadline"] = time.monotonic() + timeout
     try:
         value, cert = solve(graph, k, **options)
     except OrderLimitError as exc:
         _fail(EXIT_USAGE, f"usage error: {exc}")
+    except DeadlineExceeded as exc:
+        _fail(EXIT_USAGE, f"refused: {exc} (--timeout {timeout} s)")
     elapsed = (time.perf_counter() - start) * 1000.0
     if not validate_certificate(graph, cert, k):
         _fail(EXIT_VIOLATION, "internal error: produced certificate failed validation")
@@ -145,7 +157,10 @@ def main():
     "--force", is_flag=True,
     help="Let brute force run past its default order limit; forests need no limit.",
 )
-def compute(input_path, k, method, fmt, force):
+@click.option(
+    "--timeout", type=float, default=None, help="Seconds before the solve is refused."
+)
+def compute(input_path, k, method, fmt, force, timeout):
     """Exact equalization number of a graph."""
     graph = _load_graph(input_path)
     forest = is_forest(graph)
@@ -154,10 +169,10 @@ def compute(input_path, k, method, fmt, force):
     if method == "dp" and not forest:
         _fail(EXIT_INPUT, "input error: the tree solver requires a forest")
     if method == "dp":
-        _solve_and_emit(graph, k, fmt, compute_fk_forest)
+        _solve_and_emit(graph, k, fmt, compute_fk_forest, timeout)
     else:
         limit = graph.n if force else DEFAULT_ORDER_LIMIT
-        _solve_and_emit(graph, k, fmt, brute_force_fk, limit=limit)
+        _solve_and_emit(graph, k, fmt, brute_force_fk, timeout, limit=limit)
 
 
 @main.command()
@@ -178,6 +193,8 @@ def brute(input_path, k, limit, fmt):
 @click.option("--out", "out_path", default=None, help="Output file (default stdout).")
 def construct(family, t, n, sizes, out_path):
     """Write a deterministic family member as an edge list."""
+    from .verify import expand_corpus, realize
+
     try:
         sizes = tuple(int(s) for s in sizes.split(",")) if sizes else None
         config = GeneratorConfig(_FAMILIES[family], n=n, t=t, sizes=sizes)
@@ -200,6 +217,8 @@ def construct(family, t, n, sizes, out_path):
 @click.option("--out", "out_dir", required=True, help="Output directory.")
 def gen(kind, n, m, seed, count, out_dir):
     """Generate seeded random instances into a directory."""
+    from .verify import expand_corpus, realize
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = GeneratorConfig(kind, n=n, m=m, seed=seed, count=count)
@@ -221,6 +240,21 @@ def gen(kind, n, m, seed, count, out_dir):
 @_format_option("text", "json")
 def bounds(input_path, k, t, p, fmt):
     """Print all applicable bound evaluations for one instance."""
+    from .bounds import (
+        asymptotic_report,
+        bound_corollary2,
+        bound_theorem1,
+        bound_theorem2,
+        bound_theorem3,
+        c_k,
+        corollary1_check,
+        corollary2_t,
+        girth_field,
+        theorem1_t,
+        theorem2_t,
+        theorem3_t,
+    )
+
     graph = _load_graph(input_path)
     profile = degree_profile(graph)
     g = girth(graph)
@@ -270,6 +304,8 @@ def bounds(input_path, k, t, p, fmt):
 @click.option("--k-range", default="2,3", show_default=True)
 def verify(claims, corpus_path, jobs, timeout, fmt, k_range):
     """Run claim checks over a generated corpus; exit 1 on any violation."""
+    from .verify import CLAIM_TAGS, run_verification
+
     claim_list = [c.strip() for c in claims.split(",") if c.strip()]
     unknown = [c for c in claim_list if c not in CLAIM_TAGS]
     if unknown:
@@ -309,6 +345,8 @@ def verify(claims, corpus_path, jobs, timeout, fmt, k_range):
 @_format_option("text", "json", "csv")
 def bench(suite, fmt):
     """Time the solvers on fixed seeded instances."""
+    from . import bench as bench_mod
+
     rows = bench_mod.run_suite(suite)
     click.echo(bench_mod.render(rows, fmt), nl=False)
 
@@ -325,6 +363,8 @@ def bench(suite, fmt):
 )
 def equalize(input_path, k, t, procedure):
     """Run a constructive procedure and print its certificate."""
+    from .constructive import PreconditionError, girth5_equalize, peel_removal
+
     graph = _load_graph(input_path)
     try:
         if procedure == "peel":

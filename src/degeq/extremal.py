@@ -4,8 +4,6 @@ degrees despite having few edges."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .graph import Graph
 
 
@@ -65,10 +63,12 @@ def extremal_size(t: int) -> int:
     if t < 1:
         raise ValueError("t must be positive")
     k, odd = divmod(t, 2)
+    # the closed form has denominator 3; its numerator is computed in thirds
     if odd:
-        value = Fraction(2, 3) * k**3 + 2 * k**2 + Fraction(10, 3) * k + 1
+        thirds = 2 * k**3 + 6 * k**2 + 10 * k + 3
     else:
-        value = Fraction(2, 3) * k**3 + k**2 + Fraction(7, 3) * k
-    if value.denominator != 1:
-        raise AssertionError(f"size formula produced non-integer {value}")
-    return int(value)
+        thirds = 2 * k**3 + 3 * k**2 + 7 * k
+    value, remainder = divmod(thirds, 3)
+    if remainder:
+        raise AssertionError(f"size formula produced non-integer {thirds}/3")
+    return value

@@ -107,6 +107,8 @@ def gen_random_girth5(
         raise ValueError("n must be at least 1")
     if min_girth < 3:
         raise ValueError("min_girth below 3 is not a girth constraint")
+    if m is not None and m < 0:
+        raise ValueError("edge target m must be non-negative")
     rng = SplitMix64(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)

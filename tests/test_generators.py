@@ -126,6 +126,11 @@ class TestGirth5Generator:
         assert err.value.target == 10
         assert err.value.achieved < 10
 
+    def test_negative_edge_target_refused(self):
+        # m < 0 used to fall through to the saturated graph
+        with pytest.raises(ValueError, match="non-negative"):
+            gen_random_girth5(6, -1, seed=0)
+
     def test_higher_girth_option(self):
         g = gen_random_girth5(16, None, seed=2, min_girth=7)
         assert girth(g) >= 7

@@ -125,20 +125,33 @@ class TestCli:
         return str(path)
 
     def test_import_loads_no_process_pool(self):
-        # the pool is imported only where verify --jobs > 1 starts one
+        # the pool is imported only where verify --jobs > 1 starts one; the
+        # package namespace is lazy, and the CLI runs the bound checkers, the
+        # verifier, the procedures and the bench only in their commands.  It
+        # still registers them in sys.modules, unexecuted: a LazyLoader
+        # module's type is not ModuleType until its first attribute access.
         src = str(Path(degeq.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
-            "import sys, degeq.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('concurrent', 'multiprocessing'))))"
+            "import sys, json, types, degeq; "
+            "bare = sorted(m for m in sys.modules if m.startswith('degeq.')); "
+            "listed = set(degeq.__all__) <= set(dir(degeq)); "
+            "import degeq.cli; "
+            "deferred = ('degeq.verify', 'degeq.bounds', 'degeq.constructive', "
+            "'degeq.bench'); "
+            "registered = all(m in sys.modules for m in deferred); "
+            "ran = sorted(m for m, mod in sys.modules.items() "
+            "if type(mod) is types.ModuleType and m.startswith("
+            "('concurrent', 'multiprocessing', 'fractions', 'csv', *deferred))); "
+            "tags = len(degeq.verify.CLAIM_TAGS); "
+            "print(json.dumps([bare, listed, registered, ran, tags]))"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert json.loads(result.stdout) == [[], True, True, [], len(CLAIM_TAGS)]
 
     def test_compute_json_schema(self, tmp_path):
         path = self.write_graph(tmp_path, "6 4\n0 1\n0 2\n0 3\n4 5\n")
@@ -203,6 +216,17 @@ class TestCli:
         result = self.runner.invoke(main, ["compute", "--input", path])
         assert result.exit_code == 2  # click missing-option error
 
+    def test_compute_timeout_refuses(self, tmp_path):
+        # F_18 with k = 3 takes seconds; the deadline is checked per delta
+        path = self.write_graph(tmp_path, to_edgelist(degeq.build_extremal_forest(18)))
+        result = self.runner.invoke(
+            main, ["compute", "--input", path, "--k", "3", "--timeout", "0.01"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert "deadline exceeded" in result.stderr
+
     def test_dp_has_no_order_limit(self, tmp_path):
         # forests of any order go to the tree program; F_12 has 206 vertices
         forest = degeq.build_extremal_forest(12)
@@ -246,6 +270,20 @@ class TestCli:
             main, ["construct", "--family", "star-union", "--sizes", "3,1"]
         )
         assert parse_graph(result.output).m == 4
+
+    def test_gen_refuses_negative_edge_target(self, tmp_path):
+        out = tmp_path / "corpus"
+        result = self.runner.invoke(
+            main,
+            ["gen", "--kind", "random-girth5", "--n", "6", "--m", "-1", "--out", str(out)],
+        )
+        assert result.exit_code == 3
+        assert result.stderr.startswith("input error: ")
+        assert list(out.glob("*.txt")) == []
+        config = GeneratorConfig.from_dict({"kind": "random-girth5", "n": 6, "m": -1})
+        report = run_verification([config], ["thm1"])
+        assert "non-negative" in report.results[0].error
+        assert report.results[0].entries == []
 
     def test_gen_writes_deterministic_files(self, tmp_path):
         args = [
