@@ -17,7 +17,7 @@ import click
 
 from .certificates import validate_certificate
 from .forest_dp import DeadlineExceeded, compute_fk_forest
-from .generators import CORPUS_KINDS, GeneratorConfig
+from .generators import CORPUS_KINDS, GeneratorConfig, expand_corpus, realize
 from .graph import (
     Graph,
     GraphFormatError,
@@ -193,8 +193,6 @@ def brute(input_path, k, limit, fmt):
 @click.option("--out", "out_path", default=None, help="Output file (default stdout).")
 def construct(family, t, n, sizes, out_path):
     """Write a deterministic family member as an edge list."""
-    from .verify import expand_corpus, realize
-
     try:
         sizes = tuple(int(s) for s in sizes.split(",")) if sizes else None
         config = GeneratorConfig(_FAMILIES[family], n=n, t=t, sizes=sizes)
@@ -217,8 +215,6 @@ def construct(family, t, n, sizes, out_path):
 @click.option("--out", "out_dir", required=True, help="Output directory.")
 def gen(kind, n, m, seed, count, out_dir):
     """Generate seeded random instances into a directory."""
-    from .verify import expand_corpus, realize
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = GeneratorConfig(kind, n=n, m=m, seed=seed, count=count)

@@ -29,11 +29,6 @@ class PreconditionError(ValueError):
         super().__init__(f"{what}: {message}")
 
 
-def _top_witnesses(graph: Graph, count: int) -> list[int]:
-    profile = degree_profile(graph)
-    return list(profile.witnesses[:count])
-
-
 def peel_removal(graph: Graph, k: int) -> RemovalCertificate:
     """Remove the top k-1 degree witnesses, then strip whole max-degree layers
     until k vertices share the maximum degree or fewer than k remain.
@@ -46,7 +41,7 @@ def peel_removal(graph: Graph, k: int) -> RemovalCertificate:
     if check_fk_condition(graph, (), k):
         return make_certificate(graph, (), k, "peel")
 
-    removed: set[int] = set(_top_witnesses(graph, k - 1))
+    removed: set[int] = set(degree_profile(graph).witnesses[: k - 1])
     alive = [v for v in range(graph.n) if v not in removed]
     deg = {v: sum(1 for w in graph.adj[v] if w not in removed) for v in alive}
     while alive:
@@ -61,6 +56,24 @@ def peel_removal(graph: Graph, k: int) -> RemovalCertificate:
                     deg[w] -= 1
         alive = [v for v in alive if v not in removed]
     return make_certificate(graph, removed, k, "peel")
+
+
+def _trim(graph, u, keep_closed: list[set[int]], count: int) -> list[int]:
+    """Lowest-id ``count`` neighbors of u outside the given closed
+    neighborhoods."""
+    blocked: set[int] = set()
+    for s in keep_closed:
+        blocked |= s
+    out = [w for w in graph.adj[u] if w not in blocked][:count]
+    if len(out) < count:
+        raise AssertionError(
+            f"vertex {u} lacks {count} trimmable neighbors; case analysis broken"
+        )
+    return out
+
+
+def _closed(graph: Graph, u: int) -> set[int]:
+    return set(graph.adj[u]) | {u}
 
 
 def girth5_equalize(graph: Graph, k: int, t: int, g: int | float) -> RemovalCertificate:
@@ -95,25 +108,12 @@ def girth5_equalize(graph: Graph, k: int, t: int, g: int | float) -> RemovalCert
             raise AssertionError("peeling exceeded its (k-1)^2 budget")
         return cert
 
-    witnesses = list(profile.witnesses[:k])
-    closed = [set(graph.adj[u]) | {u} for u in witnesses]
+    witnesses = profile.witnesses[:k]
+    closed = [_closed(graph, u) for u in witnesses]
     removed: list[int] = []
     for i in range(k - 1):
-        u = witnesses[i]
-        need = deltas[i] - deltas[k - 1]
-        if need == 0:
-            continue
-        blocked = set()
-        for j in range(k):
-            if j != i:
-                blocked |= closed[j]
-        candidates = [w for w in graph.adj[u] if w not in blocked]
-        if len(candidates) < need:
-            raise AssertionError(
-                f"witness {u} has only {len(candidates)} deletable neighbors, "
-                f"needs {need}; girth hypothesis violated?"
-            )
-        removed.extend(candidates[:need])
+        others = closed[:i] + closed[i + 1 :]
+        removed += _trim(graph, witnesses[i], others, deltas[i] - deltas[k - 1])
 
     cert = make_certificate(graph, removed, k, "girth5")
     if len(cert.x) > t:
@@ -125,26 +125,8 @@ def girth5_equalize(graph: Graph, k: int, t: int, g: int | float) -> RemovalCert
 # Equalizing three maximum degrees in a forest
 
 
-def _k2_components(graph: Graph, alive: set[int]) -> list[list[int]]:
-    return [c for c in components(graph) if len(c) == 2 and set(c) <= alive]
-
-
-def _trim(graph, u, keep_closed: list[set[int]], count: int) -> list[int]:
-    """Lowest-id ``count`` neighbors of u outside the given closed
-    neighborhoods."""
-    blocked: set[int] = set()
-    for s in keep_closed:
-        blocked |= s
-    out = [w for w in graph.adj[u] if w not in blocked][:count]
-    if len(out) < count:
-        raise AssertionError(
-            f"vertex {u} lacks {count} trimmable neighbors; case analysis broken"
-        )
-    return out
-
-
-def _closed(graph: Graph, u: int) -> set[int]:
-    return set(graph.adj[u]) | {u}
+def _k2_components(graph: Graph) -> list[list[int]]:
+    return [c for c in components(graph) if len(c) == 2]
 
 
 def _equalize3(graph: Graph, t: int, to_original: list[int]) -> list[int]:
@@ -191,7 +173,7 @@ def _equalize3_base(graph, d1, d2, d3, u1, u2, u3) -> list[int]:
         # One star plus matching edges and isolated vertices.
         if d1 < 2:
             raise AssertionError(f"base case d2=1 needs d1 >= 2, got {d1}")
-        k2 = _k2_components(graph, set(range(graph.n)))
+        k2 = _k2_components(graph)
         if len(k2) == 1:
             return [u1, k2[0][0]]
         return [u1]
@@ -204,7 +186,7 @@ def _equalize3_base(graph, d1, d2, d3, u1, u2, u3) -> list[int]:
         if u2 not in graph.adj[u1]:
             # Two short-path components; trim one endpoint from each.
             return [_trim(graph, u1, [], 1)[0], _trim(graph, u2, [], 1)[0]]
-        k2 = _k2_components(graph, set(range(graph.n)))
+        k2 = _k2_components(graph)
         if k2:
             return [u1]
         return [u1, u2]
@@ -214,7 +196,7 @@ def _equalize3_base(graph, d1, d2, d3, u1, u2, u3) -> list[int]:
         return _trim(graph, u1, [_closed(graph, u2), _closed(graph, u3)], d1 - 2)
     if d3 != 1:
         raise AssertionError(f"base case d1 in (3, 4) needs d3 in (1, 2), got {d3}")
-    k2 = _k2_components(graph, set(range(graph.n)))
+    k2 = _k2_components(graph)
     if not k2:
         return [u1, u2]
     if u2 in graph.adj[u1]:
@@ -231,7 +213,7 @@ def _equalize3_direct(graph, t, d1, d2, d3, u1, u2, u3) -> list[int]:
         return [u1]
     if d3 == 1:
         if u2 in graph.adj[u1]:
-            k2 = _k2_components(graph, set(range(graph.n)))
+            k2 = _k2_components(graph)
             if len(k2) == 1:
                 # Trim both witnesses down to the shared edge.
                 x = _trim(graph, u1, [_closed(graph, u2)], d1 - 1)

@@ -102,7 +102,7 @@ def _combine(special, specials, nonspecials, delta: int):
 
 
 # ---------------------------------------------------------------------------
-# Rooted views and the evaluation pass
+# Skeletons and the evaluation pass
 
 
 @dataclass(frozen=True)
@@ -112,20 +112,6 @@ class _Skeleton:
 
     order: tuple[int, ...]  # children-before-parent traversal, ending at n
     children: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class RootedForestView:
-    """A skeleton plus the special set and target degree of one subproblem."""
-
-    base: Graph
-    skeleton: _Skeleton
-    special: frozenset[int]
-    delta: int
-
-    def __post_init__(self):
-        if not 0 <= self.delta <= max(self.base.max_degree(), 0):
-            raise ValueError("delta out of range for this forest")
 
 
 def _build_skeleton(forest: Graph, comps, attachments: Iterable[int]) -> _Skeleton:
@@ -155,39 +141,24 @@ def _build_skeleton(forest: Graph, comps, attachments: Iterable[int]) -> _Skelet
     return _Skeleton(tuple(reversed(preorder)), children)
 
 
-def _rooted_view(
-    forest: Graph,
-    comps,
-    special: frozenset[int],
-    delta: int,
-    attachments: Iterable[int] | None = None,
-) -> RootedForestView:
-    """The rooted view of a forest whose components are ``comps``.
-
-    By default the virtual root n is attached to the lowest non-special
-    vertex of a connected forest (vertex 0 if all are special), and to the
-    lowest vertex of each component otherwise.  Any attachments give the same
-    values; they decide which of several optimal subforests the
-    reconstruction replays.
-    """
-    if attachments is None:
-        if len(comps) == 1:
-            free = (v for v in range(forest.n) if v not in special)
-            attachments = [next(free, 0)]
-        else:
-            attachments = [comp[0] for comp in comps]
-    skeleton = _build_skeleton(forest, comps, attachments)
-    return RootedForestView(forest, skeleton, special, delta)
+def _certificate_attachments(comps, special) -> list[int]:
+    """Where the certificate pass hangs the virtual root: from the lowest
+    non-special vertex of a connected forest (vertex 0 if all are special),
+    and from the lowest vertex of each component otherwise.  Any attachments
+    give the same values; they decide which of several optimal subforests
+    the reconstruction replays."""
+    if len(comps) == 1:
+        return [next((v for v in comps[0] if v not in special), 0)]
+    return [comp[0] for comp in comps]
 
 
-def _run_pass(view: RootedForestView):
-    """Evaluate the program bottom-up over a rooted view.
+def _run_pass(skeleton: _Skeleton, special, delta: int):
+    """Evaluate the program bottom-up over a skeleton, for the special set
+    ``special`` and the target degree ``delta``.
 
     Returns the triple of every vertex and its plan: the special children,
     the non-special children in ``_combine``'s order, and the two cuts.
     """
-    skeleton = view.skeleton
-    special = view.special
     size = len(skeleton.children)
     values: list = [None] * size
     keys: list = [None] * size  # _pair_key of each triple
@@ -198,7 +169,7 @@ def _run_pass(view: RootedForestView):
         flag = u in special
         if not kids:
             if flag not in leaves:
-                triple, cut2, cut3 = _combine(flag, (), (), view.delta)
+                triple, cut2, cut3 = _combine(flag, (), (), delta)
                 leaves[flag] = (triple, _pair_key(triple), ((), (), cut2, cut3))
             values[u], keys[u], plans[u] = leaves[flag]
             continue
@@ -207,7 +178,7 @@ def _run_pass(view: RootedForestView):
         ns = [v for v in kids if v not in special]
         ns.sort(key=keys.__getitem__, reverse=True)
         triple, cut2, cut3 = _combine(
-            flag, [values[v] for v in sp], [values[v] for v in ns], view.delta
+            flag, [values[v] for v in sp], [values[v] for v in ns], delta
         )
         values[u] = triple
         keys[u] = _pair_key(triple)
@@ -414,12 +385,11 @@ def compute_fk_forest(
     deltas = degree_profile(forest).deltas
     if n < k or deltas[0] == deltas[k - 1]:  # k vertices share the maximum
         return 0, make_certificate(forest, (), k, "dp")
-    if n == k:
-        # not equalized, and deleting vertex 0 leaves k - 1 vertices: the
-        # subset oracle's first success, so its method name is kept
-        return 1, make_certificate(forest, (0,), k, "brute")
+    if n == k:  # not equalized, and deleting vertex 0 leaves k - 1 vertices
+        return 1, make_certificate(forest, (0,), k, "dp")
 
-    counting = _build_skeleton(forest, comps, [comp[0] for comp in comps])
+    lowest = [comp[0] for comp in comps]
+    counting = _build_skeleton(forest, comps, lowest)
     # the incumbent order starts at the keep-(k-1) escape; every pass keeps
     # k special vertices, so the first one found beats it
     best_val = k - 1
@@ -442,8 +412,9 @@ def compute_fk_forest(
         return n - (k - 1), make_certificate(forest, removed, k, "dp")
 
     special, delta = best_key
-    view = _rooted_view(forest, comps, frozenset(special), delta)
-    kept = _reconstruct(view.skeleton, *_run_pass(view))
+    tops = _certificate_attachments(comps, special)
+    skeleton = counting if tops == lowest else _build_skeleton(forest, comps, tops)
+    kept = _reconstruct(skeleton, *_run_pass(skeleton, frozenset(special), delta))
     if len(kept) != best_val:
         raise AssertionError(
             f"reconstruction produced {len(kept)} vertices, expected {best_val}"

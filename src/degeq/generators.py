@@ -1,4 +1,5 @@
-"""Seeded random instance generators, and the table of corpus kinds."""
+"""Seeded random instance generators, the table of corpus kinds, and the
+expansion of corpus configs into instances."""
 
 from __future__ import annotations
 
@@ -214,3 +215,29 @@ class GeneratorConfig:
             data = dict(data)
             data["sizes"] = tuple(data["sizes"])
         return cls(**data)
+
+
+@dataclass(frozen=True)
+class InstanceSpec:
+    index: int
+    kind: str
+    params: dict
+
+    def label(self) -> str:
+        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
+        return f"{self.index}:{self.kind}({inner})"
+
+
+def expand_corpus(configs: list[GeneratorConfig]) -> list[InstanceSpec]:
+    """One spec per instance, numbered across the corpus; its params come
+    from the kind's entry in ``CORPUS_KINDS``."""
+    specs: list[InstanceSpec] = []
+    for config in configs:
+        for i in range(config.count):
+            params = CORPUS_KINDS[config.kind].params(config, i)
+            specs.append(InstanceSpec(len(specs), config.kind, params))
+    return specs
+
+
+def realize(spec: InstanceSpec) -> Graph:
+    return CORPUS_KINDS[spec.kind].build(spec.params)

@@ -21,35 +21,9 @@ from .bounds import ClaimEntry, INAPPLICABLE, PASS, SKIP, VIOLATED
 from .certificates import RemovalCertificate, validate_certificate
 from .constructive import PreconditionError, equalize3_forest, girth5_equalize
 from .forest_dp import DeadlineExceeded, compute_fk_forest
-from .generators import CORPUS_KINDS, GeneratorConfig
-from .graph import Graph, degree_profile, girth, is_forest
+from .generators import GeneratorConfig, InstanceSpec, expand_corpus, realize
+from .graph import degree_profile, girth, is_forest
 from .oracle import OrderLimitError, brute_force_fk
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    index: int
-    kind: str
-    params: dict
-
-    def label(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.index}:{self.kind}({inner})"
-
-
-def expand_corpus(configs: list[GeneratorConfig]) -> list[InstanceSpec]:
-    """One spec per instance, numbered across the corpus; its params come
-    from the kind's entry in ``CORPUS_KINDS``."""
-    specs: list[InstanceSpec] = []
-    for config in configs:
-        for i in range(config.count):
-            params = CORPUS_KINDS[config.kind].params(config, i)
-            specs.append(InstanceSpec(len(specs), config.kind, params))
-    return specs
-
-
-def realize(spec: InstanceSpec) -> Graph:
-    return CORPUS_KINDS[spec.kind].build(spec.params)
 
 
 class _InstanceContext:
@@ -78,9 +52,10 @@ class _InstanceContext:
         """(value, method) with value None when no exact solver applies."""
         if k not in self.certificates:
             self.certificates[k] = self._solve(k)
-        if self.certificates[k] is None:
+        cert = self.certificates[k]
+        if cert is None:
             return None, "none"
-        return len(self.certificates[k].x), "dp" if self.forest else "brute"
+        return len(cert.x), cert.method
 
     def _solve(self, k: int) -> RemovalCertificate | None:
         """The exact solver's certificate; None past the oracle's reach."""

@@ -11,7 +11,13 @@ from itertools import combinations
 from typing import Iterable
 
 from degeq.bounds import lemma3_surplus
-from degeq.forest_dp import NEG_INF, RootedForestView, _rooted_view, _run_pass
+from degeq.forest_dp import (
+    NEG_INF,
+    _build_skeleton,
+    _certificate_attachments,
+    _run_pass,
+    _Skeleton,
+)
 from degeq.graph import DegreeProfile, Graph, components
 from degeq.oracle import DEFAULT_ORDER_LIMIT, _guard
 
@@ -115,28 +121,31 @@ def brute_force_subforest_all(
 
 
 def root_forest(
-    forest: Graph,
-    special,
-    delta: int,
-    attachments: Iterable[int] | None = None,
-) -> RootedForestView:
-    """Build the rooted view used by the dynamic program: a virtual root n
-    adjacent to one vertex per component.
+    forest: Graph, special, attachments: Iterable[int] | None = None
+) -> _Skeleton:
+    """The skeleton the per-pair program runs on: a virtual root n adjacent
+    to one vertex per component.
 
-    By default it is attached to the lowest non-special vertex of a
-    connected forest (vertex 0 if all are special), and to the lowest vertex
-    of each component otherwise.
-    Any attachments give the same values; they decide which of several
-    optimal subforests the reconstruction replays.
+    By default the attachments are those of ``compute_fk_forest``'s
+    certificate pass for the special set ``special``.  Any attachments give
+    the same values; they decide which of several optimal subforests the
+    reconstruction replays.
     """
     comps = components(forest)
     if forest.m != forest.n - len(comps):
         raise ValueError("input graph is not a forest")
-    special_set = frozenset(special)
-    for v in special_set:
+    for v in special:
         if not 0 <= v < forest.n:
             raise ValueError(f"special vertex {v} out of range")
-    return _rooted_view(forest, comps, special_set, delta, attachments)
+    if attachments is None:
+        attachments = _certificate_attachments(comps, special)
+    return _build_skeleton(forest, comps, attachments)
+
+
+def run_pair(forest: Graph, special, delta: int, attachments=None):
+    """The skeleton, triples and plans of the per-pair program on (S, delta)."""
+    skeleton = root_forest(forest, special, attachments)
+    return (skeleton, *_run_pass(skeleton, frozenset(special), delta))
 
 
 def max_subforest_order(
@@ -157,8 +166,7 @@ def max_subforest_order(
     delta_cap = forest.max_degree()
     if delta > delta_cap:
         return NEG_INF  # special vertices cannot reach degree delta
-    view = root_forest(forest, special, delta, attachments)
-    values, _ = _run_pass(view)
+    _, values, _ = run_pair(forest, special, delta, attachments)
     return values[forest.n][0]  # the virtual root, which is always deleted
 
 

@@ -17,7 +17,8 @@ from degeq import (
     verify,
 )
 from degeq.cli import main
-from degeq.verify import CLAIM_TAGS, expand_corpus, realize
+from degeq.generators import expand_corpus, realize
+from degeq.verify import CLAIM_TAGS
 
 NOT_A_FOREST = "skip: not a forest"
 

@@ -37,8 +37,6 @@ from degeq.forest_dp import (
     _min_deletions,
     _pair_key,
     _reconstruct,
-    _rooted_view,
-    _run_pass,
 )
 from degeq.graph import components, degree_profile, parse_graph, remove_vertices
 from degeq.prng import SplitMix64, instance_seed
@@ -47,6 +45,7 @@ from reference import (
     brute_force_subforest_all,
     max_subforest_order,
     root_forest,
+    run_pair,
 )
 
 
@@ -77,8 +76,7 @@ class TestLeafBase:
         # the pass shares one leaf entry per flag; each leaf must still get
         # the kernel's childless triple and cuts
         star = build_star(5)
-        view = root_forest(star, (1, 2), delta)
-        values, plans = _run_pass(view)
+        _, values, plans = run_pair(star, (1, 2), delta)
         triple, cut2, cut3 = _combine(special, (), (), delta)
         for leaf in (1, 2) if special else (3, 4):
             assert values[leaf] == triple
@@ -139,9 +137,7 @@ class TestEngineAgainstPlans:
             forest = gen_random_forest(9, split_prob=0.3, seed=seed)
             for s in ((0, 1), (2, 5, 7)):
                 for delta in range(forest.max_degree() + 1):
-                    view = root_forest(forest, s, delta)
-                    skel = view.skeleton
-                    values, plans = _run_pass(view)
+                    skel, values, plans = run_pair(forest, s, delta)
                     for u in skel.order:
                         sp, ns, cut2, cut3 = plans[u]
                         assert sorted([*sp, *ns]) == list(skel.children[u])
@@ -245,8 +241,7 @@ class TestMaxSubforestOrder:
             for k in (2, 3):
                 table = brute_force_subforest_all(forest, k)
                 for (s, delta), value in table.items():
-                    view = root_forest(forest, s, delta)
-                    kept = _reconstruct(view.skeleton, *_run_pass(view))
+                    kept = _reconstruct(*run_pair(forest, s, delta))
                     assert len(kept) == value
                     assert set(s) <= kept
                     induced, old_to_new = remove_vertices(
@@ -291,10 +286,12 @@ class TestComputeFkForest:
         value, _ = compute_fk_forest(Graph.from_edges(3, []), 3)
         assert value == 0
 
-    def test_order_equal_k_irregular_falls_back_to_oracle(self):
+    def test_order_equal_k_irregular_deletes_vertex_zero(self):
+        # the closed form is the tree solver's answer, and says so
         value, cert = compute_fk_forest(parse_graph("3 1\n0 1"), 3)
         assert value == 1
-        assert cert.method == "brute"
+        assert cert.x == (0,)
+        assert cert.method == "dp"
 
     def test_upper_bound_invariant(self):
         for seed in range(25):
@@ -454,7 +451,7 @@ class TestCountingSolverDifferential:
         forest = Graph.from_edges(20, [(0, 1)])
         value, cert = compute_fk_forest(forest, 20)
         assert value == 1
-        assert cert.method == "brute"
+        assert cert.method == "dp"
         assert validate_certificate(forest, cert, 20)
 
     def test_extremal_family_values_eight_to_twelve(self):
@@ -464,30 +461,29 @@ class TestCountingSolverDifferential:
 
 class TestRootedView:
     def test_special_attachment_is_valid(self, path4):
-        view = root_forest(path4, (1, 2), 1, attachments=(1,))
-        assert view.skeleton.children[path4.n] == (1,)
-        values, _ = _run_pass(view)
+        skel, values, _ = run_pair(path4, (1, 2), 1, attachments=(1,))
+        assert skel.children[path4.n] == (1,)
         assert values[path4.n][0] == brute_force_subforest(path4, (1, 2), 1) == 2
 
     def test_virtual_root_for_disconnected(self):
         forest = build_star_union([1, 1])
-        view = root_forest(forest, (0, 2), 1)
-        assert view.skeleton.order[-1] == forest.n
-        assert view.skeleton.children[forest.n] == (0, 2)
+        skel = root_forest(forest, (0, 2))
+        assert skel.order[-1] == forest.n
+        assert skel.children[forest.n] == (0, 2)
 
     def test_default_attachments(self):
         # a connected forest hangs from its lowest non-special vertex, a
         # disconnected one from the lowest vertex of each component, special
         # or not; certificates depend on this choice among tied optima
         path = parse_graph("4 3\n0 1\n1 2\n2 3")
-        assert root_forest(path, (0, 1), 1).skeleton.children[4] == (2,)
-        assert root_forest(path, (0, 1, 2, 3), 1).skeleton.children[4] == (0,)
+        assert root_forest(path, (0, 1)).children[4] == (2,)
+        assert root_forest(path, (0, 1, 2, 3)).children[4] == (0,)
         forest = build_star_union([2, 1])  # components {0, 1, 2} and {3, 4}
-        assert root_forest(forest, (0, 3), 1).skeleton.children[5] == (0, 3)
+        assert root_forest(forest, (0, 3)).children[5] == (0, 3)
 
     def test_view_evaluation_matches_public_value(self):
         forest = build_star_union([2, 2])
-        values, _ = _run_pass(root_forest(forest, (0, 3), 1))
+        _, values, _ = run_pair(forest, (0, 3), 1)
         assert values[forest.n][0] == max_subforest_order(forest, (0, 3), 1)
         assert values[forest.n][0] == brute_force_subforest(forest, (0, 3), 1)
 
@@ -528,12 +524,11 @@ def exhaustive_min_deletions(forest):
 def reference_fk_forest(forest, k):
     """The solver without the bound: every delta scored in ascending order."""
     n = forest.n
-    comps = components(forest)
     deltas = degree_profile(forest).deltas
     if n < k or deltas[0] == deltas[k - 1]:
         return 0, make_certificate(forest, (), k, "dp")
     if n == k:
-        return 1, make_certificate(forest, (0,), k, "brute")
+        return 1, make_certificate(forest, (0,), k, "dp")
     skel = counting_skeleton(forest)
     best_val, best_key = NEG_INF, None
     for delta in range(deltas[k - 1] + 1):
@@ -547,8 +542,7 @@ def reference_fk_forest(forest, k):
         removed = tuple(range(k - 1, n))
         return n - (k - 1), make_certificate(forest, removed, k, "dp")
     special, delta = best_key
-    view = _rooted_view(forest, comps, frozenset(special), delta)
-    kept = _reconstruct(view.skeleton, *_run_pass(view))
+    kept = _reconstruct(*run_pair(forest, special, delta))
     removed = tuple(sorted(set(range(n)) - kept))
     return n - best_val, make_certificate(forest, removed, k, "dp")
 
@@ -617,9 +611,9 @@ def golden_forests():
 
 
 # sha256 of every repr(compute_fk_forest(F, k)) for the forests above and
-# k = 2..5, one per line; recorded when the reconstruction view had a real
-# root, so it pins which tied optimum each certificate replays
-GOLDEN_DIGEST = "8b7768958a17df5fd934dbea426974ca49df16571de6b00506f335ac526b6473"
+# k = 2..5, one per line.  It pins which tied optimum each certificate
+# replays, so it pins the certificate pass's rooting rule.
+GOLDEN_DIGEST = "d6c78bd6f601390801c49197b26683cc7aeaea5a96e8c6e03df5c00b7246ab64"
 
 
 def test_golden_certificate_digest():
@@ -653,6 +647,20 @@ class TestDownwardWalk:
         got = compute_fk_forest(forest, k)
         assert repr(got) == repr(reference_fk_forest(forest, k))
 
+    @pytest.mark.parametrize(
+        "index", [i for i, f in enumerate(TIE_HEAVY_SHAPES) if f.n <= 18]
+    )
+    def test_tie_heavy_shapes_match_oracle(self, index):
+        # the connected shapes often put 0 in S, so their certificates come
+        # from the second rooting
+        forest = TIE_HEAVY_SHAPES[index]
+        for k in range(2, 6):
+            value, cert = compute_fk_forest(forest, k)
+            bf_value, bf_cert = brute_force_fk(forest, k)
+            assert value == bf_value, k
+            assert validate_certificate(forest, cert, k)
+            assert validate_certificate(forest, bf_cert, k)
+
     def test_star_union_runs_one_counting_pass(self, monkeypatch):
         # f_2 = 1: the pass at delta = 200 keeps n - 1 vertices, and every
         # lower delta needs two deletions
@@ -679,3 +687,29 @@ class TestDownwardWalk:
         with pytest.raises(DeadlineExceeded):
             compute_fk_forest(build_extremal_forest(6), 3, deadline=1.0)
         assert len(calls) == 2
+
+
+class TestCertificateRooting:
+    @pytest.mark.parametrize(
+        "forest, k, value, builds",
+        [
+            (build_star_union([4, 2, 2]), 3, 2, 1),  # disconnected
+            (spider((1, 2, 3, 3)), 2, 1, 1),  # connected, S excludes 0
+            (double_star(4, 3), 2, 1, 2),  # connected, S holds 0
+        ],
+    )
+    def test_counting_skeleton_reused_where_rooting_agrees(
+        self, monkeypatch, forest, k, value, builds
+    ):
+        # the certificate pass builds its own skeleton only when its rooting
+        # rule hangs the virtual root elsewhere than the counting passes do
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _build_skeleton(*args)
+
+        monkeypatch.setattr(forest_dp, "_build_skeleton", counted)
+        got, _ = compute_fk_forest(forest, k)
+        assert got == value
+        assert len(calls) == builds

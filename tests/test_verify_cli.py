@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -18,8 +19,8 @@ from degeq import (
 )
 from degeq.certificates import RemovalCertificate
 from degeq.cli import main
-from degeq.generators import CORPUS_KINDS
-from degeq.verify import CLAIM_TAGS, expand_corpus, realize
+from degeq.generators import CORPUS_KINDS, expand_corpus, realize
+from degeq.verify import CLAIM_TAGS
 
 
 def forest_config(**overrides):
@@ -124,12 +125,14 @@ class TestCli:
         path.write_text(text, encoding="utf-8")
         return str(path)
 
-    def test_import_loads_no_process_pool(self):
+    def test_import_loads_no_process_pool(self, tmp_path):
         # the pool is imported only where verify --jobs > 1 starts one; the
         # package namespace is lazy, and the CLI runs the bound checkers, the
         # verifier, the procedures and the bench only in their commands.  It
         # still registers them in sys.modules, unexecuted: a LazyLoader
         # module's type is not ModuleType until its first attribute access.
+        # construct and gen expand their corpus line in generators, so they
+        # run none of them either.
         src = str(Path(degeq.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -141,17 +144,29 @@ class TestCli:
             "deferred = ('degeq.verify', 'degeq.bounds', 'degeq.constructive', "
             "'degeq.bench'); "
             "registered = all(m in sys.modules for m in deferred); "
-            "ran = sorted(m for m, mod in sys.modules.items() "
-            "if type(mod) is types.ModuleType and m.startswith("
-            "('concurrent', 'multiprocessing', 'fractions', 'csv', *deferred))); "
+            "ran = lambda *prefixes: sorted(m for m, mod in sys.modules.items() "
+            "if type(mod) is types.ModuleType and m.startswith(prefixes)); "
+            "on_import = ran('concurrent', 'multiprocessing', 'fractions', 'csv', "
+            "*deferred); "
+            f"out = {str(tmp_path)!r}; "
+            "degeq.cli.main(['construct', '--family', 'extremal-ft', '--t', '3', "
+            "'--out', out + '/f3.txt'], standalone_mode=False); "
+            "degeq.cli.main(['gen', '--kind', 'random-forest', '--n', '8', "
+            "'--out', out], standalone_mode=False); "
+            "on_write = ran('degeq.verify', 'degeq.bounds', 'degeq.constructive', "
+            "'fractions', 'csv'); "
             "tags = len(degeq.verify.CLAIM_TAGS); "
-            "print(json.dumps([bare, listed, registered, ran, tags]))"
+            "print(json.dumps([bare, listed, registered, on_import, on_write, tags]))"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == [[], True, True, [], len(CLAIM_TAGS)]
+        # gen prints the path it wrote before the summary line
+        *_, summary = result.stdout.splitlines()
+        assert json.loads(summary) == [[], True, True, [], [], len(CLAIM_TAGS)]
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == ["f3.txt", "random-forest-n8-s0-i0000.txt"]
 
     def test_compute_json_schema(self, tmp_path):
         path = self.write_graph(tmp_path, "6 4\n0 1\n0 2\n0 3\n4 5\n")
@@ -491,3 +506,16 @@ class TestCli:
         payload = json.loads(result.output)
         assert payload["X"] == [2, 3, 4]
         assert payload["valid"] is True
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements, so no invariant of the package
+    # may be one; a broken invariant raises an exception explicitly
+    package = Path(degeq.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
