@@ -28,7 +28,7 @@ _HOME = {
          "build_star_union", "extremal_size"],
         "extremal",
     ),
-    **dict.fromkeys(["NEG_INF", "compute_fk_forest"], "forest_dp"),
+    "compute_fk_forest": "forest_dp",
     **dict.fromkeys(
         ["GeneratorConfig", "GirthSaturationError", "gen_random_forest",
          "gen_random_girth5"],

@@ -212,14 +212,9 @@ def _equalize3_direct(graph, t, d1, d2, d3, u1, u2, u3) -> list[int]:
             raise AssertionError(f"direct case d3=0 needs d1=d2=1, got {d1}, {d2}")
         return [u1]
     if d3 == 1:
-        if u2 in graph.adj[u1]:
-            k2 = _k2_components(graph)
-            if len(k2) == 1:
-                # Trim both witnesses down to the shared edge.
-                x = _trim(graph, u1, [_closed(graph, u2)], d1 - 1)
-                x += _trim(graph, u2, [_closed(graph, u1)], d2 - 1)
-                return x
+        if u2 in graph.adj[u1] and len(_k2_components(graph)) != 1:
             return [u1, u2]
+        # Trim both witnesses to degree 1: down to their shared edge, if any.
         x = _trim(graph, u1, [_closed(graph, u2)], d1 - 1)
         x += _trim(graph, u2, [_closed(graph, u1)], d2 - 1)
         return x

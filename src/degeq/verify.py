@@ -126,14 +126,20 @@ def _claim_oracle_equiv(ctx, k_range) -> list[ClaimEntry]:
         certs_ok = validate_certificate(ctx.graph, dp_cert, k) and validate_certificate(
             ctx.graph, bf_cert, k
         )
+        same_x = dp_cert.x == bf_cert.x
         out.append(
             ClaimEntry(
                 "oracle-equiv",
                 {"k": k},
                 {"n": ctx.graph.n},
                 True,
-                {"dp": dp_value, "brute": bf_value, "certificates_valid": certs_ok},
-                dp_value == bf_value and certs_ok,
+                {
+                    "dp": dp_value,
+                    "brute": bf_value,
+                    "certificates_valid": certs_ok,
+                    "same_x": same_x,
+                },
+                dp_value == bf_value and certs_ok and same_x,
                 fk=bf_value,
             )
         )

@@ -1,25 +1,17 @@
-"""Exhaustive and per-pair references the tests validate the package against.
+"""Exhaustive references the tests validate the package against.
 
-None of this runs in a command: the subset sweeps are exponential, and the
-per-pair tree program is reached in the package only through
-``compute_fk_forest``'s reconstruction.
+None of this runs in a command: the subset sweeps are exponential.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
 
 from degeq.bounds import lemma3_surplus
-from degeq.forest_dp import (
-    NEG_INF,
-    _build_skeleton,
-    _certificate_attachments,
-    _run_pass,
-    _Skeleton,
-)
-from degeq.graph import DegreeProfile, Graph, components
+from degeq.graph import DegreeProfile, Graph
 from degeq.oracle import DEFAULT_ORDER_LIMIT, _guard
+
+NEG_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -80,19 +72,21 @@ def brute_force_subforest(
     return best
 
 
-def brute_force_subforest_all(
-    forest: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT
-) -> dict[tuple[tuple[int, ...], int], int]:
-    """All (S, delta) -> best order, in one sweep over vertex subsets.
+def subforest_sweep(forest: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT):
+    """One sweep over vertex subsets, giving two tables.
 
     Any nonempty vertex subset is valid exactly for delta equal to its induced
-    maximum degree, with S any k-subset of its maximum-degree vertices; missing
-    keys mean NEG_INF.  Used to validate the dynamic program pairwise.
+    maximum degree, with S any k-subset of its maximum-degree vertices.  The
+    first table maps every (S, delta) to its best order; missing keys mean
+    NEG_INF.  The second maps every delta to (order, X): the largest order of
+    a subset valid at delta, and the lexicographically least deletion set X
+    among the subsets of that order.
     """
     _guard(forest, limit)
     n = forest.n
     masks = _neighbor_masks(forest)
     table: dict[tuple[tuple[int, ...], int], int] = {}
+    least: dict[int, tuple[int, tuple[int, ...]]] = {}
     for subset_mask in range(1, 1 << n):
         degs = []
         max_deg = 0
@@ -113,61 +107,18 @@ def brute_force_subforest_all(
             key = (s, max_deg)
             if table.get(key, -1) < order:
                 table[key] = order
-    return table
+        x = tuple(v for v in range(n) if not subset_mask >> v & 1)
+        best = least.get(max_deg)
+        if best is None or order > best[0] or (order == best[0] and x < best[1]):
+            least[max_deg] = (order, x)
+    return table, least
 
 
-# ---------------------------------------------------------------------------
-# The per-pair tree program on one (S, delta)
-
-
-def root_forest(
-    forest: Graph, special, attachments: Iterable[int] | None = None
-) -> _Skeleton:
-    """The skeleton the per-pair program runs on: a virtual root n adjacent
-    to one vertex per component.
-
-    By default the attachments are those of ``compute_fk_forest``'s
-    certificate pass for the special set ``special``.  Any attachments give
-    the same values; they decide which of several optimal subforests the
-    reconstruction replays.
-    """
-    comps = components(forest)
-    if forest.m != forest.n - len(comps):
-        raise ValueError("input graph is not a forest")
-    for v in special:
-        if not 0 <= v < forest.n:
-            raise ValueError(f"special vertex {v} out of range")
-    if attachments is None:
-        attachments = _certificate_attachments(comps, special)
-    return _build_skeleton(forest, comps, attachments)
-
-
-def run_pair(forest: Graph, special, delta: int, attachments=None):
-    """The skeleton, triples and plans of the per-pair program on (S, delta)."""
-    skeleton = root_forest(forest, special, attachments)
-    return (skeleton, *_run_pass(skeleton, frozenset(special), delta))
-
-
-def max_subforest_order(
-    forest: Graph,
-    special,
-    delta: int,
-    attachments: Iterable[int] | None = None,
-):
-    """Maximum order of an induced subforest of ``forest`` containing all of
-    ``special`` with max degree <= delta and every special vertex at exactly
-    delta; NEG_INF when no such subforest exists.
-    """
-    special = tuple(sorted(set(special)))
-    if forest.n <= len(special):
-        raise ValueError("forest order must exceed the special set size")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    delta_cap = forest.max_degree()
-    if delta > delta_cap:
-        return NEG_INF  # special vertices cannot reach degree delta
-    _, values, _ = run_pair(forest, special, delta, attachments)
-    return values[forest.n][0]  # the virtual root, which is always deleted
+def brute_force_subforest_all(
+    forest: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT
+) -> dict[tuple[tuple[int, ...], int], int]:
+    """All (S, delta) -> best order: the first table of ``subforest_sweep``."""
+    return subforest_sweep(forest, k, limit)[0]
 
 
 # ---------------------------------------------------------------------------

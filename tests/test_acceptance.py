@@ -7,10 +7,8 @@ lists, so every run checks the identical instances.
 from __future__ import annotations
 
 import time
-from itertools import combinations
 
 from degeq import (
-    NEG_INF,
     brute_force_fk,
     build_extremal_forest,
     build_star_union,
@@ -31,6 +29,8 @@ from degeq import (
     validate_certificate,
 )
 from degeq.bench import run_suite
+from degeq.forest_dp import _best_deletion_set, _build_skeleton
+from degeq.graph import components
 from degeq.bounds import (
     corollary2_hypothesis,
     minimal_t,
@@ -41,7 +41,7 @@ from degeq.bounds import (
 from degeq.prng import instance_seed
 
 from conftest import all_forests
-from reference import brute_force_subforest_all, lemma3_hypothesis, max_subforest_order
+from reference import lemma3_hypothesis, subforest_sweep
 
 
 def _report(criterion: str, failures: list[str]) -> None:
@@ -68,29 +68,26 @@ def test_criterion_1_oracle_equivalence():
     failures = []
     start = time.monotonic()
     checked = 0
-    for n in range(1, 10):
-        for idx, forest in enumerate(all_forests(n)):
-            for k in (2, 3):
-                dp_value, dp_cert = compute_fk_forest(forest, k)
-                bf_value, _ = brute_force_fk(forest, k)
-                checked += 1
-                if dp_value != bf_value:
-                    failures.append(
-                        f"forest n={n} #{idx} k={k}: dp={dp_value} brute={bf_value}"
-                    )
-                elif not validate_certificate(forest, dp_cert, k):
-                    failures.append(f"forest n={n} #{idx} k={k}: invalid certificate")
-    for i, forest in _seeded_forests(500, 10, 16, base_seed=101):
+    corpus = [
+        (f"forest n={n} #{idx}", forest)
+        for n in range(1, 10)
+        for idx, forest in enumerate(all_forests(n))
+    ]
+    corpus += [
+        (f"random #{i} n={forest.n}", forest)
+        for i, forest in _seeded_forests(500, 10, 16, base_seed=101)
+    ]
+    for label, forest in corpus:
         for k in (2, 3):
             dp_value, dp_cert = compute_fk_forest(forest, k)
-            bf_value, _ = brute_force_fk(forest, k)
+            bf_value, bf_cert = brute_force_fk(forest, k)
             checked += 1
             if dp_value != bf_value:
-                failures.append(
-                    f"random #{i} n={forest.n} k={k}: dp={dp_value} brute={bf_value}"
-                )
+                failures.append(f"{label} k={k}: dp={dp_value} brute={bf_value}")
+            elif dp_cert.x != bf_cert.x:
+                failures.append(f"{label} k={k}: X={dp_cert.x} brute={bf_cert.x}")
             elif not validate_certificate(forest, dp_cert, k):
-                failures.append(f"random #{i} n={forest.n} k={k}: invalid certificate")
+                failures.append(f"{label} k={k}: invalid certificate")
     elapsed = time.monotonic() - start
     if elapsed >= 600:
         failures.append(f"runtime {elapsed:.0f}s exceeds 10 minutes")
@@ -100,26 +97,25 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_dp_recursion_validation():
     failures = []
-    pairs_checked = 0
+    passes_checked = 0
     for i, forest in _seeded_forests(200, 4, 12, base_seed=202):
         n = forest.n
-        delta_max = forest.max_degree()
+        skeleton = _build_skeleton(forest, components(forest))
         for k in (2, 3):
-            if n <= k:
-                continue
-            table = brute_force_subforest_all(forest, k)
-            for s in combinations(range(n), k):
-                for delta in range(delta_max + 1):
-                    expected = table.get((s, delta), NEG_INF)
-                    actual = max_subforest_order(forest, s, delta)
-                    pairs_checked += 1
-                    if actual != expected:
-                        failures.append(
-                            f"forest #{i} n={n} k={k} S={s} delta={delta}: "
-                            f"dp={actual} oracle={expected}"
-                        )
-    print(f"\n    [criterion 2: {pairs_checked} (S, delta) pairs validated]")
-    _report("criterion 2 (subtree recursion vs exhaustive oracle)", failures)
+            table, least = subforest_sweep(forest, k)
+            for delta in range(forest.max_degree() + 1):
+                # the best order over every S, and the least X of that order
+                orders = [order for (_, d), order in table.items() if d == delta]
+                expected = (max(orders), least[delta][1]) if orders else None
+                actual = _best_deletion_set(skeleton, n, k, delta)
+                passes_checked += 1
+                if actual != expected:
+                    failures.append(
+                        f"forest #{i} n={n} k={k} delta={delta}: "
+                        f"dp={actual} oracle={expected}"
+                    )
+    print(f"\n    [criterion 2: {passes_checked} counting passes validated]")
+    _report("criterion 2 (counting pass vs exhaustive oracle)", failures)
 
 
 def test_criterion_3_paper_fixtures():

@@ -242,10 +242,11 @@ class TestCondition:
 class TestCertificates:
     @pytest.fixture
     def solved(self):
-        # f_3 = 3: X trims the three star centres to degree 3 each
+        # f_3 = 3: the least X deletes the three star centres, leaving
+        # isolated vertices only
         forest = build_star_union([5, 4, 3])
         value, cert = compute_fk_forest(forest, 3)
-        assert (value, cert.x, cert.residual_max_degree) == (3, (4, 5, 10), 3)
+        assert (value, cert.x, cert.residual_max_degree) == (3, (0, 6, 11), 0)
         return forest, cert
 
     def test_rejects_tampered_copies(self, solved):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degeq import (
-    NEG_INF,
     OrderLimitError,
     brute_force_fk,
     build_extremal_forest,
@@ -23,6 +22,8 @@ from degeq.forest_dp import DeadlineExceeded
 from degeq.graph import Graph, parse_graph
 from degeq.prng import SplitMix64, instance_seed
 from reference import brute_force_subforest, brute_force_subforest_all
+
+NEG_INF = float("-inf")
 
 
 def _reference_fk(graph, k):

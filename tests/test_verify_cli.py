@@ -34,6 +34,8 @@ class TestRunVerification:
         report = run_verification([forest_config()], ["oracle-equiv"])
         assert report.ok
         assert report.summary["pass"] == 12  # 6 instances x k in {2, 3}
+        # both solvers return the least minimum deletion set
+        assert all(e.conclusion["same_x"] for r in report.results for e in r.entries)
 
     def test_empty_corpus(self):
         report = run_verification([], ["thm1"])
