@@ -124,41 +124,51 @@ def _kept(base, at_delta, gain: int, k: int):
     return out
 
 
+def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int):
+    """(deleted, kept with the parent edge, free) vectors of one vertex, whose
+    deletion bit is ``bit``, from its children's triples ``kids``."""
+    deleted = [bit]
+    rows = [[0]]  # rows[c]: exactly c kept children
+    for drop, up, free in kids:
+        deleted = _merge(deleted, free, k)
+        new = [_merge(row, drop, k) for row in rows]
+        if up is not None:
+            if len(rows) <= delta:
+                new.append(None)
+            for c, row in enumerate(rows[:delta]):
+                new[c + 1] = _vmax(new[c + 1], _merge(row, up, k))
+        rows = new
+    low = None
+    for row in rows[:delta]:
+        low = _vmax(low, row)
+    top = rows[delta] if len(rows) > delta else None
+    up = None
+    if delta > 0:
+        last = rows[delta - 1] if len(rows) >= delta else None
+        up = _kept(low, last, gain, k)
+    return deleted, up, _vmax(deleted, _kept(_vmax(low, top), top, gain, k))
+
+
+def _pass_vectors(skel: _Skeleton, n: int, k: int, delta: int) -> list:
+    """Every vertex's ``_vertex_vectors`` triple at delta, children first."""
+    gain = 1 << n
+    children = skel.children
+    vectors = [None] * n
+    for u in skel.order[:-1]:
+        kids = [vectors[v] for v in children[u]]
+        vectors[u] = _vertex_vectors(1 << (n - 1 - u), kids, gain, k, delta)
+    return vectors
+
+
 def _best_deletion_set(skel: _Skeleton, n: int, k: int, delta: int):
     """Largest induced subforest with max degree <= delta and at least k
     vertices of degree delta, as (order, X) with X the lexicographically least
     deletion set over all largest subforests; None if there is none.
     """
-    gain = 1 << n
-    children = skel.children
-    drop = [None] * n  # deleted
-    up = [None] * n  # kept with the parent edge
-    free = [None] * n  # deleted, or kept without the parent edge
-    for u in skel.order[:-1]:
-        deleted = [1 << (n - 1 - u)]
-        rows = [[0]]  # rows[c]: exactly c kept children
-        for v in children[u]:
-            deleted = _merge(deleted, free[v], k)
-            new = [_merge(row, drop[v], k) for row in rows]
-            keep_v = up[v]
-            if keep_v is not None:
-                if len(rows) <= delta:
-                    new.append(None)
-                for c, row in enumerate(rows[:delta]):
-                    new[c + 1] = _vmax(new[c + 1], _merge(row, keep_v, k))
-            rows = new
-        low = None
-        for row in rows[:delta]:
-            low = _vmax(low, row)
-        top = rows[delta] if len(rows) > delta else None
-        drop[u] = deleted
-        if delta > 0:
-            last = rows[delta - 1] if len(rows) >= delta else None
-            up[u] = _kept(low, last, gain, k)
-        free[u] = _vmax(deleted, _kept(_vmax(low, top), top, gain, k))
+    vectors = _pass_vectors(skel, n, k, delta)
     total = [0]
-    for v in children[n]:
-        total = _merge(total, free[v], k)
+    for v in skel.children[n]:
+        total = _merge(total, vectors[v][2], k)
     if len(total) <= k or total[k] < 0:
         return None
     score = total[k]

@@ -5,6 +5,7 @@ sweeps, and its invariances."""
 import hashlib
 import importlib
 from dataclasses import replace
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -32,10 +33,64 @@ from degeq.forest_dp import (
     _best_deletion_set,
     _build_skeleton,
     _min_deletions,
+    _pass_vectors,
+    _Skeleton,
+    _vertex_vectors,
 )
-from degeq.graph import components, degree_profile, parse_graph
+from degeq.graph import components, degree_profile, parse_graph, remove_vertices
 from degeq.prng import SplitMix64, instance_seed
-from reference import subforest_sweep
+from reference import brute_force_subforest, subforest_sweep
+
+
+def at(vec, j, n):
+    """Kept order of entry j of a j-vector in an n-vertex pass, or None when
+    that entry is infeasible."""
+    if vec is None or j >= len(vec) or vec[j] < 0:
+        return None
+    return vec[j] >> n
+
+
+def childless(bit, gain, delta):
+    """A leaf's (deleted, kept with the parent edge, free) vectors, read off
+    the definition: kept alone it has degree 0, kept with its parent degree
+    1, and it is counted when that degree is delta."""
+    up = None if delta == 0 else [gain, gain] if delta == 1 else [gain]
+    free = [gain, gain] if delta == 0 else [gain]
+    return [bit], up, free
+
+
+class TestLeafBase:
+    # a one-vertex pass: deletion bit 1, gain 2, so an entry's order is its
+    # score >> 1; ``special`` reads entry j = 1, the vertex counted at delta
+    @pytest.mark.parametrize(
+        "special, delta, expected",
+        [
+            (False, 0, (0, None, 1)),
+            (False, 1, (0, 1, 1)),
+            (False, 5, (0, 1, 1)),
+            (True, 0, (None, None, 1)),
+            (True, 1, (None, 1, None)),
+            (True, 2, (None, None, None)),
+            (True, 3, (None, None, None)),
+        ],
+    )
+    def test_base_cases(self, special, delta, expected):
+        vectors = _vertex_vectors(1, (), 2, 2, delta)
+        assert tuple(at(vec, int(special), 1) for vec in vectors) == expected
+
+    @pytest.mark.parametrize("special", [False, True])
+    @pytest.mark.parametrize("delta", [0, 1, 2, 4])
+    def test_combine_with_no_children_reproduces_base(self, special, delta):
+        # each leaf of a pass gets the childless vectors for its own bit
+        star = build_star(5)
+        n = star.n
+        vectors = _pass_vectors(counting_skeleton(star), n, 2, delta)
+        base = _vertex_vectors(1, (), 2, 2, delta)
+        for leaf in range(1, n):
+            expected = childless(1 << (n - 1 - leaf), 1 << n, delta)
+            assert list(vectors[leaf]) == list(expected)
+            got = [at(vec, int(special), n) for vec in vectors[leaf]]
+            assert got == [at(vec, int(special), 1) for vec in base]
 
 
 class TestComputeFkForest:
@@ -125,6 +180,20 @@ class TestComputeFkForest:
             first = compute_fk_forest(forest, k)
             assert compute_fk_forest(forest, k) == first
             assert compute_fk_forest(copy, k) == first
+
+    def test_winner_is_lexicographically_least_among_optima(self):
+        # re-derive the certificate: the first deletion set of the optimal
+        # size, in lexicographic order, that leaves the forest equalized
+        for seed in (3, 8, 21, 34):
+            forest = gen_random_forest(9, split_prob=0.35, seed=seed)
+            for k in (2, 3):
+                value, cert = compute_fk_forest(forest, k)
+                least = next(
+                    x
+                    for x in combinations(range(forest.n), value)
+                    if check_fk_condition(forest, x, k)
+                )
+                assert cert.x == least
 
     def test_tie_prefers_least_pair(self):
         # P_4 with k=2: its two degree-2 vertices already tie, so the least
@@ -329,6 +398,42 @@ def test_golden_certificate_digest():
 
 
 class TestCombine:
+    def test_single_special_child(self):
+        # K_2 at delta = 1: the kept child counts, and so does its parent
+        n, gain = 2, 4
+        leaf = childless(1, gain, 1)
+        drop, up, free = _vertex_vectors(2, [leaf], gain, 2, 1)
+        assert at(free, 2, n) == 2
+        assert at(up, 2, n) is None  # no room left for a parent edge
+        assert at(up, 1, n) == 1  # the child deleted
+
+    def test_two_nonspecial_leaves_delta0(self):
+        n, gain = 3, 8
+        leaves = [childless(1 << (n - 1 - v), gain, 0) for v in (1, 2)]
+        _, _, free = _vertex_vectors(4, leaves, gain, 2, 0)
+        assert at(free, 0, n) == 2
+        # confirmed against the exhaustive oracle on the 3-vertex star
+        assert brute_force_subforest(build_star(3), (), 0) == 2
+
+    def test_partition_orders_by_pair_key(self):
+        # the score orders subforests by order, then by the lesser deletion
+        # set: on the 3-vertex star at delta = 1, {0, 1} and {0, 2} tie
+        star = build_star(3)
+        _, _, free = _pass_vectors(counting_skeleton(star), 3, 2, 1)[0]
+        assert free[2] == 2 * 8 + (1 << (3 - 1 - 1))
+        assert _best_deletion_set(counting_skeleton(star), 3, 2, 1) == (2, (1,))
+
+    def test_must_keep_child_sorts_first(self):
+        # K_1,4 at delta = 1: deleting the centre keeps four vertices, but
+        # none at degree 1, so two counted vertices force the centre kept
+        star = build_star(5)
+        skel = counting_skeleton(star)
+        _, _, free = _pass_vectors(skel, 5, 2, 1)[0]
+        assert at(free, 0, 5) == 4
+        assert at(free, 2, 5) == 2
+        assert _best_deletion_set(skel, 5, 0, 1) == (4, (0,))
+        assert _best_deletion_set(skel, 5, 2, 1) == (2, (1, 2, 3))
+
     @settings(max_examples=60, deadline=None)
     @given(
         labelled_forests(max_n=12),
@@ -347,6 +452,81 @@ class TestCombine:
         for delta in range(forest.max_degree() + 1):
             expected = _best_deletion_set(skel, forest.n, k, delta)
             assert _best_deletion_set(shuffled, forest.n, k, delta) == expected
+
+
+def rooted_skeleton(forest, roots):
+    """Skeleton hanging each component from the virtual root at the given
+    vertex, one per component."""
+    n = forest.n
+    children = [[] for _ in range(n)] + [list(roots)]
+    preorder, seen, stack = [n], set(roots), list(roots)
+    while stack:
+        u = stack.pop()
+        preorder.append(u)
+        for w in forest.adj[u]:
+            if w not in seen:
+                seen.add(w)
+                children[u].append(w)
+                stack.append(w)
+    return _Skeleton(tuple(reversed(preorder)), tuple(map(tuple, children)))
+
+
+def swept_vectors(forest, skel, u, k, delta):
+    """u's (deleted, kept with the parent edge, free) entries for j = 0..k,
+    each the best score over every vertex subset of u's subtree, or None."""
+    n = forest.n
+    subtree, stack = [], [u]
+    while stack:
+        v = stack.pop()
+        subtree.append(v)
+        stack.extend(skel.children[v])
+    best = [[None] * (k + 1) for _ in range(3)]
+
+    def offer(state, score, counted):
+        for j in range(min(counted, k) + 1):
+            if best[state][j] is None or score > best[state][j]:
+                best[state][j] = score
+
+    for size in range(len(subtree) + 1):
+        for kept in combinations(subtree, size):
+            kept_set = set(kept)
+            deg = {v: sum(w in kept_set for w in forest.adj[v]) for v in kept}
+            score = size << n
+            score += sum(1 << (n - 1 - v) for v in subtree if v not in kept_set)
+            others = [v for v in kept if v != u]
+            if any(deg[v] > delta for v in others):
+                continue
+            counted = sum(deg[v] == delta for v in others)
+            if u not in kept_set:
+                offer(0, score, counted)
+                offer(2, score, counted)
+                continue
+            if deg[u] + 1 <= delta:
+                offer(1, score, counted + (deg[u] + 1 == delta))
+            if deg[u] <= delta:
+                offer(2, score, counted + (deg[u] == delta))
+    return best
+
+
+def padded(vec, k):
+    """A j-vector as k + 1 entries, None where infeasible."""
+    vec = vec or []
+    return [vec[j] if j < len(vec) and vec[j] >= 0 else None for j in range(k + 1)]
+
+
+class TestEngineAgainstPlans:
+    def test_every_node_matches_its_plan(self):
+        # every vertex's three vectors hold, for each count j of vertices at
+        # degree delta, the best score over every subset of its subtree
+        for seed in range(10):
+            forest = gen_random_forest(8, split_prob=0.3, seed=seed)
+            skel = counting_skeleton(forest)
+            for k in (2, 3):
+                for delta in range(forest.max_degree() + 1):
+                    vectors = _pass_vectors(skel, forest.n, k, delta)
+                    for u in range(forest.n):
+                        got = [padded(vec, k) for vec in vectors[u]]
+                        assert got == swept_vectors(forest, skel, u, k, delta)
 
 
 class TestMaxSubforestOrder:
@@ -385,6 +565,112 @@ class TestMaxSubforestOrder:
                 orders = [order for (_, d), order in table.items() if d == delta]
                 expected = (max(orders), least[delta][1]) if orders else None
                 assert self.best(forest, k, delta) == expected
+
+
+    def test_root_invariance_on_connected_trees(self):
+        # the pass may hang a tree from any vertex
+        for seed in range(12):
+            tree = gen_random_forest(7, seed=seed, m=6)
+            for k in (1, 2, 3):
+                for delta in range(tree.max_degree() + 1):
+                    values = {
+                        _best_deletion_set(rooted_skeleton(tree, (r,)), 7, k, delta)
+                        for r in range(7)
+                    }
+                    assert values == {self.best(tree, k, delta)}
+
+    def test_attachment_invariance_on_disconnected_forests(self):
+        forest = build_star_union([2, 1, 2])
+        comps = components(forest)
+        for k in (2, 3):
+            for delta in range(forest.max_degree() + 1):
+                values = {
+                    _best_deletion_set(rooted_skeleton(forest, roots), forest.n, k, delta)
+                    for roots in product(*comps)
+                }
+                assert values == {self.best(forest, k, delta)}
+
+    def test_attachments_must_cover_each_component_once(self):
+        # the virtual root holds the lowest vertex of each component, every
+        # other vertex is the child of exactly one vertex, and children come
+        # before their parents
+        for forest in (build_star_union([2, 1]), *all_forests(6)):
+            skel = counting_skeleton(forest)
+            n = forest.n
+            assert skel.children[n] == tuple(comp[0] for comp in components(forest))
+            kids = sorted(v for row in skel.children for v in row)
+            assert kids == list(range(n))
+            assert sorted(skel.order) == list(range(n + 1))
+            place = {u: i for i, u in enumerate(skel.order)}
+            for u, row in enumerate(skel.children):
+                assert all(place[v] < place[u] for v in row)
+
+    def test_realizability_of_reconstruction(self):
+        # the deletion set leaves what the order promises
+        for seed in range(30):
+            forest = gen_random_forest(8, split_prob=0.3, seed=seed)
+            for k in (2, 3):
+                for delta in range(forest.max_degree() + 1):
+                    found = self.best(forest, k, delta)
+                    if found is None:
+                        continue
+                    order, x = found
+                    induced, _ = remove_vertices(forest, x)
+                    assert induced.n == order == forest.n - len(x)
+                    assert induced.max_degree() <= delta
+                    at_delta = [v for v in range(order) if induced.degree(v) == delta]
+                    assert len(at_delta) >= k
+
+    def test_requires_order_above_special_count(self, monkeypatch, path4):
+        # with n <= k the solver answers in closed form, without a pass
+        def refuse(*args):
+            raise AssertionError("a counting pass ran with n <= k")
+
+        monkeypatch.setattr(forest_dp, "_best_deletion_set", refuse)
+        assert compute_fk_forest(path4, 4)[0] == 1
+        assert compute_fk_forest(path4, 5)[0] == 0
+        assert compute_fk_forest(Graph.from_edges(4, []), 4)[0] == 0
+
+
+class TestRootedView:
+    def test_special_attachment_is_valid(self, path4):
+        # hanging P_4 from vertex 1, which the optimum keeps at degree delta
+        skel = rooted_skeleton(path4, (1,))
+        assert skel.children[path4.n] == (1,)
+        found = _best_deletion_set(skel, 4, 2, 1)
+        assert found == _best_deletion_set(counting_skeleton(path4), 4, 2, 1)
+        assert found == subforest_sweep(path4, 2)[1][1] == (3, (1,))
+
+    def test_virtual_root_for_disconnected(self):
+        forest = build_star_union([1, 1])
+        skel = counting_skeleton(forest)
+        assert skel.order[-1] == forest.n
+        assert skel.children[forest.n] == (0, 2)
+
+    def test_default_attachments(self):
+        # each component hangs from its lowest vertex
+        path = parse_graph("4 3\n0 1\n1 2\n2 3")
+        assert counting_skeleton(path).children[4] == (0,)
+        forest = build_star_union([2, 1])  # components {0, 1, 2} and {3, 4}
+        assert counting_skeleton(forest).children[5] == (0, 3)
+
+    def test_view_evaluation_matches_public_value(self):
+        forest = build_star_union([2, 2])
+        n = forest.n
+        skel = counting_skeleton(forest)
+        vectors = _pass_vectors(skel, n, 2, 1)
+        roots = [vectors[v][2] for v in skel.children[n]]
+        score = max(
+            a + b
+            for i, a in enumerate(roots[0])
+            for j, b in enumerate(roots[1])
+            if i + j == 2 and a >= 0 and b >= 0
+        )
+        order, x = _best_deletion_set(skel, n, 2, 1)
+        assert score == (order << n) + sum(1 << (n - 1 - v) for v in x)
+        assert order == max(
+            brute_force_subforest(forest, s, 1) for s in combinations(range(n), 2)
+        )
 
 
 class TestDeletionBound:
@@ -443,3 +729,28 @@ class TestDownwardWalk:
         with pytest.raises(DeadlineExceeded):
             compute_fk_forest(build_extremal_forest(6), 3, deadline=1.0)
         assert len(calls) == 2
+
+
+class TestCertificateRooting:
+    @pytest.mark.parametrize(
+        "forest, k, value, builds",
+        [
+            (build_star_union([4, 2, 2]), 3, 2, 1),  # disconnected
+            (spider((1, 2, 3, 3)), 2, 1, 1),  # connected, the optimum keeps 0
+            (double_star(4, 3), 2, 1, 1),  # connected, at degree delta
+        ],
+    )
+    def test_counting_skeleton_reused_where_rooting_agrees(
+        self, monkeypatch, forest, k, value, builds
+    ):
+        # the certificate comes from the counting passes' own skeleton
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _build_skeleton(*args)
+
+        monkeypatch.setattr(forest_dp, "_build_skeleton", counted)
+        got, _ = compute_fk_forest(forest, k)
+        assert got == value
+        assert len(calls) == builds
