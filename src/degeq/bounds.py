@@ -152,11 +152,16 @@ def theorem3_hypothesis(profile: DegreeProfile, k: int, t: int) -> bool:
 def minimal_t(predicate, start: int) -> int:
     """Smallest t >= start satisfying a monotone hypothesis predicate; the
     ``*_t`` functions below apply it to each result that concludes f_k <= t.
-    Every threshold grows without bound in t, so the scan always ends."""
-    t = start
-    while not predicate(t):
-        t += 1
-    return t
+    Every threshold grows without bound in t, so doubling the step from
+    start reaches a t that holds, and bisection then closes the gap."""
+    low, step = start - 1, 1  # the predicate fails at low, or low < start
+    while not predicate(low + step):
+        low, step = low + step, 2 * step
+    while step > 1:  # it holds at low + step
+        step //= 2
+        if not predicate(low + step):
+            low += step
+    return low + step
 
 
 def theorem1_t(graph: Graph) -> int:

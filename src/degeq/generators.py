@@ -57,37 +57,21 @@ def gen_random_forest(
     return Graph.from_edges(n, edges)
 
 
-def _expand(adj: list[set[int]], frontier: list[int], seen: set[int]) -> list[int]:
-    """One breadth-first step: the unseen neighbours of ``frontier``, which
-    are added to ``seen``."""
-    out = []
-    for u in frontier:
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
-    return out
-
-
-def _within_distance(adj: list[set[int]], source: int, target: int, cap: int) -> bool:
-    """True iff target is reachable from source in at most cap steps, that
-    is, iff some vertex within ceil(cap/2) - 1 steps of source has a
-    neighbour within floor(cap/2) steps of target."""
-    if source == target:
-        return True
-    near_target = {target}
-    frontier = [target]
-    for _ in range(cap // 2):
-        frontier = _expand(adj, frontier, near_target)
-    seen = {source}
-    frontier = [source]
-    for step in range((cap + 1) // 2):
-        if step:
-            frontier = _expand(adj, frontier, seen)
-        for u in frontier:
-            if not near_target.isdisjoint(adj[u]):
-                return True
-    return False
+def _ball(nbr: list[int], adj: list[list[int]], x: int, radius: int) -> int:
+    """Mask of the vertices within ``radius`` steps of x, where ``nbr[v]`` is
+    the closed-neighbourhood mask of v.  Each ring is ORed in from the one
+    before; a ring's vertices are listed only when another step follows."""
+    if radius == 0:
+        return 1 << x
+    ball, frontier = nbr[x], adj[x]
+    for step in range(1, radius):
+        grown = ball
+        for w in frontier:
+            grown |= nbr[w]
+        if step + 1 < radius:
+            frontier = [y for w in frontier for y in adj[w] if not ball >> y & 1]
+        ball = grown
+    return ball
 
 
 def gen_random_girth5(
@@ -98,7 +82,7 @@ def gen_random_girth5(
 ) -> Graph:
     """Random graph of girth at least ``min_girth`` by shuffled greedy edge
     insertion; an edge is inserted only if its endpoints are currently at
-    distance at least min_girth - 1.
+    distance at least min_girth - 1, tested as two disjoint bitmask balls.
 
     Stops after ``m`` edges, or at certified saturation when ``m`` is None.
     Raises :class:`GirthSaturationError` when the target is unreachable:
@@ -113,17 +97,30 @@ def gen_random_girth5(
     rng = SplitMix64(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    nbr = [1 << v for v in range(n)]
     edges: list[tuple[int, int]] = []
     cap = min_girth - 2
+    # dist(u, v) <= cap iff ball(u, wide) meets ball(v, narrow); a vertex's
+    # balls are kept until an inserted edge comes within reach (bit in stale)
+    wide, narrow = (cap + 1) // 2, cap // 2
+    wide_ball, narrow_ball, stale = nbr[:], nbr[:], 0
     for u, v in pairs:
         if m is not None and len(edges) == m:
             break
-        if _within_distance(adj, u, v, cap):
+        for x in (u, v):
+            if stale >> x & 1:
+                wide_ball[x] = _ball(nbr, adj, x, wide)
+                narrow_ball[x] = _ball(nbr, adj, x, narrow)
+                stale ^= 1 << x
+        if wide_ball[u] & narrow_ball[v]:
             continue
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
         edges.append((u, v))
+        stale |= _ball(nbr, adj, u, wide - 1) | _ball(nbr, adj, v, wide - 1)
     if m is not None and len(edges) < m:
         raise GirthSaturationError(m, len(edges))
     return Graph.from_edges(n, edges)

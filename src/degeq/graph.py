@@ -197,31 +197,41 @@ def is_forest(graph: Graph) -> bool:
 def girth(graph: Graph) -> int | float:
     """Length of a shortest cycle, ``math.inf`` for forests.
 
-    One breadth-first search per start vertex; the minimum over all starts of
-    dist(x) + dist(y) + 1, over non-tree edges (x, y), is the exact girth.
+    On the 2-core (vertices of degree <= 1 peeled), one breadth-first search
+    per start s runs its levels as bitmasks over the vertices >= s: a vertex
+    of level d with two neighbours in level d - 1 closes a cycle of length at
+    most 2d, an edge inside level d one of at most 2d + 1, and a shortest
+    cycle is found from its least vertex (Itai and Rodeh, SIAM J. Comput. 1978).
     """
+    deg = [len(a) for a in graph.adj]
+    peel = [v for v in range(graph.n) if deg[v] < 2]
+    for v in peel:  # grows while it is read
+        for w in graph.adj[v]:
+            deg[w] -= 1
+            if deg[w] == 1:
+                peel.append(w)
+    core = {v: i for i, v in enumerate(v for v in range(graph.n) if deg[v] > 1)}
+    masks = [sum(1 << core[w] for w in graph.adj[v] if w in core) for v in core]
     best: int | float = INFINITY
-    dist = [-1] * graph.n
-    parent = [-1] * graph.n
-    for start in range(graph.n):
-        for v in range(graph.n):
-            dist[v] = -1
-        dist[start] = 0
-        parent[start] = -1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
-                continue  # any cycle through u is at least 2*dist[u] long
-            for w in graph.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    length = dist[u] + dist[w] + 1
-                    if length < best:
-                        best = length
+    for start in range(len(masks)):
+        prev, level, d, alive = 0, 1 << start, 0, -1 << start
+        while level and 2 * d < best:
+            grown, found, rest = 0, INFINITY, level
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                around = masks[low.bit_length() - 1] & alive
+                up = around & prev
+                if up & (up - 1):
+                    found = 2 * d
+                    break
+                if around & level:
+                    found = 2 * d + 1
+                grown |= around
+            if found < INFINITY:  # deeper levels close only longer cycles
+                best = min(best, found)
+                break
+            prev, level, d = level, grown & ~(prev | level), d + 1
     return best
 
 

@@ -52,10 +52,18 @@ class SplitMix64:
                 return draw % bound
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
+        """In-place Fisher-Yates; each draw is ``randrange(i + 1)``, inlined."""
+        state = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            limit = z = (1 << 64) - ((1 << 64) % (i + 1))
+            while z >= limit:  # the rejection loop of randrange
+                state = (state + _GAMMA) & _MASK
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+                z ^= z >> 31
+            j = z % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self.state = state
 
     def sample(self, population: int, count: int) -> list[int]:
         """Distinct draws from range(population) via partial Fisher-Yates."""

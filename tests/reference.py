@@ -1,15 +1,19 @@
-"""Exhaustive references the tests validate the package against.
+"""Exhaustive and plain references the tests validate the package against.
 
-None of this runs in a command: the subset sweeps are exponential.
+None of this runs in a command: the subset sweeps are exponential, and the
+plain searches are the slower forms of the package's bitmask kernels.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from itertools import combinations
 
 from degeq.bounds import lemma3_surplus
 from degeq.graph import DegreeProfile, Graph
 from degeq.oracle import DEFAULT_ORDER_LIMIT, _guard
+from degeq.prng import SplitMix64
 
 NEG_INF = float("-inf")
 
@@ -136,3 +140,51 @@ def lemma3_hypothesis(profile: DegreeProfile, k: int, t: int) -> bool:
     if t < (k - 1) ** 2:
         return False
     return lemma3_surplus(profile, k) <= t
+
+
+# ---------------------------------------------------------------------------
+# Plain searches
+
+
+def bfs_girth(graph: Graph) -> int | float:
+    """Girth by one deque breadth-first search per start vertex over the
+    whole graph: the minimum of dist(x) + dist(y) + 1 over non-tree edges
+    (x, y), ``math.inf`` for forests."""
+    best: int | float = math.inf
+    dist = [-1] * graph.n
+    parent = [-1] * graph.n
+    for start in range(graph.n):
+        for v in range(graph.n):
+            dist[v] = -1
+        dist[start] = 0
+        parent[start] = -1
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            if 2 * dist[u] >= best:
+                continue  # any cycle through u is at least 2*dist[u] long
+            for w in graph.adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    length = dist[u] + dist[w] + 1
+                    if length < best:
+                        best = length
+    return best
+
+
+def randrange_shuffle(rng: SplitMix64, items: list) -> None:
+    """Fisher-Yates from the top with one ``randrange`` call per position."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def linear_minimal_t(predicate, start: int) -> int:
+    """Smallest t >= start satisfying predicate, by stepping t up by one."""
+    t = start
+    while not predicate(t):
+        t += 1
+    return t

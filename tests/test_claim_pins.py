@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from degeq import (
     GeneratorConfig,
+    GirthSaturationError,
     Graph,
     PreconditionError,
     constructive,
@@ -16,9 +17,13 @@ from degeq import (
     to_edgelist,
     verify,
 )
+from degeq import bounds
 from degeq.cli import main
 from degeq.generators import expand_corpus, realize
+from degeq.graph import degree_profile
 from degeq.verify import CLAIM_TAGS
+
+from reference import linear_minimal_t
 
 NOT_A_FOREST = "skip: not a forest"
 
@@ -227,3 +232,32 @@ def test_golden_verify_digest():
         report = run_verification(GOLDEN_CORPUS, list(CLAIM_TAGS), k_range=k_range)
         digest.update(report.to_csv().encode())
     assert digest.hexdigest() == GOLDEN_VERIFY_DIGEST
+
+
+def test_minimal_t_matches_linear_scan_on_golden_corpus():
+    # every *_t threshold, by doubling and bisection, against stepping t by one
+    checked = 0
+    for spec in expand_corpus(GOLDEN_CORPUS):
+        try:
+            graph = realize(spec)
+        except GirthSaturationError:
+            continue
+        profile = degree_profile(graph)
+        pairs = [
+            (bounds.theorem1_t(graph),
+             linear_minimal_t(lambda t: bounds.theorem1_hypothesis(graph, t), 1)),
+            (bounds.theorem2_t(profile),
+             linear_minimal_t(lambda t: bounds.theorem2_hypothesis(profile, t), 2)),
+            (bounds.corollary2_t(graph),
+             linear_minimal_t(lambda t: bounds.corollary2_hypothesis(graph, t), 2)),
+        ]
+        for k in range(2, 7):
+            pairs.append((
+                bounds.theorem3_t(profile, k),
+                linear_minimal_t(
+                    lambda t: bounds.theorem3_hypothesis(profile, k, t), (k - 1) ** 2
+                ),
+            ))
+        assert all(got == want for got, want in pairs), (spec.label(), pairs)
+        checked += 1
+    assert checked == len(expand_corpus(GOLDEN_CORPUS)) - 1

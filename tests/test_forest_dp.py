@@ -195,13 +195,26 @@ class TestComputeFkForest:
                 )
                 assert cert.x == least
 
-    def test_tie_prefers_least_pair(self):
-        # P_4 with k=2: its two degree-2 vertices already tie, so the least
-        # deletion set is the empty one.
-        forest = parse_graph("4 3\n0 1\n1 2\n2 3")
+    def test_tie_across_passes_keeps_least_set(self, monkeypatch):
+        # A claw with one leg extended, plus an isolated vertex, at k = 2.
+        # Deleting leaf 1 or 2 leaves 0 and 3 at degree 2, and deleting 0
+        # leaves 3 and 4 at degree 1: the delta-2 pass finds (1,) first and
+        # the delta-1 pass must replace it with the lesser (0,).
+        forest = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        assert [x for x in combinations(range(6), 1)
+                if check_fk_condition(forest, x, 2)] == [(0,), (1,), (2,)]
+        passes = []
+        counting_pass = forest_dp._best_deletion_set
+
+        def spy(skeleton, n, k, delta):
+            passes.append((delta, counting_pass(skeleton, n, k, delta)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(forest_dp, "_best_deletion_set", spy)
         value, cert = compute_fk_forest(forest, 2)
-        assert value == 0
-        assert cert.x == ()
+        assert passes == [(2, (5, (1,))), (1, (5, (0,)))]
+        assert (value, cert.x) == (1, (0,))
+        assert replace(cert, method="brute") == brute_force_fk(forest, 2)[1]
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 
 import pytest
@@ -14,7 +15,9 @@ from degeq import (
     instance_seed,
     is_forest,
 )
-from degeq.generators import _within_distance
+from degeq.generators import _ball
+
+from reference import randrange_shuffle
 
 
 def bfs_within_distance(adj, source, target, cap):
@@ -65,6 +68,16 @@ class TestSplitMix64:
         SplitMix64(7).shuffle(again)
         assert items == again
         assert SplitMix64(9).sample(20, 5) == SplitMix64(9).sample(20, 5)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 10, 100, 1000])
+    def test_shuffle_matches_randrange_fisher_yates(self, size):
+        for seed in (0, 1, 2**64 - 1, 0x9E3779B97F4A7C15):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            items, expected = list(range(size)), list(range(size))
+            rng.shuffle(items)
+            randrange_shuffle(ref, expected)
+            assert items == expected
+            assert rng.state == ref.state
 
     def test_instance_seed_spread(self):
         seeds = {instance_seed(42, i) for i in range(100)}
@@ -137,7 +150,8 @@ class TestGirth5Generator:
 
     def test_ball_check_matches_breadth_first_search(self):
         # sparse and dense graphs with short cycles, forests and girth-5
-        # graphs, at caps 0..6 (girth 2..8)
+        # graphs, at caps 0..6 (girth 2..8): the balls of radius
+        # ceil(cap/2) and floor(cap/2) meet iff dist(u, v) <= cap
         for seed in range(24):
             n = 4 + seed % 17
             graphs = [
@@ -147,13 +161,51 @@ class TestGirth5Generator:
             ]
             rng = SplitMix64(seed)
             for graph in graphs:
-                adj = [set(graph.adj[v]) for v in range(n)]
+                adj = [list(graph.adj[v]) for v in range(n)]
+                nbr = [sum(1 << w for w in adj[v]) | 1 << v for v in range(n)]
                 for _ in range(30):
                     u, v = rng.randrange(n), rng.randrange(n)
                     for cap in range(7):
-                        assert _within_distance(adj, u, v, cap) == bfs_within_distance(
+                        meet = _ball(nbr, adj, u, (cap + 1) // 2) & _ball(
+                            nbr, adj, v, cap // 2
+                        )
+                        assert bool(meet) == bfs_within_distance(
                             adj, u, v, cap
                         ), (seed, graph.edges(), u, v, cap)
+
+    def test_ball_is_the_breadth_first_ball(self):
+        for seed in range(6):
+            graph = gen_random_girth5(30, 40, seed=seed, min_girth=4)
+            adj = [list(graph.adj[v]) for v in range(graph.n)]
+            nbr = [sum(1 << w for w in adj[v]) | 1 << v for v in range(graph.n)]
+            for x in range(graph.n):
+                for radius in range(6):
+                    near = [
+                        y for y in range(graph.n)
+                        if bfs_within_distance(adj, x, y, radius)
+                    ]
+                    assert _ball(nbr, adj, x, radius) == sum(1 << y for y in near)
+
+
+# sha256 of every gen_random_girth5(n, m, seed, min_girth) edge list, or its
+# GirthSaturationError (target, achieved), one line per case; pinned on the
+# set-based breadth-first distance test that the bitmask balls replaced
+GIRTH_SIZES = [*range(1, 30), 40, 50, 55, 60, 80, 120]
+GIRTH_DIGEST = "b3b451a7a22c064cfd056ae46ecc9012ca4f3c07d98aa552d2f496b65e9f1937"
+
+
+def test_girth_generator_digest():
+    digest = hashlib.sha256()
+    for n in GIRTH_SIZES:
+        for seed in range(8):
+            for min_girth in range(3, 10):
+                for m in (None, n, 2 * n):
+                    try:
+                        out = gen_random_girth5(n, m, seed, min_girth).edges()
+                    except GirthSaturationError as err:
+                        out = ("saturated", err.target, err.achieved)
+                    digest.update(f"{n} {seed} {min_girth} {m}: {out}\n".encode())
+    assert digest.hexdigest() == GIRTH_DIGEST
 
 
 class TestGeneratorConfig:

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from degeq import (
     Graph,
     GraphFormatError,
+    SplitMix64,
     check_fk_condition,
     components,
     compute_fk_forest,
     degree_profile,
     gen_random_forest,
+    gen_random_girth5,
     girth,
     is_forest,
     make_certificate,
@@ -25,6 +27,7 @@ from degeq.extremal import build_star, build_star_union
 from degeq.graph import residual_degrees
 
 from conftest import girth_by_edge_removal
+from reference import bfs_girth
 
 
 def random_graphs(max_n=9):
@@ -137,6 +140,37 @@ class TestGirth:
     @given(random_graphs())
     def test_against_edge_removal_oracle(self, g):
         assert girth(g) == girth_by_edge_removal(g)
+
+    def test_against_both_references(self):
+        # seeded random graphs on up to 40 vertices with average degree 1 to
+        # 3, generator graphs of girth 5..11, and forests
+        graphs = []
+        for seed in range(100):
+            rng = SplitMix64(seed)
+            n = 1 + rng.randrange(40)
+            tenths = (10, 12, 15, 20, 30)[seed % 5]
+            graphs.append(Graph.from_edges(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if rng.randrange(10 * (n - 1)) < tenths
+            ]))
+        for min_girth in range(5, 12):
+            for seed in range(3):
+                graphs.append(gen_random_girth5(24 + 12 * seed, None, seed, min_girth))
+        for seed in range(10):
+            graphs.append(gen_random_forest(1 + 4 * seed, split_prob=0.2, seed=seed))
+        for g in graphs:
+            got = girth(g)
+            assert got == bfs_girth(g) == girth_by_edge_removal(g), g.edges()
+            assert type(got) is type(bfs_girth(g))
+
+    def test_large_forest_is_infinite(self):
+        assert girth(gen_random_forest(20_000, split_prob=0.05, seed=1)) == math.inf
+
+    def test_short_cycle_under_many_pendants(self):
+        # C_5 with 20,000 leaves hung round-robin on its vertices
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(i % 5, i) for i in range(5, 20_005)]
+        assert girth(Graph.from_edges(20_005, edges)) == 5
 
 
 class TestComponentsForest:
