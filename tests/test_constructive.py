@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import degeq
 from degeq import (
     Graph,
     PreconditionError,
+    SplitMix64,
     build_extremal_forest,
     build_star,
     build_star_union,
@@ -19,6 +21,7 @@ from degeq import (
     gen_random_girth5,
     girth,
     girth5_equalize,
+    instance_seed,
     peel_removal,
     remove_vertices,
     validate_certificate,
@@ -218,3 +221,52 @@ class TestEqualize3Forest:
         )
         assert result.returncode != 0
         assert "AssertionError" in result.stderr
+
+
+def constructive_inputs() -> list[Graph]:
+    """240 seeded forests with shuffled labels, 60 random graphs of girth at
+    least 3..6, 80 seeded star unions and F_1..F_10."""
+    graphs = []
+    for i in range(240):
+        n = 2 + i % 24
+        split = (0.0, 0.15, 0.35)[i % 3]
+        base = gen_random_forest(n, split_prob=split, seed=instance_seed(1601, i))
+        label = list(range(n))
+        SplitMix64(instance_seed(1602, i)).shuffle(label)
+        graphs.append(Graph.from_edges(n, [(label[u], label[v]) for u, v in base.edges()]))
+    for i in range(60):
+        n, min_girth = 4 + i % 17, 3 + i % 4
+        m = n if min_girth == 3 else None  # saturation at girth 3 is K_n
+        graphs.append(gen_random_girth5(n, m, instance_seed(1603, i), min_girth))
+    rng = SplitMix64(1604)
+    for i in range(80):
+        graphs.append(build_star_union([rng.next_u64() % 8 for _ in range(1 + i % 4)]))
+    graphs.extend(build_extremal_forest(t) for t in range(1, 11))
+    return graphs
+
+
+def _outcome(procedure, *args) -> str:
+    try:
+        cert = procedure(*args)
+    except PreconditionError as err:
+        return f"refused {err}"
+    return repr((cert.x, cert.method))
+
+
+# sha256 of (X, method), or the PreconditionError text, of equalize3_forest at
+# t = 2..8, then per k = 2..5 of peel_removal and of girth5_equalize at
+# t = (k-1)^2, (k-1)^2 + 3 and 40, for each input above, one line per call
+CONSTRUCTIVE_DIGEST = "5c1fc5e74f8d0c60820d29cd45ed38b1aaceea07e22767da64cd17289252e511"
+
+
+def test_constructive_digest():
+    digest = hashlib.sha256()
+    for g in constructive_inputs():
+        g_girth = girth(g)
+        lines = [_outcome(equalize3_forest, g, t) for t in range(2, 9)]
+        for k in range(2, 6):
+            lines.append(_outcome(peel_removal, g, k))
+            for t in ((k - 1) ** 2, (k - 1) ** 2 + 3, 40):
+                lines.append(_outcome(girth5_equalize, g, k, t, g_girth))
+        digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == CONSTRUCTIVE_DIGEST
