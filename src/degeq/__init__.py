@@ -37,7 +37,7 @@ _HOME = {
     **dict.fromkeys(
         ["DegreeProfile", "Graph", "GraphFormatError", "check_fk_condition",
          "components", "degree_profile", "girth", "is_forest", "parse_graph",
-         "remove_vertices", "to_edgelist"],
+         "to_edgelist"],
         "graph",
     ),
     **dict.fromkeys(["OrderLimitError", "brute_force_fk"], "oracle"),

@@ -194,16 +194,17 @@ def corollary1_check(
     if len(profile.deltas) < t + 1:
         raise ValueError(f"profile too short: need at least {t + 1} entries")
 
-    clause_i = profile.delta(t) >= 2
+    d = profile.deltas  # d[i - 1] is d_i
+    clause_i = d[t - 1] >= 2
     clause_ii = True
     ii_values = []
     for i in range(2, t + 1):
-        lhs = profile.delta(t + 1 - i) + 2 * profile.delta(t + 2 - i)
+        lhs = d[t - i] + 2 * d[t + 1 - i]
         rhs = comb(i + 2, 2) + 3
         ii_values.append((i, lhs, rhs))
         if lhs < rhs:
             clause_ii = False
-    head_sum = sum(profile.deltas[:t])
+    head_sum = sum(d[:t])
     threshold = corollary1_threshold_iii(t)
     clause_iii = head_sum >= threshold
 

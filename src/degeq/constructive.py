@@ -14,10 +14,9 @@ from .certificates import RemovalCertificate, make_certificate
 from .graph import (
     Graph,
     check_fk_condition,
-    components,
     degree_profile,
     is_forest,
-    remove_vertices,
+    residual_degrees,
 )
 
 
@@ -41,30 +40,25 @@ def peel_removal(graph: Graph, k: int) -> RemovalCertificate:
     if check_fk_condition(graph, (), k):
         return make_certificate(graph, (), k, "peel")
 
-    removed: set[int] = set(degree_profile(graph).witnesses[: k - 1])
-    alive = [v for v in range(graph.n) if v not in removed]
-    deg = {v: sum(1 for w in graph.adj[v] if w not in removed) for v in alive}
-    while alive:
-        max_deg = max(deg[v] for v in alive)
-        top = [v for v in alive if deg[v] == max_deg]
-        if len(alive) < k or len(top) >= k:
+    removed = list(degree_profile(graph).witnesses[: k - 1])
+    deg = residual_degrees(graph, removed)
+    while graph.n - len(removed) >= k:
+        max_deg = max(deg)
+        top = [v for v, d in enumerate(deg) if d == max_deg]
+        if len(top) >= k:
             break
-        for v in top:
-            removed.add(v)
-            for w in graph.adj[v]:
-                if w in deg and w not in removed:
-                    deg[w] -= 1
-        alive = [v for v in alive if v not in removed]
+        removed += top
+        deg = residual_degrees(graph, removed)
     return make_certificate(graph, removed, k, "peel")
 
 
-def _trim(graph, u, keep_closed: list[set[int]], count: int) -> list[int]:
-    """Lowest-id ``count`` neighbors of u outside the given closed
-    neighborhoods."""
+def _trim(graph, deg, u, keep_closed: list[set[int]], count: int) -> list[int]:
+    """Lowest-id ``count`` neighbors of u that are not deleted (``deg[w] < 0``)
+    and lie outside the given closed neighborhoods."""
     blocked: set[int] = set()
     for s in keep_closed:
         blocked |= s
-    out = [w for w in graph.adj[u] if w not in blocked][:count]
+    out = [w for w in graph.adj[u] if deg[w] >= 0 and w not in blocked][:count]
     if len(out) < count:
         raise AssertionError(
             f"vertex {u} lacks {count} trimmable neighbors; case analysis broken"
@@ -110,10 +104,11 @@ def girth5_equalize(graph: Graph, k: int, t: int, g: int | float) -> RemovalCert
 
     witnesses = profile.witnesses[:k]
     closed = [_closed(graph, u) for u in witnesses]
+    deg = graph.degrees()  # nothing is deleted before the trim
     removed: list[int] = []
     for i in range(k - 1):
         others = closed[:i] + closed[i + 1 :]
-        removed += _trim(graph, witnesses[i], others, deltas[i] - deltas[k - 1])
+        removed += _trim(graph, deg, witnesses[i], others, deltas[i] - deltas[k - 1])
 
     cert = make_certificate(graph, removed, k, "girth5")
     if len(cert.x) > t:
@@ -125,44 +120,47 @@ def girth5_equalize(graph: Graph, k: int, t: int, g: int | float) -> RemovalCert
 # Equalizing three maximum degrees in a forest
 
 
-def _k2_components(graph: Graph) -> list[list[int]]:
-    return [c for c in components(graph) if len(c) == 2]
+def _k2_components(graph: Graph, deg) -> list[tuple[int, int]]:
+    """The K_2 components of G - X, as edges (u, v) with u < v, ascending:
+    the edges whose two ends keep residual degree 1."""
+    return [
+        (u, v)
+        for u in range(graph.n)
+        if deg[u] == 1
+        for v in graph.adj[u]
+        if u < v and deg[v] == 1
+    ]
 
 
-def _equalize3(graph: Graph, t: int, to_original: list[int]) -> list[int]:
-    """Recursive worker; returns a deletion set in original vertex ids."""
-    n = graph.n
-    if n < 3:
-        return []
-    profile = degree_profile(graph)
-    d1, d2, d3 = profile.deltas[0], profile.deltas[1], profile.deltas[2]
-    u1, u2, u3 = profile.witnesses[0], profile.witnesses[1], profile.witnesses[2]
-    if d1 == d3:
-        return []
-    bound = bound_theorem2(t)
-    if d1 + 2 * d2 > bound:
-        raise AssertionError(f"recursion hypothesis {d1}+2*{d2} <= {bound} broken")
-
-    if t == 2:
-        x = _equalize3_base(graph, d1, d2, d3, u1, u2, u3)
-        return [to_original[v] for v in x]
-
-    if d1 + d2 - 2 * d3 <= t:
-        x = _equalize3_direct(graph, t, d1, d2, d3, u1, u2, u3)
-        return [to_original[v] for v in x]
-
-    # Dominant first witness: remove it and recurse with a smaller budget.
-    if d2 + 2 * d3 > bound_theorem2(t - 1):
-        raise AssertionError("recursion bound violated; hypothesis arithmetic broken")
-    sub, old_to_new = remove_vertices(graph, {u1})
-    sub_map = [0] * sub.n
-    for old, new in old_to_new.items():
-        sub_map[new] = to_original[old]
-    return [to_original[u1]] + _equalize3(sub, t - 1, sub_map)
+def _equalize3(graph: Graph, t: int) -> list[int]:
+    """Delete the dominant top witness and lower the budget until the direct
+    trim or the budget-2 case applies; G - X is read from its residual
+    degrees, in the input graph's ids."""
+    x: list[int] = []
+    while graph.n - len(x) >= 3:
+        deg = residual_degrees(graph, x)
+        u1, u2, u3 = sorted(range(graph.n), key=lambda v: (-deg[v], v))[:3]
+        d1, d2, d3 = deg[u1], deg[u2], deg[u3]
+        if d1 == d3:
+            break
+        bound = bound_theorem2(t)
+        if d1 + 2 * d2 > bound:
+            raise AssertionError(f"recursion hypothesis {d1}+2*{d2} <= {bound} broken")
+        if t == 2:
+            return x + _equalize3_base(graph, deg, u1, u2, u3)
+        if d1 + d2 - 2 * d3 <= t:
+            return x + _equalize3_direct(graph, deg, u1, u2, u3)
+        # Dominant first witness: delete it and go on with a smaller budget.
+        if d2 + 2 * d3 > bound_theorem2(t - 1):
+            raise AssertionError("recursion bound violated; hypothesis arithmetic broken")
+        x.append(u1)
+        t -= 1
+    return x
 
 
-def _equalize3_base(graph, d1, d2, d3, u1, u2, u3) -> list[int]:
+def _equalize3_base(graph, deg, u1, u2, u3) -> list[int]:
     """Budget-2 case analysis; every branch asserts the shape it relies on."""
+    d1, d2, d3 = deg[u1], deg[u2], deg[u3]
     if d1 == 1:
         # Only one edge outside isolated vertices: drop one endpoint.
         if not (d2 == 1 and d3 == 0):
@@ -173,7 +171,7 @@ def _equalize3_base(graph, d1, d2, d3, u1, u2, u3) -> list[int]:
         # One star plus matching edges and isolated vertices.
         if d1 < 2:
             raise AssertionError(f"base case d2=1 needs d1 >= 2, got {d1}")
-        k2 = _k2_components(graph)
+        k2 = _k2_components(graph, deg)
         if len(k2) == 1:
             return [u1, k2[0][0]]
         return [u1]
@@ -185,41 +183,40 @@ def _equalize3_base(graph, d1, d2, d3, u1, u2, u3) -> list[int]:
             raise AssertionError(f"base case d1=d2=2 needs d3=1, got {d3}")
         if u2 not in graph.adj[u1]:
             # Two short-path components; trim one endpoint from each.
-            return [_trim(graph, u1, [], 1)[0], _trim(graph, u2, [], 1)[0]]
-        k2 = _k2_components(graph)
-        if k2:
+            return [_trim(graph, deg, u1, [], 1)[0], _trim(graph, deg, u2, [], 1)[0]]
+        if _k2_components(graph, deg):
             return [u1]
         return [u1, u2]
 
     # d1 in {3, 4}
     if d3 == 2:
-        return _trim(graph, u1, [_closed(graph, u2), _closed(graph, u3)], d1 - 2)
+        return _trim(graph, deg, u1, [_closed(graph, u2), _closed(graph, u3)], d1 - 2)
     if d3 != 1:
         raise AssertionError(f"base case d1 in (3, 4) needs d3 in (1, 2), got {d3}")
-    k2 = _k2_components(graph)
-    if not k2:
+    if not _k2_components(graph, deg):
         return [u1, u2]
     if u2 in graph.adj[u1]:
         return [u1]
-    return [u1, _trim(graph, u2, [], 1)[0]]
+    return [u1, _trim(graph, deg, u2, [], 1)[0]]
 
 
-def _equalize3_direct(graph, t, d1, d2, d3, u1, u2, u3) -> list[int]:
+def _equalize3_direct(graph, deg, u1, u2, u3) -> list[int]:
     """Direct trimming when the top-degree surplus fits within the budget."""
+    d1, d2, d3 = deg[u1], deg[u2], deg[u3]
     if d3 == 0:
         # A single matching edge among isolated vertices.
         if not (d1 == 1 and d2 == 1):
             raise AssertionError(f"direct case d3=0 needs d1=d2=1, got {d1}, {d2}")
         return [u1]
     if d3 == 1:
-        if u2 in graph.adj[u1] and len(_k2_components(graph)) != 1:
+        if u2 in graph.adj[u1] and len(_k2_components(graph, deg)) != 1:
             return [u1, u2]
         # Trim both witnesses to degree 1: down to their shared edge, if any.
-        x = _trim(graph, u1, [_closed(graph, u2)], d1 - 1)
-        x += _trim(graph, u2, [_closed(graph, u1)], d2 - 1)
+        x = _trim(graph, deg, u1, [_closed(graph, u2)], d1 - 1)
+        x += _trim(graph, deg, u2, [_closed(graph, u1)], d2 - 1)
         return x
-    x = _trim(graph, u1, [_closed(graph, u2), _closed(graph, u3)], d1 - d3)
-    x += _trim(graph, u2, [_closed(graph, u1), _closed(graph, u3)], d2 - d3)
+    x = _trim(graph, deg, u1, [_closed(graph, u2), _closed(graph, u3)], d1 - d3)
+    x += _trim(graph, deg, u2, [_closed(graph, u1), _closed(graph, u3)], d2 - d3)
     return x
 
 
@@ -240,7 +237,7 @@ def equalize3_forest(forest: Graph, t: int) -> RemovalCertificate:
         raise PreconditionError(
             "hypothesis", f"d1 + 2*d2 = {value} exceeds {bound}"
         )
-    removed = _equalize3(forest, t, list(range(forest.n)))
+    removed = _equalize3(forest, t)
     if len(removed) > t:
         raise AssertionError("equalizer exceeded its budget t")
     cert = make_certificate(forest, removed, 3, "theorem2")

@@ -73,12 +73,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adj)
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
@@ -94,12 +88,6 @@ class DegreeProfile:
 
     deltas: tuple[int, ...]
     witnesses: tuple[int, ...]
-
-    def delta(self, i: int) -> int:
-        """1-based access to the i-th largest degree."""
-        if not 1 <= i <= len(self.deltas):
-            raise IndexError(f"degree index {i} out of range")
-        return self.deltas[i - 1]
 
 
 def parse_graph(text: str | Iterable[str]) -> Graph:
@@ -233,22 +221,6 @@ def girth(graph: Graph) -> int | float:
                 break
             prev, level, d = level, grown & ~(prev | level), d + 1
     return best
-
-
-def remove_vertices(graph: Graph, removed: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on the kept vertices plus the old-id -> new-id map."""
-    removed_set = set(removed)
-    for v in removed_set:
-        if not (isinstance(v, int) and 0 <= v < graph.n):
-            raise ValueError(f"unknown vertex {v!r}")
-    kept = [v for v in range(graph.n) if v not in removed_set]
-    old_to_new = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (old_to_new[u], old_to_new[v])
-        for u, v in graph.edges()
-        if u in old_to_new and v in old_to_new
-    ]
-    return Graph.from_edges(len(kept), edges), old_to_new
 
 
 def residual_degrees(graph: Graph, removed: Iterable[int]) -> list[int]:

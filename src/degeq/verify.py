@@ -334,6 +334,15 @@ def _run_instance(args) -> RunResult:
     return RunResult(spec, graph.n, graph.m, entries, computed, elapsed)
 
 
+# The verify CSV columns; a cell missing from a row, or None, is written
+# empty.  No timing columns: identical (corpus, claims, seed) runs must be
+# byte-identical regardless of job count or machine.
+_CSV_COLUMNS = (
+    "instance", "kind", "n", "m", "claim", "k", "t", "p",
+    "hypothesis_holds", "conclusion_holds", "status", "f_k", "note",
+)
+
+
 @dataclass
 class VerificationReport:
     results: list[RunResult]
@@ -365,65 +374,24 @@ class VerificationReport:
         return json.dumps(payload, indent=2, default=str, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
-        # No timing columns: identical (corpus, claims, seed) runs must be
-        # byte-identical regardless of job count or machine.
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "instance",
-                "kind",
-                "n",
-                "m",
-                "claim",
-                "k",
-                "t",
-                "p",
-                "hypothesis_holds",
-                "conclusion_holds",
-                "status",
-                "f_k",
-                "note",
-            ]
-        )
+        writer = csv.DictWriter(buf, _CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
         for result in self.results:
+            row = {"instance": result.spec.label(), "kind": result.spec.kind}
             if result.error:
-                writer.writerow(
-                    [
-                        result.spec.label(),
-                        result.spec.kind,
-                        "",
-                        "",
-                        "generator",
-                        "",
-                        "",
-                        "",
-                        "",
-                        "",
-                        "error",
-                        "",
-                        result.error,
-                    ]
-                )
+                row.update(claim="generator", status="error", note=result.error)
+                writer.writerow(row)
                 continue
+            row.update(n=result.n, m=result.m)
             for e in result.entries:
-                writer.writerow(
-                    [
-                        result.spec.label(),
-                        result.spec.kind,
-                        result.n,
-                        result.m,
-                        e.claim,
-                        e.params.get("k", ""),
-                        e.params.get("t", ""),
-                        e.params.get("p", ""),
-                        "" if e.hypothesis_holds is None else e.hypothesis_holds,
-                        "" if e.conclusion_holds is None else e.conclusion_holds,
-                        e.status,
-                        "" if e.fk is None else e.fk,
-                        e.note,
-                    ]
+                row.update(
+                    claim=e.claim, k=e.params.get("k"), t=e.params.get("t"),
+                    p=e.params.get("p"), hypothesis_holds=e.hypothesis_holds,
+                    conclusion_holds=e.conclusion_holds, status=e.status,
+                    f_k=e.fk, note=e.note,
                 )
+                writer.writerow(row)
         return buf.getvalue()
 
     def to_text(self) -> str:

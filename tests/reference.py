@@ -1,7 +1,8 @@
 """Exhaustive and plain references the tests validate the package against.
 
-None of this runs in a command: the subset sweeps are exponential, and the
-plain searches are the slower forms of the package's bitmask kernels.
+None of this runs in a command: the subset sweeps are exponential, the plain
+searches are the slower forms of the package's bitmask kernels, and the
+relabelled subgraph checks the residual degrees the package reads G - X from.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import combinations
+from typing import Iterable
 
 from degeq.bounds import lemma3_surplus
 from degeq.graph import DegreeProfile, Graph
@@ -188,3 +190,23 @@ def linear_minimal_t(predicate, start: int) -> int:
     while not predicate(t):
         t += 1
     return t
+
+
+# ---------------------------------------------------------------------------
+# Relabelled induced subgraph, the package's former representation of G - X
+
+
+def remove_vertices(graph: Graph, removed: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on the kept vertices plus the old-id -> new-id map."""
+    removed_set = set(removed)
+    for v in removed_set:
+        if not (isinstance(v, int) and 0 <= v < graph.n):
+            raise ValueError(f"unknown vertex {v!r}")
+    kept = [v for v in range(graph.n) if v not in removed_set]
+    old_to_new = {old: new for new, old in enumerate(kept)}
+    edges = [
+        (old_to_new[u], old_to_new[v])
+        for u, v in graph.edges()
+        if u in old_to_new and v in old_to_new
+    ]
+    return Graph.from_edges(len(kept), edges), old_to_new

@@ -103,7 +103,7 @@ def test_criterion_2_dp_recursion_validation():
         skeleton = _build_skeleton(forest, components(forest))
         for k in (2, 3):
             table, least = subforest_sweep(forest, k)
-            for delta in range(forest.max_degree() + 1):
+            for delta in range(max(map(len, forest.adj), default=0) + 1):
                 # the best order over every S, and the least X of that order
                 orders = [order for (_, d), order in table.items() if d == delta]
                 expected = (max(orders), least[delta][1]) if orders else None

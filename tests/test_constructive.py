@@ -23,11 +23,12 @@ from degeq import (
     girth5_equalize,
     instance_seed,
     peel_removal,
-    remove_vertices,
     validate_certificate,
 )
 from degeq.bounds import theorem2_hypothesis
 from degeq.graph import parse_graph
+
+from reference import remove_vertices
 
 
 class TestPeel:
@@ -207,14 +208,15 @@ class TestEqualize3Forest:
 
     def test_shape_checks_survive_optimized_mode(self):
         # python -O strips assert statements; the base case must still refuse
-        # a shape it has no branch for (here d1 = 1 below d2 = 2).
+        # a shape it has no branch for (here residual degrees d1 = 1 below
+        # d2 = 2).
         src = str(Path(degeq.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "from degeq import Graph; "
             "from degeq.constructive import _equalize3_base; "
-            "_equalize3_base(Graph.from_edges(3, [(0, 1)]), 1, 2, 0, 0, 1, 2)"
+            "_equalize3_base(Graph.from_edges(3, [(0, 1)]), [1, 2, 0], 0, 1, 2)"
         )
         result = subprocess.run(
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
@@ -233,7 +235,8 @@ def constructive_inputs() -> list[Graph]:
         base = gen_random_forest(n, split_prob=split, seed=instance_seed(1601, i))
         label = list(range(n))
         SplitMix64(instance_seed(1602, i)).shuffle(label)
-        graphs.append(Graph.from_edges(n, [(label[u], label[v]) for u, v in base.edges()]))
+        edges = [(label[u], label[v]) for u, v in base.edges()]
+        graphs.append(Graph.from_edges(n, edges))
     for i in range(60):
         n, min_girth = 4 + i % 17, 3 + i % 4
         m = n if min_girth == 3 else None  # saturation at girth 3 is K_n

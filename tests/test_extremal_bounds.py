@@ -18,11 +18,21 @@ from degeq import (
     compute_fk_forest,
     corollary1_check,
     degree_profile,
+    equalize3_forest,
     extremal_size,
     girth,
     moore_edge_bound_ok,
+    validate_certificate,
 )
-from degeq.bounds import corollary1_threshold_iii, minimal_t, theorem1_hypothesis
+from degeq.bounds import (
+    corollary1_threshold_iii,
+    corollary2_t,
+    minimal_t,
+    theorem1_hypothesis,
+    theorem1_t,
+    theorem2_t,
+)
+from conftest import all_forests
 from reference import a_closed_form
 
 
@@ -163,3 +173,33 @@ class TestAsymptotics:
         cor5 = next(e for e in entries if e.claim == "cor5")
         assert cor5.hypothesis_holds is True
         assert cor5.conclusion["constant"] == pytest.approx(6 ** (1 / 3))
+
+
+# Largest (f_2, f_3, f_4, f_5) over the forests of each order n
+CENSUS_MAXIMA = {
+    1: (0, 0, 0, 0), 2: (0, 0, 0, 0), 3: (1, 1, 0, 0), 4: (1, 2, 1, 0),
+    5: (1, 2, 2, 1), 6: (1, 2, 2, 2), 7: (2, 2, 2, 3),
+    **dict.fromkeys(range(8, 12), (2, 3, 3, 4)),
+}
+
+
+def test_forest_census():
+    """Every forest of order <= 11, one per isomorphism class: the largest
+    f_k for k = 2..5 by order, Theorems 1 and 2 and Corollary 2 as bounds on
+    f_2 and f_3, and Theorem 2's procedure within its least budget."""
+    maxima, count = {}, 0
+    for n in CENSUS_MAXIMA:
+        top = [0] * 4
+        for forest in all_forests(n):
+            count += 1
+            fk = [compute_fk_forest(forest, k)[0] for k in range(2, 6)]
+            top = [max(a, b) for a, b in zip(top, fk)]
+            t = theorem2_t(degree_profile(forest))
+            assert fk[0] <= theorem1_t(forest), forest.edges()
+            assert fk[1] <= min(t, corollary2_t(forest)), forest.edges()
+            cert = equalize3_forest(forest, t)
+            assert validate_certificate(forest, cert, 3), forest.edges()
+            assert len(cert.x) <= t, forest.edges()
+        maxima[n] = tuple(top)
+    assert maxima == CENSUS_MAXIMA
+    assert count == 1347  # OEIS A005195 summed over orders 1..11

@@ -37,9 +37,9 @@ from degeq.forest_dp import (
     _Skeleton,
     _vertex_vectors,
 )
-from degeq.graph import components, degree_profile, parse_graph, remove_vertices
+from degeq.graph import components, degree_profile, parse_graph
 from degeq.prng import SplitMix64, instance_seed
-from reference import brute_force_subforest, subforest_sweep
+from reference import brute_force_subforest, remove_vertices, subforest_sweep
 
 
 def at(vec, j, n):
@@ -292,8 +292,9 @@ def test_public_names_resolve():
     namespace = {}
     exec("from degeq import *", namespace)
     assert set(degeq.__all__) <= set(namespace)
-    # the exhaustive references live in tests/reference.py
-    for name in ("brute_force_subforest", "brute_force_subforest_all"):
+    # the exhaustive references and the relabelled subgraph live in
+    # tests/reference.py
+    for name in ("brute_force_subforest", "brute_force_subforest_all", "remove_vertices"):
         assert not hasattr(degeq, name), name
 
 
@@ -306,7 +307,7 @@ def exhaustive_min_deletions(forest):
     delta from 0 to the maximum degree, over all 2^n vertex subsets."""
     n = forest.n
     nbrs = [sum(1 << w for w in forest.adj[v]) for v in range(n)]
-    best = [n] * (forest.max_degree() + 1)
+    best = [n] * (max(map(len, forest.adj), default=0) + 1)
     for mask in range(1 << n):
         live = [v for v in range(n) if not mask >> v & 1]
         top = max(((nbrs[v] & ~mask).bit_count() for v in live), default=0)
@@ -462,7 +463,7 @@ class TestCombine:
         for kids in children:
             rng.shuffle(kids)
         shuffled = replace(skel, children=tuple(map(tuple, children)))
-        for delta in range(forest.max_degree() + 1):
+        for delta in range(max(map(len, forest.adj), default=0) + 1):
             expected = _best_deletion_set(skel, forest.n, k, delta)
             assert _best_deletion_set(shuffled, forest.n, k, delta) == expected
 
@@ -535,7 +536,7 @@ class TestEngineAgainstPlans:
             forest = gen_random_forest(8, split_prob=0.3, seed=seed)
             skel = counting_skeleton(forest)
             for k in (2, 3):
-                for delta in range(forest.max_degree() + 1):
+                for delta in range(max(map(len, forest.adj), default=0) + 1):
                     vectors = _pass_vectors(skel, forest.n, k, delta)
                     for u in range(forest.n):
                         got = [padded(vec, k) for vec in vectors[u]]
@@ -574,7 +575,7 @@ class TestMaxSubforestOrder:
         forest = gen_random_forest(n, split_prob=0.3, seed=seed)
         for k in (2, 3):
             table, least = subforest_sweep(forest, k)
-            for delta in range(forest.max_degree() + 1):
+            for delta in range(max(map(len, forest.adj), default=0) + 1):
                 orders = [order for (_, d), order in table.items() if d == delta]
                 expected = (max(orders), least[delta][1]) if orders else None
                 assert self.best(forest, k, delta) == expected
@@ -585,7 +586,7 @@ class TestMaxSubforestOrder:
         for seed in range(12):
             tree = gen_random_forest(7, seed=seed, m=6)
             for k in (1, 2, 3):
-                for delta in range(tree.max_degree() + 1):
+                for delta in range(max(map(len, tree.adj), default=0) + 1):
                     values = {
                         _best_deletion_set(rooted_skeleton(tree, (r,)), 7, k, delta)
                         for r in range(7)
@@ -596,7 +597,7 @@ class TestMaxSubforestOrder:
         forest = build_star_union([2, 1, 2])
         comps = components(forest)
         for k in (2, 3):
-            for delta in range(forest.max_degree() + 1):
+            for delta in range(max(map(len, forest.adj), default=0) + 1):
                 values = {
                     _best_deletion_set(rooted_skeleton(forest, roots), forest.n, k, delta)
                     for roots in product(*comps)
@@ -623,14 +624,14 @@ class TestMaxSubforestOrder:
         for seed in range(30):
             forest = gen_random_forest(8, split_prob=0.3, seed=seed)
             for k in (2, 3):
-                for delta in range(forest.max_degree() + 1):
+                for delta in range(max(map(len, forest.adj), default=0) + 1):
                     found = self.best(forest, k, delta)
                     if found is None:
                         continue
                     order, x = found
                     induced, _ = remove_vertices(forest, x)
                     assert induced.n == order == forest.n - len(x)
-                    assert induced.max_degree() <= delta
+                    assert max(map(len, induced.adj), default=0) <= delta
                     at_delta = [v for v in range(order) if induced.degree(v) == delta]
                     assert len(at_delta) >= k
 
@@ -691,7 +692,8 @@ class TestDeletionBound:
     def test_matches_exhaustive_search_on_every_small_forest(self, n):
         for forest in all_forests(n):
             skel = counting_skeleton(forest)
-            got = [_min_deletions(skel, d) for d in range(forest.max_degree() + 1)]
+            deltas = range(max(map(len, forest.adj), default=0) + 1)
+            got = [_min_deletions(skel, d) for d in deltas]
             assert got == exhaustive_min_deletions(forest), forest.edges()
 
 

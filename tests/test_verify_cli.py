@@ -80,6 +80,10 @@ class TestRunVerification:
         assert report.results[0].error is not None
         assert report.results[1].error is None
         assert report.ok  # errors are reported, not violations
+        assert report.to_csv().splitlines()[1] == (
+            '"0:random-girth5(m=10,n=5,seed=0)",random-girth5,,,generator,,,,,,error,,'
+            "GirthSaturationError: requested 10 edges but only 4 are insertable"
+        )
 
     def test_csv_byte_identical_across_runs_and_jobs(self):
         configs = [forest_config(count=5)]
