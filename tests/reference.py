@@ -193,7 +193,7 @@ def linear_minimal_t(predicate, start: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Relabelled induced subgraph, the package's former representation of G - X
+# Relabelled induced subgraph, the reference for the residual degrees
 
 
 def remove_vertices(graph: Graph, removed: Iterable[int]) -> tuple[Graph, dict[int, int]]:
