@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from math import comb
 
 from .extremal import build_extremal_forest, build_path, build_star_union
 from .forest_dp import compute_fk_forest
@@ -32,26 +33,25 @@ def _timed(fn, *args, **kwargs):
 def run_suite(suite: str) -> list[BenchRow]:
     rows: list[BenchRow] = []
     if suite == "small":
+        # every row has f_k >= 1: path-4 and F_3 share their top two degrees
         cases = [
-            ("path-4", build_path(4)),
-            ("star-union-1-3", build_star_union([3, 1])),
-            ("extremal-F3", build_extremal_forest(3)),
-            ("forest-n12", gen_random_forest(12, seed=7)),
+            ("path-4", build_path(4), (3,)),
+            ("star-union-1-3", build_star_union([3, 1]), (2, 3)),
+            ("extremal-F3", build_extremal_forest(3), (3,)),
+            ("extremal-F4", build_extremal_forest(4), (2, 3)),
+            ("forest-n12", gen_random_forest(12, seed=7), (2, 3)),
         ]
-        for name, graph in cases:
-            for k in (2, 3):
-                value, ms = _timed(compute_fk_forest, graph, k)
-                rows.append(BenchRow(name, graph.n, graph.m, k, "dp", value, ms))
     elif suite == "forest-dp":
-        # seeds with f_k >= 1 on every row, so none stops at the
-        # already-equalized exit
-        for k, sizes in ((2, (40, 70, 100)), (3, (30, 45, 60))):
-            for n in sizes:
-                graph = gen_random_forest(n, seed=3000 + n)
-                value, ms = _timed(compute_fk_forest, graph, k)
-                rows.append(
-                    BenchRow(f"forest-n{n}", graph.n, graph.m, k, "dp", value, ms)
-                )
+        # seeds with f_k >= 1 on every row; f_3(F_15) = 15, and f_2 = 10 on
+        # S_10, the star union with C(i + 1, 2) + 1 leaves for i = 10..1
+        cases = [
+            (f"forest-n{n}", gen_random_forest(n, seed=3000 + n), (k,))
+            for k, sizes in ((2, (40, 70, 100)), (3, (30, 45, 60)))
+            for n in sizes
+        ]
+        s10 = build_star_union([comb(i + 1, 2) + 1 for i in range(10, 0, -1)])
+        cases += [("extremal-F15", build_extremal_forest(15), (3,))]
+        cases += [("star-union-S10", s10, (2,))]
     elif suite == "oracle":
         # f_3(F_t) = t, and F_4 has 18 vertices, the default oracle limit
         for t in (2, 3, 4):
@@ -60,8 +60,13 @@ def run_suite(suite: str) -> list[BenchRow]:
             rows.append(
                 BenchRow(f"extremal-F{t}", graph.n, graph.m, 3, "brute", value, ms)
             )
+        return rows
     else:
         raise ValueError(f"unknown bench suite {suite!r}")
+    for name, graph, ks in cases:
+        for k in ks:
+            value, ms = _timed(compute_fk_forest, graph, k)
+            rows.append(BenchRow(name, graph.n, graph.m, k, "dp", value, ms))
     return rows
 
 

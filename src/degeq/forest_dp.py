@@ -12,8 +12,9 @@ the always-available escape of keeping k - 1 vertices does better.
 One counting pass per delta (``_best_deletion_set``) solves that problem for
 every choice of the k vertices at once, and scores each subforest so that the
 maximum also names the lexicographically least deletion set of largest order:
-the certificate comes from the pass that finds the value.  The passes walk
-delta down from the k-th largest degree and stop once a
+the certificate comes from the pass that finds the value.  From delta = 2 on,
+a pass folds each vertex's leaf children, twins that never change j, in one
+step.  The passes walk delta down from the k-th largest degree and stop once a
 bounded-degree-deletion lower bound (``_min_deletions``) shows that no lower
 delta can reach the best order found so far.
 """
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .certificates import RemovalCertificate, make_certificate
 from .graph import Graph, components, degree_profile
@@ -38,6 +41,24 @@ class _Skeleton:
 
     order: tuple[int, ...]  # children-before-parent traversal, ending at n
     children: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def split(self) -> list[tuple[list[int], list[int]]]:
+        """Each vertex's non-leaf children, and the deletion bits of its leaf
+        children from the lowest id up."""
+        children = self.children
+        n = len(children) - 1
+        out = []
+        for kids in children[:-1]:
+            inner, bits = [], []
+            for v in kids:
+                if children[v]:
+                    inner.append(v)
+                else:
+                    bits.append(1 << (n - 1 - v))
+            bits.sort(reverse=True)
+            out.append((inner, bits))
+        return out
 
 
 def _build_skeleton(forest: Graph, comps) -> _Skeleton:
@@ -124,9 +145,10 @@ def _kept(base, at_delta, gain: int, k: int):
     return out
 
 
-def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int):
+def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, leaf_bits=()):
     """(deleted, kept with the parent edge, free) vectors of one vertex, whose
-    deletion bit is ``bit``, from its children's triples ``kids``."""
+    deletion bit is ``bit``, from its children's triples ``kids`` and the
+    bits ``leaf_bits`` of its leaf children, highest first (delta >= 2)."""
     deleted = [bit]
     rows = [[0]]  # rows[c]: exactly c kept children
     for drop, up, free in kids:
@@ -138,6 +160,19 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int):
             for c, row in enumerate(rows[:delta]):
                 new[c + 1] = _vmax(new[c + 1], _merge(row, up, k))
         rows = new
+    if leaf_bits:
+        # a leaf's triple is ([bit], [gain], [gain]): keeping c of these twins
+        # is best done by deleting the count - c lowest ids: one scalar row
+        count = len(leaf_bits)
+        deleted = [a + count * gain if a >= 0 else -1 for a in deleted]
+        dropped = [0, *accumulate(leaf_bits)]
+        folded = [None] * min(len(rows) + count, delta + 1)
+        for c, row in enumerate(rows):
+            for extra in range(min(count, delta - c) + 1):
+                b = extra * gain + dropped[count - extra]
+                shifted = [a + b if a >= 0 else -1 for a in row]
+                folded[c + extra] = _vmax(folded[c + extra], shifted)
+        rows = folded
     low = None
     for row in rows[:delta]:
         low = _vmax(low, row)
@@ -150,13 +185,24 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int):
 
 
 def _pass_vectors(skel: _Skeleton, n: int, k: int, delta: int) -> list:
-    """Every vertex's ``_vertex_vectors`` triple at delta, children first."""
+    """Every vertex's ``_vertex_vectors`` triple at delta, children first;
+    from delta = 2 on, each vertex folds in its leaf children at once."""
     gain = 1 << n
     children = skel.children
+    split = skel.split if delta >= 2 else None
+    leaf = [gain]  # from delta = 2 on, a leaf kept with or without its parent
     vectors = [None] * n
     for u in skel.order[:-1]:
-        kids = [vectors[v] for v in children[u]]
-        vectors[u] = _vertex_vectors(1 << (n - 1 - u), kids, gain, k, delta)
+        bit = 1 << (n - 1 - u)
+        if split is None:
+            kids, leaf_bits = children[u], ()
+        elif children[u]:
+            kids, leaf_bits = split[u]
+        else:
+            vectors[u] = ([bit], leaf, leaf)
+            continue
+        kids = [vectors[v] for v in kids]
+        vectors[u] = _vertex_vectors(bit, kids, gain, k, delta, leaf_bits)
     return vectors
 
 

@@ -119,6 +119,24 @@ class TestBoundEvaluators:
         assert t == 1 or not theorem1_hypothesis(g, t - 1)
 
 
+def theorem1_star_union(t):
+    """S_t: stars with C(i + 1, 2) + 1 leaves for i = t down to 1."""
+    return build_star_union([comb(i + 1, 2) + 1 for i in range(t, 0, -1)])
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_theorem1_is_tight_on_star_unions(t):
+    # S_t sits on the threshold for t - 1 deletions and needs t: Theorem 1
+    # is best possible.  For t = 1 the threshold polynomial at 0 is 12 / 6,
+    # below bound_theorem1's domain.
+    forest = theorem1_star_union(t)
+    assert forest.m == (bound_theorem1(t - 1) if t > 1 else 2)
+    assert theorem1_t(forest) == t
+    value, cert = compute_fk_forest(forest, 2)
+    assert value == t
+    assert validate_certificate(forest, cert, 2)
+
+
 class TestCorollary1:
     def test_extremal_t3_tight(self):
         forest = build_extremal_forest(3)

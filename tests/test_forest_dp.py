@@ -279,8 +279,9 @@ class TestCountingSolverDifferential:
         assert cert.method == "dp"
         assert validate_certificate(forest, cert, 20)
 
-    def test_extremal_family_values_eight_to_twelve(self):
-        for t in range(8, 13):
+    def test_extremal_family_values_eight_to_fifteen(self):
+        # Lemma 2: f_3(F_t) = t
+        for t in range(8, 16):
             assert compute_fk_forest(build_extremal_forest(t), 3)[0] == t
 
 
@@ -541,6 +542,58 @@ class TestEngineAgainstPlans:
                     for u in range(forest.n):
                         got = [padded(vec, k) for vec in vectors[u]]
                         assert got == swept_vectors(forest, skel, u, k, delta)
+
+
+def shuffled_star_union(seed, stars, leaves):
+    """A seeded union of at most ``stars`` stars of at most ``leaves`` leaves
+    and one isolated vertex, with its ids permuted."""
+    rng = SplitMix64(seed)
+    counts = [rng.randrange(leaves + 1) for _ in range(1 + rng.randrange(stars))]
+    union = build_star_union(counts + [0])
+    label = list(range(union.n))
+    rng.shuffle(label)
+    return Graph.from_edges(union.n, [(label[u], label[v]) for u, v in union.edges()])
+
+
+class TestLeafFold:
+    # from delta = 2 on, a pass folds each vertex's leaf children in closed
+    # form; the generic step merges the leaves' own triples one at a time
+    @staticmethod
+    def assert_fold_is_generic(forest):
+        skel = counting_skeleton(forest)
+        n = forest.n
+        for k in range(2, 6):
+            for delta in range(2, max(map(len, forest.adj), default=0) + 2):
+                vectors = _pass_vectors(skel, n, k, delta)
+                for u in range(n):
+                    kids = [vectors[v] for v in skel.children[u]]
+                    generic = _vertex_vectors(
+                        1 << (n - 1 - u), kids, 1 << n, k, delta, leaf_bits=()
+                    )
+                    assert tuple(vectors[u]) == generic, (u, k, delta)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_small_forest(self, n):
+        for forest in all_forests(n):
+            self.assert_fold_is_generic(forest)
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_extremal_family(self, t):
+        self.assert_fold_is_generic(build_extremal_forest(t))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_shuffled_star_unions(self, seed):
+        self.assert_fold_is_generic(shuffled_star_union(seed, 7, 12))
+
+    def test_shuffled_star_unions_match_oracle(self):
+        checked = 0
+        for seed in range(200):
+            forest = shuffled_star_union(seed, 4, 5)
+            if forest.n <= 14:
+                checked += 1
+                for k in range(2, 6):
+                    assert_oracle_answer(forest, k)
+        assert checked >= 100
 
 
 class TestMaxSubforestOrder:
