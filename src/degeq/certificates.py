@@ -63,11 +63,15 @@ def validate_certificate(graph: Graph, cert: RemovalCertificate, k: int) -> bool
     """Re-check a certificate against the graph it claims to equalize.
 
     Every fact is re-derived from the residual degrees, independently of
-    :func:`make_certificate`.
+    :func:`make_certificate`.  X and the witnesses must be strictly
+    increasing, as :func:`make_certificate` writes them: ``len(cert.x)`` is
+    the deletion count.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     deg = residual_degrees(graph, cert.x)
+    if not (_increasing(cert.x) and _increasing(cert.witnesses)):
+        return False
     live = [d for d in deg if d >= 0]
     if len(live) < k:
         return cert.order_below_k
@@ -77,3 +81,7 @@ def validate_certificate(graph: Graph, cert: RemovalCertificate, k: int) -> bool
     if cert.residual_max_degree != max_deg or len(cert.witnesses) < k:
         return False
     return all(0 <= w < graph.n and deg[w] == max_deg for w in cert.witnesses)
+
+
+def _increasing(ids) -> bool:
+    return all(a < b for a, b in zip(ids, ids[1:]))

@@ -310,6 +310,8 @@ def verify(claims, corpus_path, jobs, timeout, fmt, k_range):
         ks = tuple(int(x) for x in k_range.split(","))
         if any(k < 2 for k in ks):
             raise ValueError("k values must be at least 2")
+        if len(set(ks)) < len(ks):
+            raise ValueError("k values must be distinct")
     except ValueError as exc:
         _fail(EXIT_USAGE, f"usage error: bad --k-range: {exc}")
     try:

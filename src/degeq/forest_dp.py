@@ -12,11 +12,11 @@ the always-available escape of keeping k - 1 vertices does better.
 One counting pass per delta (``_best_deletion_set``) solves that problem for
 every choice of the k vertices at once, and scores each subforest so that the
 maximum also names the lexicographically least deletion set of largest order:
-the certificate comes from the pass that finds the value.  From delta = 2 on,
-a pass folds each vertex's leaf children, twins that never change j, in one
-step.  The passes walk delta down from the k-th largest degree and stop once a
-bounded-degree-deletion lower bound (``_min_deletions``) shows that no lower
-delta can reach the best order found so far.
+the certificate comes from the pass that finds the value.  A pass folds each
+vertex's leaf children, which are twins, in one step.  The passes walk delta
+down from the k-th largest degree and stop once a bounded-degree-deletion
+lower bound (``_min_deletions``) shows that no lower delta can reach the best
+order found so far.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def _kept(base, at_delta, gain: int, k: int):
 def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, leaf_bits=()):
     """(deleted, kept with the parent edge, free) vectors of one vertex, whose
     deletion bit is ``bit``, from its children's triples ``kids`` and the
-    bits ``leaf_bits`` of its leaf children, highest first (delta >= 2)."""
+    bits ``leaf_bits`` of its leaf children, highest first."""
     deleted = [bit]
     rows = [[0]]  # rows[c]: exactly c kept children
     for drop, up, free in kids:
@@ -161,17 +161,20 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, leaf_bits=())
                 new[c + 1] = _vmax(new[c + 1], _merge(row, up, k))
         rows = new
     if leaf_bits:
-        # a leaf's triple is ([bit], [gain], [gain]): keeping c of these twins
-        # is best done by deleting the count - c lowest ids: one scalar row
+        # leaves are twins: keeping c of them is best done by deleting the
+        # count - c lowest ids.  A leaf counts toward j only at degree delta:
+        # kept beside its parent at delta = 1, or with it deleted at delta = 0
+        # (capped at j = k here: _merge does not truncate beside a scalar)
         count = len(leaf_bits)
-        deleted = [a + count * gain if a >= 0 else -1 for a in deleted]
+        width = 1 + min(count, k) if delta == 0 else 1
+        deleted = _merge(deleted, [count * gain] * width, k)
         dropped = [0, *accumulate(leaf_bits)]
         folded = [None] * min(len(rows) + count, delta + 1)
         for c, row in enumerate(rows):
             for extra in range(min(count, delta - c) + 1):
                 b = extra * gain + dropped[count - extra]
-                shifted = [a + b if a >= 0 else -1 for a in row]
-                folded[c + extra] = _vmax(folded[c + extra], shifted)
+                shift = [b] * (1 + extra if delta == 1 else 1)
+                folded[c + extra] = _vmax(folded[c + extra], _merge(row, shift, k))
         rows = folded
     low = None
     for row in rows[:delta]:
@@ -186,23 +189,19 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, leaf_bits=())
 
 def _pass_vectors(skel: _Skeleton, n: int, k: int, delta: int) -> list:
     """Every vertex's ``_vertex_vectors`` triple at delta, children first;
-    from delta = 2 on, each vertex folds in its leaf children at once."""
+    each vertex folds in its leaf children at once."""
     gain = 1 << n
-    children = skel.children
-    split = skel.split if delta >= 2 else None
-    leaf = [gain]  # from delta = 2 on, a leaf kept with or without its parent
+    children, split = skel.children, skel.split
+    _, up, free = _vertex_vectors(0, [], gain, k, delta)  # shared by every leaf
     vectors = [None] * n
     for u in skel.order[:-1]:
         bit = 1 << (n - 1 - u)
-        if split is None:
-            kids, leaf_bits = children[u], ()
-        elif children[u]:
+        if children[u]:
             kids, leaf_bits = split[u]
+            kids = [vectors[v] for v in kids]
+            vectors[u] = _vertex_vectors(bit, kids, gain, k, delta, leaf_bits)
         else:
-            vectors[u] = ([bit], leaf, leaf)
-            continue
-        kids = [vectors[v] for v in kids]
-        vectors[u] = _vertex_vectors(bit, kids, gain, k, delta, leaf_bits)
+            vectors[u] = ([bit], up, free)
     return vectors
 
 

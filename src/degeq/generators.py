@@ -199,6 +199,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.kind not in CORPUS_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        for name in ("seed", "count"):
+            if type(getattr(self, name)) is not int:  # not isinstance: bool is an int
+                raise ValueError(f"{name} must be an integer")
         if self.count < 1:
             raise ValueError("count must be positive")
         CORPUS_KINDS[self.kind].require(self)

@@ -556,14 +556,14 @@ def shuffled_star_union(seed, stars, leaves):
 
 
 class TestLeafFold:
-    # from delta = 2 on, a pass folds each vertex's leaf children in closed
-    # form; the generic step merges the leaves' own triples one at a time
+    # a pass folds each vertex's leaf children in closed form; the generic
+    # step merges the leaves' own triples one at a time
     @staticmethod
     def assert_fold_is_generic(forest):
         skel = counting_skeleton(forest)
         n = forest.n
         for k in range(2, 6):
-            for delta in range(2, max(map(len, forest.adj), default=0) + 2):
+            for delta in range(max(map(len, forest.adj), default=0) + 2):
                 vectors = _pass_vectors(skel, n, k, delta)
                 for u in range(n):
                     kids = [vectors[v] for v in skel.children[u]]
@@ -584,6 +584,28 @@ class TestLeafFold:
     @pytest.mark.parametrize("seed", range(40))
     def test_shuffled_star_unions(self, seed):
         self.assert_fold_is_generic(shuffled_star_union(seed, 7, 12))
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    @pytest.mark.parametrize(
+        "forest",
+        [build_extremal_forest(6), shuffled_star_union(3, 7, 12)],
+        ids=["F6", "star-union"],
+    )
+    def test_one_step_per_non_leaf_vertex(self, monkeypatch, forest, delta):
+        # one step per non-leaf vertex, plus one for the triple that every
+        # leaf shares
+        skel = counting_skeleton(forest)
+        step, calls = forest_dp._vertex_vectors, []
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(forest_dp, "_vertex_vectors", counted)
+        _pass_vectors(skel, forest.n, 3, delta)
+        inner = sum(1 for kids in skel.children[:-1] if kids)
+        assert 0 < inner < forest.n
+        assert len(calls) == 1 + inner
 
     def test_shuffled_star_unions_match_oracle(self):
         checked = 0

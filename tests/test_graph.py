@@ -296,6 +296,14 @@ class TestCertificates:
         tampered += [
             replace(cert, x=cert.x[:i] + cert.x[i + 1 :]) for i in range(len(cert.x))
         ]
+        # a repeated or out-of-order id: len(X) would overstate the deletions
+        tampered += [
+            replace(cert, x=cert.x + (cert.x[0],)),
+            replace(cert, x=cert.x[1:] + cert.x[:1]),
+            replace(cert, witnesses=w + (w[-1],)),
+            replace(cert, witnesses=w[::-1]),
+            replace(below, x=below.x + (below.x[-1],)),
+        ]
         for bad in tampered:
             assert validate_certificate(forest, bad, 3) is False, bad
         for unknown in (forest.n, -1):

@@ -499,6 +499,28 @@ class TestCli:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("field", ["count", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_verify_non_integer_count_or_seed(self, tmp_path, field, value):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"kind": "random-forest", "n": 4, field: value}]))
+        result = self.runner.invoke(
+            main, ["verify", "--claims", "moore", "--corpus", str(corpus)]
+        )
+        assert result.exit_code == 3
+        assert result.stderr.startswith("input error: bad corpus spec: ")
+
+    @pytest.mark.parametrize("k_range", ["2,2", "3,2,3", "1,3"])
+    def test_verify_bad_k_range(self, tmp_path, k_range):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text('[{"kind": "star", "n": 3}]')
+        result = self.runner.invoke(
+            main,
+            ["verify", "--claims", "moore", "--corpus", str(corpus), "--k-range", k_range],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("usage error: bad --k-range: ")
+
     def test_bench_small(self):
         result = self.runner.invoke(main, ["bench", "--suite", "small"])
         assert result.exit_code == 0
