@@ -43,35 +43,42 @@ def gen_random_forest(
         if not 0 <= m <= n - 1:
             raise ValueError(f"a forest on {n} vertices has 0..{n - 1} edges")
         extra_starts = set(v + 1 for v in rng.sample(n - 1, n - 1 - m))
-        for v in range(1, n):
-            if v in extra_starts:
-                continue
-            edges.append((rng.randrange(v), v))
-    else:
-        if not 0.0 <= split_prob <= 1.0:
-            raise ValueError("split probability must be in [0, 1]")
-        for v in range(1, n):
-            if rng.random() < split_prob:
-                continue
-            edges.append((rng.randrange(v), v))
+    elif not 0.0 <= split_prob <= 1.0:
+        raise ValueError("split probability must be in [0, 1]")
+    for v in range(1, n):
+        if (v in extra_starts) if m is not None else rng.random() < split_prob:
+            continue
+        edges.append((rng.randrange(v), v))
     return Graph.from_edges(n, edges)
 
 
-def _ball(nbr: list[int], adj: list[list[int]], x: int, radius: int) -> int:
-    """Mask of the vertices within ``radius`` steps of x, where ``nbr[v]`` is
-    the closed-neighbourhood mask of v.  Each ring is ORed in from the one
-    before; a ring's vertices are listed only when another step follows."""
-    if radius == 0:
-        return 1 << x
-    ball, frontier = nbr[x], adj[x]
-    for step in range(1, radius):
-        grown = ball
-        for w in frontier:
-            grown |= nbr[w]
-        if step + 1 < radius:
-            frontier = [y for w in frontier for y in adj[w] if not ball >> y & 1]
-        ball = grown
-    return ball
+def _ball_keeper(n: int, wide: int):
+    """Adjacency lists and balls (``balls[r][x]``: the vertices within r steps
+    of x, r = 0..wide) of an empty graph, and ``insert(a, b)``, which adds an
+    edge and keeps every ball exact: each x at distance i < r from a gains b's
+    ball of radius r - 1 - i, and likewise with a and b swapped.  Rings are
+    taken first and radii walked from wide down, so no ball read has grown."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    balls = [[1 << x for x in range(n)] for _ in range(wide + 1)]
+    steps = [(balls[r], i, balls[r - 1 - i]) for r in range(wide, 0, -1)
+             for i in range(r)]
+
+    def insert(a: int, b: int) -> None:
+        rings_a, rings_b = [(a,), adj[a]], [(b,), adj[b]]
+        for i in range(2, wide):  # ring i: the new vertices next to ring i - 1
+            for x, rings in ((a, rings_a), (b, rings_b)):
+                near = balls[i - 1][x]
+                rings.append([y for w in rings[-1] for y in adj[w] if not near >> y & 1])
+        for row, i, far in steps:
+            gain_a, gain_b = far[b], far[a]
+            for z in rings_a[i]:
+                row[z] |= gain_a
+            for z in rings_b[i]:
+                row[z] |= gain_b
+        adj[a].append(b)
+        adj[b].append(a)
+
+    return adj, balls, insert
 
 
 def gen_random_girth5(
@@ -97,30 +104,19 @@ def gen_random_girth5(
     rng = SplitMix64(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    nbr = [1 << v for v in range(n)]
     edges: list[tuple[int, int]] = []
     cap = min_girth - 2
-    # dist(u, v) <= cap iff ball(u, wide) meets ball(v, narrow); a vertex's
-    # balls are kept until an inserted edge comes within reach (bit in stale)
+    # dist(u, v) <= cap iff ball(u, wide) meets ball(v, narrow)
     wide, narrow = (cap + 1) // 2, cap // 2
-    wide_ball, narrow_ball, stale = nbr[:], nbr[:], 0
+    _, balls, insert = _ball_keeper(n, wide)
+    wide_ball, narrow_ball = balls[wide], balls[narrow]
     for u, v in pairs:
-        if m is not None and len(edges) == m:
-            break
-        for x in (u, v):
-            if stale >> x & 1:
-                wide_ball[x] = _ball(nbr, adj, x, wide)
-                narrow_ball[x] = _ball(nbr, adj, x, narrow)
-                stale ^= 1 << x
         if wide_ball[u] & narrow_ball[v]:
             continue
-        adj[u].append(v)
-        adj[v].append(u)
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+        if len(edges) == m:
+            break
+        insert(u, v)
         edges.append((u, v))
-        stale |= _ball(nbr, adj, u, wide - 1) | _ball(nbr, adj, v, wide - 1)
     if m is not None and len(edges) < m:
         raise GirthSaturationError(m, len(edges))
     return Graph.from_edges(n, edges)
@@ -199,9 +195,13 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.kind not in CORPUS_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        for name in ("seed", "count"):
-            if type(getattr(self, name)) is not int:  # not isinstance: bool is an int
-                raise ValueError(f"{name} must be an integer")
+        named = [(k, getattr(self, k)) for k in ("seed", "count", "n", "m", "t")]
+        named += [("sizes entry", size) for size in self.sizes or ()]
+        for key, val in named:  # not isinstance: bool is an int
+            if type(val) is not int and not (val is None and key in ("n", "m", "t")):
+                raise ValueError(f"{key} must be an integer")
+        if type(self.split) not in (int, float):
+            raise ValueError("split must be a number")
         if self.count < 1:
             raise ValueError("count must be positive")
         CORPUS_KINDS[self.kind].require(self)

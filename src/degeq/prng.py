@@ -42,25 +42,25 @@ class SplitMix64:
         return (self.next_u64() >> 11) / float(1 << 53)
 
     def randrange(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection."""
+        """Uniform integer in [0, bound) by rejection of the top 2**64 % bound draws."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             draw = self.next_u64()
-            if draw < limit:
+            if draw <= _MASK - (bound - 1) or draw < (1 << 64) - (1 << 64) % bound:
                 return draw % bound
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates; each draw is ``randrange(i + 1)``, inlined."""
         state = self.state
         for i in range(len(items) - 1, 0, -1):
-            limit = z = (1 << 64) - ((1 << 64) % (i + 1))
-            while z >= limit:  # the rejection loop of randrange
+            while True:  # the rejection loop of randrange
                 state = (state + _GAMMA) & _MASK
                 z = ((state ^ (state >> 30)) * _MIX1) & _MASK
                 z = ((z ^ (z >> 27)) * _MIX2) & _MASK
                 z ^= z >> 31
+                if z <= _MASK - i or z < (1 << 64) - (1 << 64) % (i + 1):
+                    break
             j = z % (i + 1)
             items[i], items[j] = items[j], items[i]
         self.state = state

@@ -15,7 +15,7 @@ from typing import Iterable
 from degeq.bounds import lemma3_surplus
 from degeq.graph import DegreeProfile, Graph
 from degeq.oracle import DEFAULT_ORDER_LIMIT, _guard
-from degeq.prng import SplitMix64
+from degeq.prng import _MASK, _MIX1, _MIX2, SplitMix64
 
 NEG_INF = float("-inf")
 
@@ -182,6 +182,24 @@ def randrange_shuffle(rng: SplitMix64, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = rng.randrange(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+def unmix64(value: int) -> int:
+    """Inverse of ``mix64``: undo its xor-shifts and odd multiplications in
+    reverse order, so a test can pick the state behind a given draw."""
+    z = _unshift(value, 31)
+    z = (z * pow(_MIX2, -1, 1 << 64)) & _MASK
+    z = _unshift(z, 27)
+    z = (z * pow(_MIX1, -1, 1 << 64)) & _MASK
+    return _unshift(z, 30)
+
+
+def _unshift(value: int, shift: int) -> int:
+    """x from x ^ (x >> shift): each pass fixes ``shift`` more top bits."""
+    x = value
+    for _ in range(64 // shift):
+        x = value ^ (x >> shift)
+    return x
 
 
 def linear_minimal_t(predicate, start: int) -> int:

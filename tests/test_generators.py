@@ -15,9 +15,10 @@ from degeq import (
     instance_seed,
     is_forest,
 )
-from degeq.generators import _ball
+from degeq.generators import _ball_keeper
+from degeq.prng import _GAMMA, _MASK, mix64
 
-from reference import randrange_shuffle
+from reference import randrange_shuffle, unmix64
 
 
 def bfs_within_distance(adj, source, target, cap):
@@ -78,6 +79,22 @@ class TestSplitMix64:
             randrange_shuffle(ref, expected)
             assert items == expected
             assert rng.state == ref.state
+
+    @pytest.mark.parametrize("size", [3, 10, 100])
+    def test_rejected_draw_is_drawn_again(self, size):
+        # the next draw is _MASK, the top value, which every bound that is
+        # not a power of two rejects: one more draw than positions or calls
+        start = (unmix64(_MASK) - _GAMMA) & _MASK
+        assert all(unmix64(mix64(x)) == x for x in (0, 1, start, _MASK, _GAMMA))
+        rng, ref = SplitMix64(start), SplitMix64(start)
+        items, expected = list(range(size)), list(range(size))
+        rng.shuffle(items)
+        randrange_shuffle(ref, expected)
+        assert items == expected
+        assert rng.state == ref.state == (start + size * _GAMMA) & _MASK
+        rng = SplitMix64(start)
+        assert rng.randrange(size) == mix64(start + 2 * _GAMMA) % size
+        assert rng.state == (start + 2 * _GAMMA) & _MASK
 
     def test_instance_seed_spread(self):
         seeds = {instance_seed(42, i) for i in range(100)}
@@ -148,43 +165,40 @@ class TestGirth5Generator:
         g = gen_random_girth5(16, None, seed=2, min_girth=7)
         assert girth(g) >= 7
 
-    def test_ball_check_matches_breadth_first_search(self):
-        # sparse and dense graphs with short cycles, forests and girth-5
-        # graphs, at caps 0..6 (girth 2..8): the balls of radius
-        # ceil(cap/2) and floor(cap/2) meet iff dist(u, v) <= cap
-        for seed in range(24):
-            n = 4 + seed % 17
-            graphs = [
-                gen_random_girth5(n, n * (1 + seed % 3) // 2, seed=seed, min_girth=3),
-                gen_random_girth5(n, None, seed=seed),
-                gen_random_forest(n, split_prob=0.2, seed=seed),
-            ]
+    def test_inserted_edges_keep_every_ball_exact(self):
+        # sequences that close short cycles, forests and girth-5 graphs, one
+        # edge at a time at caps 0..6 (girth 2..8): after each insertion every
+        # ball of radius r is the breadth-first ball of radius r, and the
+        # balls of radius ceil(cap/2) and floor(cap/2) meet iff dist <= cap
+        for seed in range(20):
+            n = 4 + seed % 12
             rng = SplitMix64(seed)
-            for graph in graphs:
-                adj = [list(graph.adj[v]) for v in range(n)]
-                nbr = [sum(1 << w for w in adj[v]) | 1 << v for v in range(n)]
-                for _ in range(30):
-                    u, v = rng.randrange(n), rng.randrange(n)
-                    for cap in range(7):
-                        meet = _ball(nbr, adj, u, (cap + 1) // 2) & _ball(
-                            nbr, adj, v, cap // 2
-                        )
-                        assert bool(meet) == bfs_within_distance(
-                            adj, u, v, cap
-                        ), (seed, graph.edges(), u, v, cap)
-
-    def test_ball_is_the_breadth_first_ball(self):
-        for seed in range(6):
-            graph = gen_random_girth5(30, 40, seed=seed, min_girth=4)
-            adj = [list(graph.adj[v]) for v in range(graph.n)]
-            nbr = [sum(1 << w for w in adj[v]) | 1 << v for v in range(graph.n)]
-            for x in range(graph.n):
-                for radius in range(6):
-                    near = [
-                        y for y in range(graph.n)
-                        if bfs_within_distance(adj, x, y, radius)
+            dense = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            rng.shuffle(dense)
+            sequences = [
+                dense[: n * (1 + seed % 3) // 2 + 2],
+                gen_random_girth5(n, None, seed=seed).edges(),
+                gen_random_forest(n, split_prob=0.2, seed=seed).edges(),
+            ]
+            for edges in sequences:
+                keepers = [_ball_keeper(n, (cap + 1) // 2) for cap in range(7)]
+                adj = keepers[0][0]
+                for u, v in edges:
+                    for _, _, insert in keepers:
+                        insert(u, v)
+                    bfs_balls = [
+                        [
+                            sum(1 << y for y in range(n) if bfs_within_distance(adj, x, y, r))
+                            for x in range(n)
+                        ]
+                        for r in range(4)
                     ]
-                    assert _ball(nbr, adj, x, radius) == sum(1 << y for y in near)
+                    a, b = rng.randrange(n), rng.randrange(n)
+                    for cap, (own_adj, balls, _) in enumerate(keepers):
+                        assert own_adj == adj
+                        assert balls == bfs_balls[: len(balls)], (seed, edges, cap)
+                        meet = balls[(cap + 1) // 2][a] & balls[cap // 2][b]
+                        assert bool(meet) == bfs_within_distance(adj, a, b, cap)
 
 
 # sha256 of every gen_random_girth5(n, m, seed, min_girth) edge list, or its
@@ -238,6 +252,12 @@ class TestGeneratorConfig:
             ({"kind": "random-girth5", "n": 0}, "kind random-girth5 requires n >= 1"),
             ({"kind": "extremal-Ft", "t": 0}, "extremal-Ft requires t >= 1"),
             ({"kind": "star-union", "sizes": []}, "star-union requires a sizes list"),
+            ({"kind": "random-forest", "n": 4.5}, "n must be an integer"),
+            ({"kind": "random-girth5", "n": 10, "m": 2.0}, "m must be an integer"),
+            ({"kind": "extremal-Ft", "t": True}, "t must be an integer"),
+            ({"kind": "star-union", "sizes": [1.5, 2]}, "sizes entry must be an integer"),
+            ({"kind": "random-forest", "n": 10, "split": "x"}, "split must be a number"),
+            ({"kind": "random-forest", "n": 10, "split": False}, "split must be a number"),
         ],
     )
     def test_refusal_messages(self, data, message):

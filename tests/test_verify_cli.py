@@ -510,6 +510,26 @@ class TestCli:
         assert result.exit_code == 3
         assert result.stderr.startswith("input error: bad corpus spec: ")
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "random-forest", "n": 4.5},
+            {"kind": "random-forest", "n": 10, "split": "x"},
+            {"kind": "extremal-Ft", "t": True},
+            {"kind": "random-girth5", "n": 10, "m": 2.0},
+        ],
+    )
+    def test_verify_non_integer_fields(self, tmp_path, config):
+        # each used to run, record per-instance errors or the wrong instance,
+        # and print RESULT: ok
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([config]))
+        result = self.runner.invoke(
+            main, ["verify", "--claims", "moore,thm1", "--k-range", "2", "--corpus", str(corpus)]
+        )
+        assert result.exit_code == 3
+        assert result.stderr.startswith("input error: bad corpus spec: ")
+
     @pytest.mark.parametrize("k_range", ["2,2", "3,2,3", "1,3"])
     def test_verify_bad_k_range(self, tmp_path, k_range):
         corpus = tmp_path / "corpus.json"
