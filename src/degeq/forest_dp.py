@@ -271,9 +271,11 @@ def compute_fk_forest(
     subforest has at most n - bdd(delta) vertices, where bdd(delta) is the
     fewest deletions that bring the maximum degree to delta or below.  bdd
     does not decrease as delta falls, so the walk stops at the first delta
-    whose bound is below the incumbent order.  The test is strict: a delta
-    that could tie the optimum still runs its pass, since its deletion set
-    may be the lesser one.
+    whose bound is below the incumbent order.  Deleting every vertex of
+    degree above delta is one such deletion set, so bdd is computed only
+    where n minus their number is below the incumbent.  The test is strict:
+    a delta that could tie the optimum still runs its pass, since its
+    deletion set may be the lesser one.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -289,10 +291,13 @@ def compute_fk_forest(
 
     skeleton = _build_skeleton(forest, comps)
     best_val, best_x = k - 1, tuple(range(n - k + 1))
+    above = 0  # vertices of degree above delta
     for delta in range(deltas[k - 1], -1, -1):
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("forest solver deadline exceeded")
-        if n - _min_deletions(skeleton, delta) < best_val:
+        while above < n and deltas[above] > delta:
+            above += 1
+        if n - above < best_val and n - _min_deletions(skeleton, delta) < best_val:
             break  # n - bdd only falls with delta: no lower delta can win
         found = _best_deletion_set(skeleton, n, k, delta)
         if found is not None:

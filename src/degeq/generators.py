@@ -202,6 +202,8 @@ class GeneratorConfig:
                 raise ValueError(f"{key} must be an integer")
         if type(self.split) not in (int, float):
             raise ValueError("split must be a number")
+        if not 0 <= self.split <= 1:  # false for NaN too
+            raise ValueError("split must be in [0, 1]")
         if self.count < 1:
             raise ValueError("count must be positive")
         CORPUS_KINDS[self.kind].require(self)

@@ -821,6 +821,61 @@ class TestDownwardWalk:
         assert len(calls) == 2
 
 
+class TestBoundOnlyWhereItCanCut:
+    """Deleting every vertex of degree above delta brings the maximum degree
+    to delta, so bdd(delta) is at most their number, ``above``; the walk
+    asks for bdd only where n - above is below the best order so far."""
+
+    @staticmethod
+    def walk(monkeypatch, forest, k):
+        """The solver's answer, and its bdd calls and counting passes in order."""
+        events = []
+
+        def bound(skel, delta):
+            events.append(("bdd", delta))
+            return _min_deletions(skel, delta)
+
+        def counting_pass(*args):
+            found = _best_deletion_set(*args)
+            events.append(("pass", found))
+            return found
+
+        monkeypatch.setattr(forest_dp, "_min_deletions", bound)
+        monkeypatch.setattr(forest_dp, "_best_deletion_set", counting_pass)
+        return compute_fk_forest(forest, k), events
+
+    def test_extremal_forest_asks_once(self, monkeypatch):
+        # f_3(F_6) = 6 keeps at most 34 of 40 vertices; 35 are leaves, so
+        # n - above >= 35 down to delta = 1, and 0 at delta = 0
+        (value, _), events = self.walk(monkeypatch, build_extremal_forest(6), 3)
+        assert value == 6
+        assert [d for tag, d in events if tag == "bdd"] == [0]
+        assert sum(tag == "pass" for tag, _ in events) == 8
+
+    def test_star_union_asks_only_below_its_first_pass(self, monkeypatch):
+        # the pass at delta = 200 keeps 402 of 403 vertices; at delta = 200
+        # one vertex is above, at 199 two are, and bdd(199) = 2 stops the walk
+        (value, _), events = self.walk(monkeypatch, build_star_union([201, 200]), 2)
+        assert value == 1
+        assert [tag for tag, _ in events] == ["pass", "bdd"]
+        assert events[1] == ("bdd", 199)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_small_forest(self, monkeypatch, n):
+        for forest in all_forests(n):
+            deltas = degree_profile(forest).deltas
+            for k in range(2, 6):
+                (value, cert), events = self.walk(monkeypatch, forest, k)
+                bf_value, bf_cert = brute_force_fk(forest, k)
+                assert (value, cert.x) == (bf_value, bf_cert.x), k
+                best = k - 1
+                for tag, got in events:
+                    if tag == "pass" and got is not None:
+                        best = max(best, got[0])
+                    elif tag == "bdd":
+                        assert n - sum(d > got for d in deltas) < best
+
+
 class TestCertificateRooting:
     @pytest.mark.parametrize(
         "forest, k, value, builds",

@@ -16,7 +16,7 @@ from degeq import (
     is_forest,
 )
 from degeq.generators import _ball_keeper
-from degeq.prng import _GAMMA, _MASK, mix64
+from degeq.prng import _BLOCK, _GAMMA, _MASK, mix64
 
 from reference import randrange_shuffle, unmix64
 
@@ -95,6 +95,62 @@ class TestSplitMix64:
         rng = SplitMix64(start)
         assert rng.randrange(size) == mix64(start + 2 * _GAMMA) % size
         assert rng.state == (start + 2 * _GAMMA) & _MASK
+
+    @staticmethod
+    def assert_shuffle_is_reference(seed, size):
+        """Same order and same final state as one randrange per position."""
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        items, expected = list(range(size)), list(range(size))
+        rng.shuffle(items)
+        randrange_shuffle(ref, expected)
+        assert items == expected
+        assert rng.state == ref.state
+
+    @pytest.mark.parametrize(
+        "size, draw",
+        [
+            (1000, 1),  # the first draw of the only block
+            (1000, 5),
+            (1000, 500),  # mid-block
+            (2 * _BLOCK + 10, _BLOCK),  # the last draw of the first block
+            (2 * _BLOCK + 10, _BLOCK + 5),  # in the second block
+            (2 * _BLOCK + 10, 2 * _BLOCK + 8),  # the last draw of the second block
+            (_BLOCK + 5, _BLOCK + 4),  # position 1: bound 2 accepts _MASK
+        ],
+    )
+    def test_rejected_draw_anywhere(self, size, draw):
+        # the draw-th draw is _MASK: a rejection wherever its bound is not a
+        # power of two, and above the block's fast-accept threshold anywhere
+        start = (unmix64(_MASK) - draw * _GAMMA) & _MASK
+        rng = SplitMix64(start)
+        for _ in range(draw):
+            value = rng.next_u64()
+        assert value == _MASK
+        self.assert_shuffle_is_reference(start, size)
+
+    @pytest.mark.parametrize(
+        "size, draw", [(1000, 1), (1000, 500), (2 * _BLOCK + 10, _BLOCK + 5)]
+    )
+    def test_least_rejected_draw(self, size, draw):
+        # 2**64 - 2**64 % bound is the least draw its bound rejects, and a
+        # position i < 2**64 % bound later in the same block would accept it
+        bound = size - draw + 1
+        least = (1 << 64) - (1 << 64) % bound
+        assert least < _MASK - 10
+        start = (unmix64(least) - draw * _GAMMA) & _MASK
+        self.assert_shuffle_is_reference(start, size)
+
+    @pytest.mark.parametrize(
+        "size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 3 * _BLOCK + 5]
+    )
+    def test_block_edges(self, size):
+        for seed in (0, 7, 2**64 - 1):
+            self.assert_shuffle_is_reference(seed, size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 300))
+    def test_shuffle_matches_reference_on_any_seed(self, seed, size):
+        self.assert_shuffle_is_reference(seed, size)
 
     def test_instance_seed_spread(self):
         seeds = {instance_seed(42, i) for i in range(100)}
@@ -258,6 +314,8 @@ class TestGeneratorConfig:
             ({"kind": "star-union", "sizes": [1.5, 2]}, "sizes entry must be an integer"),
             ({"kind": "random-forest", "n": 10, "split": "x"}, "split must be a number"),
             ({"kind": "random-forest", "n": 10, "split": False}, "split must be a number"),
+            ({"kind": "random-forest", "n": 10, "split": 1.5}, "split must be in [0, 1]"),
+            ({"kind": "random-forest", "n": 10, "split": float("nan")}, "split must be in [0, 1]"),
         ],
     )
     def test_refusal_messages(self, data, message):

@@ -530,6 +530,17 @@ class TestCli:
         assert result.exit_code == 3
         assert result.stderr.startswith("input error: bad corpus spec: ")
 
+    @pytest.mark.parametrize("split", [1.5, -0.1, float("nan")])
+    def test_verify_split_outside_unit_interval(self, tmp_path, split):
+        # each used to record a per-instance ValueError and print RESULT: ok
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"kind": "random-forest", "n": 10, "split": split}]))
+        result = self.runner.invoke(
+            main, ["verify", "--claims", "moore,thm1", "--k-range", "2", "--corpus", str(corpus)]
+        )
+        assert result.exit_code == 3
+        assert result.stderr.startswith("input error: bad corpus spec: split must be in [0, 1]")
+
     @pytest.mark.parametrize("k_range", ["2,2", "3,2,3", "1,3"])
     def test_verify_bad_k_range(self, tmp_path, k_range):
         corpus = tmp_path / "corpus.json"
