@@ -124,8 +124,9 @@ def theorem1_hypothesis(graph: Graph, t: int) -> bool:
 
 
 def weighted_degrees(profile: DegreeProfile, k: int) -> int:
-    """sum_{i<k} i * d_i; for k = 3 this is Theorem 2's d_1 + 2 d_2."""
-    return sum(i * profile_value(profile, i) for i in range(1, k))
+    """sum_{i<k} i * d_i; for k = 3 this is Theorem 2's d_1 + 2 d_2.  Past
+    the profile every d_i is 0, so the sum stops there for any k."""
+    return sum(i * d for i, d in enumerate(profile.deltas[: k - 1], 1))
 
 
 def theorem2_hypothesis(profile: DegreeProfile, t: int) -> bool:
@@ -138,9 +139,7 @@ def corollary2_hypothesis(graph: Graph, t: int) -> bool:
 
 def lemma3_surplus(profile: DegreeProfile, k: int) -> int:
     """Top-degree surplus d_1 + ... + d_{k-1} - (k-1) d_k."""
-    return sum(profile_value(profile, i) for i in range(1, k)) - (
-        k - 1
-    ) * profile_value(profile, k)
+    return sum(profile.deltas[: k - 1]) - (k - 1) * profile_value(profile, k)
 
 
 def theorem3_hypothesis(profile: DegreeProfile, k: int, t: int) -> bool:
@@ -227,9 +226,18 @@ def corollary1_check(
 
 
 def moore_edge_bound_ok(n: int, m: int, p: int) -> bool:
-    """Exact check of m <= 2 n^((p+1)/p), valid for graphs of girth > 2p."""
+    """Exact check of m <= 2 n^((p+1)/p), valid for graphs of girth > 2p.
+
+    That is (m / 2n)^p <= n, which holds when m <= 2n.  Otherwise
+    m / 2n >= 1 + 1/(2n), whose p-th power exceeds n once p > (2n + 1) ln n,
+    so past p = (2n + 1) * n.bit_length() it fails; below that p the powers
+    are compared exactly."""
     if p < 1:
         raise ValueError("p must be positive")
+    if m <= 2 * n:
+        return True
+    if p >= (2 * n + 1) * n.bit_length():
+        return False
     return m**p <= 2**p * n ** (p + 1)
 
 

@@ -215,9 +215,12 @@ def construct(family, t, n, sizes, out_path):
 @click.option("--out", "out_dir", required=True, help="Output directory.")
 def gen(kind, n, m, seed, count, out_dir):
     """Generate seeded random instances into a directory."""
+    try:
+        config = GeneratorConfig(kind, n=n, m=m, seed=seed, count=count)
+    except ValueError as exc:
+        _fail(EXIT_INPUT, f"input error: {exc}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = GeneratorConfig(kind, n=n, m=m, seed=seed, count=count)
     for spec in expand_corpus([config]):
         try:
             graph = realize(spec)
@@ -281,9 +284,10 @@ def bounds(input_path, k, t, p, fmt):
         }
     if t is not None and graph.n >= t + 1:
         report["degree_lower_bounds_at_t"] = corollary1_check(profile, t).to_dict()
-    report["asymptotics"] = [
-        e.to_dict() for e in asymptotic_report(graph, k, p, g)
-    ]
+    try:
+        report["asymptotics"] = [e.to_dict() for e in asymptotic_report(graph, k, p, g)]
+    except OverflowError:  # cor4 and cor5 raise C(k, 2) to a float power
+        _fail(EXIT_USAGE, "usage error: --k is too large for a float C(k, 2)")
     if fmt == "json":
         click.echo(json.dumps(report, indent=2, default=str, allow_nan=False))
     else:

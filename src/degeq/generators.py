@@ -200,6 +200,8 @@ class GeneratorConfig:
         for key, val in named:  # not isinstance: bool is an int
             if type(val) is not int and not (val is None and key in ("n", "m", "t")):
                 raise ValueError(f"{key} must be an integer")
+        if any(val is not None and val < 0 for _, val in named[2:]):  # past seed, count
+            raise ValueError("n, m, t and sizes entries must be non-negative")
         if type(self.split) not in (int, float):
             raise ValueError("split must be a number")
         if not 0 <= self.split <= 1:  # false for NaN too

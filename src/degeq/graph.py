@@ -149,10 +149,11 @@ def to_edgelist(graph: Graph) -> str:
 
 def degree_profile(graph: Graph) -> DegreeProfile:
     """Degrees sorted non-increasingly, witnesses tie-broken by vertex id."""
-    order = sorted(range(graph.n), key=lambda v: (-len(graph.adj[v]), v))
+    deg = [len(a) for a in graph.adj]
+    # a reverse sort stays stable, so tied degrees keep ascending ids
+    order = sorted(range(graph.n), key=deg.__getitem__, reverse=True)
     return DegreeProfile(
-        deltas=tuple(len(graph.adj[v]) for v in order),
-        witnesses=tuple(order),
+        deltas=tuple(map(deg.__getitem__, order)), witnesses=tuple(order)
     )
 
 
@@ -186,10 +187,12 @@ def girth(graph: Graph) -> int | float:
     """Length of a shortest cycle, ``math.inf`` for forests.
 
     On the 2-core (vertices of degree <= 1 peeled), one breadth-first search
-    per start s runs its levels as bitmasks over the vertices >= s: a vertex
-    of level d with two neighbours in level d - 1 closes a cycle of length at
-    most 2d, an edge inside level d one of at most 2d + 1, and a shortest
-    cycle is found from its least vertex (Itai and Rodeh, SIAM J. Comput. 1978).
+    per start s runs its levels as bitmasks over the vertices >= s.  Scanning
+    level d, an edge inside the level closes a cycle of length at most
+    2d + 1, and a next-level vertex reached from two level-d vertices one of
+    at most 2d + 2; the scan of the level goes on after the latter, since an
+    edge inside it is shorter.  A shortest cycle is found from its least
+    vertex (Itai and Rodeh, SIAM J. Comput. 1978).
     """
     deg = [len(a) for a in graph.adj]
     peel = [v for v in range(graph.n) if deg[v] < 2]
@@ -198,28 +201,31 @@ def girth(graph: Graph) -> int | float:
             deg[w] -= 1
             if deg[w] == 1:
                 peel.append(w)
-    core = {v: i for i, v in enumerate(v for v in range(graph.n) if deg[v] > 1)}
-    masks = [sum(1 << core[w] for w in graph.adj[v] if w in core) for v in core]
+    core = [v for v in range(graph.n) if deg[v] > 1]
+    bit = [0] * graph.n  # a core vertex's bit, 0 off the core
+    for i, v in enumerate(core):
+        bit[v] = 1 << i
+    masks = [sum(map(bit.__getitem__, graph.adj[v])) for v in core]
     best: int | float = INFINITY
     for start in range(len(masks)):
-        prev, level, d, alive = 0, 1 << start, 0, -1 << start
-        while level and 2 * d < best:
+        level, d, ahead = 1 << start, 0, -1 << start  # ids >= s, no earlier level
+        while level and 2 * d + 1 < best:
             grown, found, rest = 0, INFINITY, level
             while rest:
                 low = rest & -rest
                 rest ^= low
-                around = masks[low.bit_length() - 1] & alive
-                up = around & prev
-                if up & (up - 1):
-                    found = 2 * d
-                    break
+                around = masks[low.bit_length() - 1] & ahead
                 if around & level:
                     found = 2 * d + 1
+                    break
+                if around & grown:
+                    found = 2 * d + 2
                 grown |= around
             if found < INFINITY:  # deeper levels close only longer cycles
                 best = min(best, found)
                 break
-            prev, level, d = level, grown & ~(prev | level), d + 1
+            ahead ^= level
+            level, d = grown, d + 1
     return best
 
 

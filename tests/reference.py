@@ -177,6 +177,14 @@ def bfs_girth(graph: Graph) -> int | float:
     return best
 
 
+def tuple_key_profile(graph: Graph) -> DegreeProfile:
+    """Degree profile sorted by the (-degree, id) tuple key."""
+    order = sorted(range(graph.n), key=lambda v: (-len(graph.adj[v]), v))
+    return DegreeProfile(
+        deltas=tuple(len(graph.adj[v]) for v in order), witnesses=tuple(order)
+    )
+
+
 def randrange_shuffle(rng: SplitMix64, items: list) -> None:
     """Fisher-Yates from the top with one ``randrange`` call per position."""
     for i in range(len(items) - 1, 0, -1):

@@ -27,10 +27,14 @@ from degeq import (
 from degeq.bounds import (
     corollary1_threshold_iii,
     corollary2_t,
+    lemma3_surplus,
     minimal_t,
+    profile_value,
     theorem1_hypothesis,
     theorem1_t,
     theorem2_t,
+    theorem3_t,
+    weighted_degrees,
 )
 from conftest import all_forests
 from reference import a_closed_form
@@ -137,6 +141,25 @@ def test_theorem1_is_tight_on_star_unions(t):
     assert validate_certificate(forest, cert, 2)
 
 
+class TestProfileSums:
+    def test_sums_match_plain_formulas(self):
+        for forest in all_forests(7):
+            profile = degree_profile(forest)
+            for k in range(2, 12):
+                values = [profile_value(profile, i) for i in range(1, k + 1)]
+                assert weighted_degrees(profile, k) == sum(
+                    i * d for i, d in enumerate(values[:-1], 1)
+                )
+                assert lemma3_surplus(profile, k) == sum(values[:-1]) - (k - 1) * values[-1]
+
+    def test_huge_k_sums_stop_at_the_profile(self, petersen):
+        profile = degree_profile(petersen)
+        k = 10**20
+        assert weighted_degrees(profile, k) == weighted_degrees(profile, 11) == 3 * 55
+        assert lemma3_surplus(profile, k) == 30
+        assert theorem3_t(profile, k) == (k - 1) ** 2
+
+
 class TestCorollary1:
     def test_extremal_t3_tight(self):
         forest = build_extremal_forest(3)
@@ -174,6 +197,26 @@ class TestAsymptotics:
     def test_moore_inequality_petersen(self, petersen):
         assert moore_edge_bound_ok(petersen.n, petersen.m, 2)
         assert 15**2 <= 4 * 10**3
+
+    def test_moore_matches_plain_formula(self):
+        for n in range(31):
+            for m in range(comb(n, 2) + 1):
+                for p in range(1, 41):
+                    assert moore_edge_bound_ok(n, m, p) == (m**p <= 2**p * n ** (p + 1))
+
+    def test_moore_past_the_crossover(self):
+        # m up to 4 n^2 and p past (2n + 1) * n.bit_length(), where the check
+        # stops computing powers
+        for n in range(9):
+            for m in range(4 * n * n + 1):
+                for p in range(1, (2 * n + 1) * n.bit_length() + 4):
+                    assert moore_edge_bound_ok(n, m, p) == (m**p <= 2**p * n ** (p + 1))
+
+    def test_moore_at_huge_p(self):
+        # m**p at p = 10**20 could not be computed at all
+        assert moore_edge_bound_ok(10, 20, 10**20)
+        assert not moore_edge_bound_ok(10, 21, 10**20)
+        assert not moore_edge_bound_ok(10**6, 3 * 10**6, 10**20)
 
     def test_report_entries(self, petersen):
         entries = asymptotic_report(petersen, 3, 2, girth(petersen))

@@ -278,6 +278,9 @@ def test_girth_generator_digest():
     assert digest.hexdigest() == GIRTH_DIGEST
 
 
+NEGATIVE = "n, m, t and sizes entries must be non-negative"
+
+
 class TestGeneratorConfig:
     def test_roundtrip(self):
         config = GeneratorConfig.from_dict(
@@ -316,6 +319,11 @@ class TestGeneratorConfig:
             ({"kind": "random-forest", "n": 10, "split": False}, "split must be a number"),
             ({"kind": "random-forest", "n": 10, "split": 1.5}, "split must be in [0, 1]"),
             ({"kind": "random-forest", "n": 10, "split": float("nan")}, "split must be in [0, 1]"),
+            ({"kind": "star-union", "sizes": [2, -1]}, NEGATIVE),
+            ({"kind": "random-girth5", "n": 10, "m": -1}, NEGATIVE),
+            ({"kind": "random-forest", "n": 10, "m": -1}, NEGATIVE),
+            ({"kind": "star", "n": -2}, NEGATIVE),
+            ({"kind": "extremal-Ft", "t": -1}, NEGATIVE),
         ],
     )
     def test_refusal_messages(self, data, message):

@@ -22,11 +22,11 @@ from degeq import (
     to_edgelist,
     validate_certificate,
 )
-from degeq.extremal import build_star, build_star_union
+from degeq.extremal import build_extremal_forest, build_star, build_star_union
 from degeq.graph import residual_degrees
 
-from conftest import girth_by_edge_removal
-from reference import bfs_girth, remove_vertices
+from conftest import PETERSEN_EDGES, girth_by_edge_removal
+from reference import bfs_girth, remove_vertices, tuple_key_profile
 
 
 def random_graphs(max_n=9):
@@ -40,6 +40,34 @@ def random_graphs(max_n=9):
         return Graph.from_edges(n, chosen)
 
     return build()
+
+
+def cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def hypercube(dim: int) -> Graph:
+    n = 1 << dim
+    edges = [(v, v | 1 << b) for v in range(n) for b in range(dim) if not v >> b & 1]
+    return Graph.from_edges(n, edges)
+
+
+def heawood() -> Graph:
+    """The (3, 6)-cage: C_14 with chords i -- i + 5 from every even i."""
+    ring = [(i, (i + 1) % 14) for i in range(14)]
+    return Graph.from_edges(14, ring + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def relabel(graph: Graph) -> Graph:
+    """The same graph with ids reversed, so another vertex is least."""
+    top = graph.n - 1
+    return Graph.from_edges(graph.n, [(top - u, top - v) for u, v in graph.edges()])
 
 
 class TestParse:
@@ -111,6 +139,25 @@ class TestDegreeProfile:
         prof = degree_profile(path4)
         assert prof.witnesses == (1, 2, 0, 3)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            build_star_union([3, 1, 3, 0, 2, 3]),
+            build_star_union([2] * 7),
+            build_star_union([5, 0, 0, 5, 1, 1]),
+            *(build_extremal_forest(t) for t in (1, 2, 3, 5, 8)),
+            Graph.from_edges(10, PETERSEN_EDGES),
+            *(cycle(n) for n in (3, 8, 13)),
+            hypercube(3),
+            heawood(),
+            grid(4, 5),
+            Graph.from_edges(7, []),
+        ],
+    )
+    def test_tie_order_matches_tuple_key(self, graph):
+        # star unions, F_t, regular graphs: mostly ties, broken by ascending id
+        assert degree_profile(graph) == tuple_key_profile(graph)
+
     @settings(max_examples=60)
     @given(random_graphs())
     def test_deltas_sum_to_twice_m(self, g):
@@ -161,6 +208,42 @@ class TestGirth:
             got = girth(g)
             assert got == bfs_girth(g) == girth_by_edge_removal(g), g.edges()
             assert type(got) is type(bfs_girth(g))
+
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            (cycle(4), 4),
+            (cycle(6), 6),
+            (cycle(8), 8),
+            (Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)]), 4),
+            (hypercube(3), 4),
+            (heawood(), 6),
+            (grid(4, 5), 4),
+            (relabel(heawood()), 6),
+            (relabel(grid(4, 5)), 4),
+            # from 0, the level that closes a 4-cycle (1, 2 meet at 5) holds
+            # the edge 3-4 of a triangle later in the scan
+            (Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 4)]), 3),
+            # the same one level down: a 6-cycle through 9, then a 5-cycle 7-8
+            (Graph.from_edges(10, [
+                (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (4, 8),
+                (5, 9), (6, 9), (7, 8),
+            ]), 5),
+        ],
+    )
+    def test_even_closures(self, graph, expected):
+        got = girth(graph)
+        assert got == bfs_girth(graph) == girth_by_edge_removal(graph) == expected
+        assert type(got) is int
+
+    @pytest.mark.parametrize("min_girth", [6, 8])
+    @pytest.mark.parametrize("n", [60, 90, 120])
+    def test_generator_graphs_of_girth_six_and_eight(self, n, min_girth):
+        for seed in range(2):
+            g = gen_random_girth5(n, None, seed, min_girth)
+            got = girth(g)
+            assert got >= min_girth
+            assert got == bfs_girth(g) == girth_by_edge_removal(g), (seed, got)
 
     def test_large_forest_is_infinite(self):
         assert girth(gen_random_forest(20_000, split_prob=0.05, seed=1)) == math.inf

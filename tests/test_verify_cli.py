@@ -302,10 +302,8 @@ class TestCli:
         assert result.exit_code == 3
         assert result.stderr.startswith("input error: ")
         assert list(out.glob("*.txt")) == []
-        config = GeneratorConfig.from_dict({"kind": "random-girth5", "n": 6, "m": -1})
-        report = run_verification([config], ["thm1"])
-        assert "non-negative" in report.results[0].error
-        assert report.results[0].entries == []
+        with pytest.raises(ValueError, match="non-negative"):
+            GeneratorConfig.from_dict({"kind": "random-girth5", "n": 6, "m": -1})
 
     def test_gen_writes_deterministic_files(self, tmp_path):
         args = [
@@ -446,6 +444,33 @@ class TestCli:
         assert result.exit_code == 0
         assert "forest_thresholds" in result.output
 
+    @pytest.mark.parametrize(
+        "text", ["5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n", "4 3\n0 1\n0 2\n0 3\n"]
+    )
+    def test_bounds_huge_k_and_p(self, tmp_path, text):
+        # both used to run on for minutes: a sum over range(1, k) and m**p
+        path = self.write_graph(tmp_path, text)
+        for args in (["--k", str(10**20)], ["--k", "2", "--p", str(10**20)]):
+            result = self.runner.invoke(main, ["bounds", "--input", path, *args])
+            assert result.exit_code == 0, result.output
+        result = self.runner.invoke(main, ["bounds", "--input", path, "--k", str(10**400)])
+        assert result.exit_code == 2
+        assert result.stderr == "usage error: --k is too large for a float C(k, 2)\n"
+
+    def test_verify_huge_k(self, tmp_path):
+        # the thm3 and lemma3 sums used to loop over range(1, k)
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([
+            {"kind": "random-girth5", "n": 12, "seed": 1},
+            {"kind": "random-forest", "n": 10, "seed": 2},
+        ]))
+        result = self.runner.invoke(main, [
+            "verify", "--claims", ",".join(CLAIM_TAGS), "--corpus", str(corpus),
+            "--k-range", f"2,{10**20}",
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith("RESULT: ok\n")
+
     def test_verify_cli_roundtrip(self, tmp_path):
         corpus = tmp_path / "corpus.json"
         corpus.write_text(
@@ -529,6 +554,27 @@ class TestCli:
         )
         assert result.exit_code == 3
         assert result.stderr.startswith("input error: bad corpus spec: ")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "star-union", "sizes": [-1]},
+            {"kind": "star-union", "sizes": [-3, 2]},
+            {"kind": "random-girth5", "n": 10, "m": -1},
+            {"kind": "random-forest", "n": 10, "m": -1},
+        ],
+    )
+    def test_verify_negative_fields(self, tmp_path, config):
+        # each used to record a per-instance ValueError and print RESULT: ok
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([config]))
+        result = self.runner.invoke(
+            main, ["verify", "--claims", "moore,thm1", "--k-range", "2", "--corpus", str(corpus)]
+        )
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "input error: bad corpus spec: n, m, t and sizes entries must be non-negative\n"
+        )
 
     @pytest.mark.parametrize("split", [1.5, -0.1, float("nan")])
     def test_verify_split_outside_unit_interval(self, tmp_path, split):
