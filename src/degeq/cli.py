@@ -64,6 +64,12 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
+def _seconds(ctx, param, value):
+    if value is not None and not value >= 0:  # NaN too: a NaN deadline never passes
+        _fail(EXIT_USAGE, f"usage error: --timeout must be >= 0 seconds, not {value}")
+    return value
+
+
 def _format_option(*choices: str):
     return click.option(
         "--format", "fmt", type=click.Choice(choices), default="text", show_default=True
@@ -158,7 +164,8 @@ def main():
     help="Let brute force run past its default order limit; forests need no limit.",
 )
 @click.option(
-    "--timeout", type=float, default=None, help="Seconds before the solve is refused."
+    "--timeout", type=float, callback=_seconds,
+    help="Seconds before the solve is refused.",
 )
 def compute(input_path, k, method, fmt, force, timeout):
     """Exact equalization number of a graph."""
@@ -299,7 +306,7 @@ def bounds(input_path, k, t, p, fmt):
 @click.option("--claims", required=True, help="Comma-separated claim tags.")
 @click.option("--corpus", "corpus_path", required=True, help="JSON corpus spec.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--timeout", type=float, default=None, help="Seconds per instance.")
+@click.option("--timeout", type=float, callback=_seconds, help="Seconds per instance.")
 @_format_option("text", "json", "csv")
 @click.option("--k-range", default="2,3", show_default=True)
 def verify(claims, corpus_path, jobs, timeout, fmt, k_range):

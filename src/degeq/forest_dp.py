@@ -9,14 +9,14 @@ delta deletes the fewest vertices that leave k vertices of maximum degree
 delta.  So f_k is n minus the largest such order over all delta, unless only
 the always-available escape of keeping k - 1 vertices does better.
 
-One counting pass per delta (``_best_deletion_set``) solves that problem for
-every choice of the k vertices at once, and scores each subforest so that the
-maximum also names the lexicographically least deletion set of largest order:
-the certificate comes from the pass that finds the value.  A pass folds each
-vertex's leaf children, which are twins, in one step.  The passes walk delta
-down from the k-th largest degree and stop once a bounded-degree-deletion
-lower bound (``_min_deletions``) shows that no lower delta can reach the best
-order found so far.
+One counting pass per delta (``_best_score``) solves that problem for every
+choice of the k vertices at once, on the forest rooted by one depth-first
+search, and scores each subforest so that the maximum also names the
+lexicographically least deletion set of largest order: the walk keeps the
+best score and decodes the certificate from it once.  A pass folds each
+vertex's twin leaf children in one step.  The passes walk delta down from the
+k-th largest degree until a bounded-degree-deletion lower bound
+(``_min_deletions``) shows that no lower delta can reach the best order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .certificates import RemovalCertificate, make_certificate
-from .graph import Graph, components, degree_profile
+from .graph import Graph, degree_profile
 
 
 class DeadlineExceeded(Exception):
@@ -61,24 +61,26 @@ class _Skeleton:
         return out
 
 
-def _build_skeleton(forest: Graph, comps) -> _Skeleton:
-    """Rooted structure of ``forest``, whose components are ``comps``."""
+def _build_skeleton(forest: Graph) -> _Skeleton:
+    """Rooted structure of ``forest``, found by one depth-first search: the
+    scan meets each component first at its lowest vertex."""
     n = forest.n
-    tops = [comp[0] for comp in comps]
-    child_lists: list[list[int]] = [[] for _ in range(n)] + [tops]
+    child_lists: list[list[int]] = [[] for _ in range(n + 1)]
     preorder = [n]
     seen = [False] * n
-    for a in tops:
-        seen[a] = True
-    stack = list(tops)
-    while stack:
-        u = stack.pop()
-        preorder.append(u)
-        for w in forest.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                child_lists[u].append(w)
-                stack.append(w)
+    for top in range(n):
+        if not seen[top]:
+            seen[top] = True
+            child_lists[n].append(top)
+            stack = [top]
+            while stack:
+                u = stack.pop()
+                preorder.append(u)
+                for w in forest.adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        child_lists[u].append(w)
+                        stack.append(w)
     return _Skeleton(tuple(reversed(preorder)), tuple(map(tuple, child_lists)))
 
 
@@ -205,19 +207,15 @@ def _pass_vectors(skel: _Skeleton, n: int, k: int, delta: int) -> list:
     return vectors
 
 
-def _best_deletion_set(skel: _Skeleton, n: int, k: int, delta: int):
-    """Largest induced subforest with max degree <= delta and at least k
-    vertices of degree delta, as (order, X) with X the lexicographically least
-    deletion set over all largest subforests; None if there is none.
-    """
+def _best_score(skel: _Skeleton, n: int, k: int, delta: int) -> int:
+    """Score of the largest induced subforest with max degree <= delta and at
+    least k vertices of degree delta, whose bits name the lexicographically
+    least deletion set over all largest subforests; -1 if there is none."""
     vectors = _pass_vectors(skel, n, k, delta)
     total = [0]
     for v in skel.children[n]:
         total = _merge(total, vectors[v][2], k)
-    if len(total) <= k or total[k] < 0:
-        return None
-    score = total[k]
-    return score >> n, tuple(v for v in range(n) if score >> (n - 1 - v) & 1)
+    return total[k] if len(total) > k else -1
 
 
 def _min_deletions(skel: _Skeleton, delta: int) -> int:
@@ -263,25 +261,25 @@ def compute_fk_forest(
     minimum deletion set as its certificate (that of ``brute_force_fk``).
 
     For each target degree delta from the k-th largest degree down to 0, one
-    counting pass finds the largest induced subforest with maximum degree at
+    counting pass scores the largest induced subforest with maximum degree at
     most delta and at least k vertices at exactly delta, and the least
-    deletion set that leaves it.  The first incumbent is the escape that
-    deletes 0, ..., n - k and keeps k - 1 vertices; a pass replaces it with a
-    larger order, or with the same order and a lesser deletion set.  Such a
-    subforest has at most n - bdd(delta) vertices, where bdd(delta) is the
-    fewest deletions that bring the maximum degree to delta or below.  bdd
-    does not decrease as delta falls, so the walk stops at the first delta
-    whose bound is below the incumbent order.  Deleting every vertex of
-    degree above delta is one such deletion set, so bdd is computed only
-    where n minus their number is below the incumbent.  The test is strict:
-    a delta that could tie the optimum still runs its pass, since its
-    deletion set may be the lesser one.
+    deletion set that leaves it.  The incumbent score starts at the escape,
+    which deletes 0, ..., n - k and keeps k - 1 vertices; of two scores the
+    larger has the larger order, or the same order and the lesser deletion
+    set, so the walk keeps the maximum.  Such a subforest has at most
+    n - bdd(delta) vertices, where bdd(delta) is the fewest deletions that
+    bring the maximum degree to delta or below.  bdd does not decrease as
+    delta falls, so the walk stops at the first delta whose bound is below the
+    incumbent order.  Deleting every vertex of degree above delta is one such
+    deletion set, so bdd is computed only where n minus their number is below
+    the incumbent.  The test is strict: a delta that could tie the optimum
+    still runs its pass, since its deletion set may be the lesser one.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     n = forest.n
-    comps = components(forest)
-    if forest.m != n - len(comps):
+    skeleton = _build_skeleton(forest)
+    if forest.m != n - len(skeleton.children[n]):
         raise ValueError("input graph is not a forest")
     deltas = degree_profile(forest).deltas
     if n < k or deltas[0] == deltas[k - 1]:  # k vertices share the maximum
@@ -289,24 +287,18 @@ def compute_fk_forest(
     if n == k:  # not equalized, and deleting vertex 0 leaves k - 1 vertices
         return 1, make_certificate(forest, (0,), k, "dp")
 
-    skeleton = _build_skeleton(forest, comps)
-    best_val, best_x = k - 1, tuple(range(n - k + 1))
+    best = ((k - 1) << n) + (1 << n) - (1 << (k - 1))  # the escape: delete 0..n-k
     above = 0  # vertices of degree above delta
     for delta in range(deltas[k - 1], -1, -1):
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("forest solver deadline exceeded")
         while above < n and deltas[above] > delta:
             above += 1
-        if n - above < best_val and n - _min_deletions(skeleton, delta) < best_val:
+        if n - above < best >> n and n - _min_deletions(skeleton, delta) < best >> n:
             break  # n - bdd only falls with delta: no lower delta can win
-        found = _best_deletion_set(skeleton, n, k, delta)
-        if found is not None:
-            val, x = found
-            if val > best_val or (val == best_val and x < best_x):
-                best_val, best_x = val, x
+        best = max(best, _best_score(skeleton, n, k, delta))
 
-    if len(best_x) != n - best_val:
-        raise AssertionError(
-            f"deletion set of {len(best_x)} vertices keeps {best_val} of {n}"
-        )
-    return len(best_x), make_certificate(forest, best_x, k, "dp")
+    x = tuple(v for v in range(n) if best >> (n - 1 - v) & 1)
+    if len(x) != n - (best >> n):
+        raise AssertionError(f"{len(x)} deletions keep {best >> n} of {n} vertices")
+    return len(x), make_certificate(forest, x, k, "dp")

@@ -127,6 +127,15 @@ def brute_force_subforest_all(
     return subforest_sweep(forest, k, limit)[0]
 
 
+def decode_score(score: int, n: int) -> tuple[int, tuple[int, ...]] | None:
+    """An n-vertex counting pass's score as (order, X): the kept order and
+    the deletion set its low n bits name, highest bit vertex 0; None for the
+    infeasible -1."""
+    if score < 0:
+        return None
+    return score >> n, tuple(v for v in range(n) if score >> (n - 1 - v) & 1)
+
+
 # ---------------------------------------------------------------------------
 # Closed forms and hypotheses
 

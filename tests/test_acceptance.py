@@ -29,8 +29,7 @@ from degeq import (
     validate_certificate,
 )
 from degeq.bench import run_suite
-from degeq.forest_dp import _best_deletion_set, _build_skeleton
-from degeq.graph import components
+from degeq.forest_dp import _best_score, _build_skeleton
 from degeq.bounds import (
     corollary2_hypothesis,
     minimal_t,
@@ -41,7 +40,7 @@ from degeq.bounds import (
 from degeq.prng import instance_seed
 
 from conftest import all_forests
-from reference import lemma3_hypothesis, subforest_sweep
+from reference import decode_score, lemma3_hypothesis, subforest_sweep
 
 
 def _report(criterion: str, failures: list[str]) -> None:
@@ -100,14 +99,14 @@ def test_criterion_2_dp_recursion_validation():
     passes_checked = 0
     for i, forest in _seeded_forests(200, 4, 12, base_seed=202):
         n = forest.n
-        skeleton = _build_skeleton(forest, components(forest))
+        skeleton = _build_skeleton(forest)
         for k in (2, 3):
             table, least = subforest_sweep(forest, k)
             for delta in range(max(map(len, forest.adj), default=0) + 1):
                 # the best order over every S, and the least X of that order
                 orders = [order for (_, d), order in table.items() if d == delta]
                 expected = (max(orders), least[delta][1]) if orders else None
-                actual = _best_deletion_set(skeleton, n, k, delta)
+                actual = decode_score(_best_score(skeleton, n, k, delta), n)
                 passes_checked += 1
                 if actual != expected:
                     failures.append(

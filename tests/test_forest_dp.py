@@ -30,7 +30,7 @@ from degeq import forest_dp
 from degeq.certificates import make_certificate
 from degeq.forest_dp import (
     DeadlineExceeded,
-    _best_deletion_set,
+    _best_score,
     _build_skeleton,
     _min_deletions,
     _pass_vectors,
@@ -39,7 +39,12 @@ from degeq.forest_dp import (
 )
 from degeq.graph import components, degree_profile, parse_graph
 from degeq.prng import SplitMix64, instance_seed
-from reference import brute_force_subforest, remove_vertices, subforest_sweep
+from reference import (
+    brute_force_subforest,
+    decode_score,
+    remove_vertices,
+    subforest_sweep,
+)
 
 
 def at(vec, j, n):
@@ -113,6 +118,21 @@ class TestComputeFkForest:
     def test_rejects_non_forest(self, cycle5):
         with pytest.raises(ValueError):
             compute_fk_forest(cycle5, 2)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph.from_edges(6, [(0, 1), (3, 4), (4, 5), (3, 5)]),  # K_2 + C_3
+            Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+        ],
+        ids=["K2+C3", "P3+C4"],
+    )
+    def test_rejects_cycle_in_a_later_component(self, graph):
+        # the component count comes from the rooting search, which meets the
+        # cycle only after a tree component
+        for k in (2, 3):
+            with pytest.raises(ValueError, match="input graph is not a forest"):
+                compute_fk_forest(graph, k)
 
     def test_rejects_small_k(self, path4):
         with pytest.raises(ValueError):
@@ -204,13 +224,14 @@ class TestComputeFkForest:
         assert [x for x in combinations(range(6), 1)
                 if check_fk_condition(forest, x, 2)] == [(0,), (1,), (2,)]
         passes = []
-        counting_pass = forest_dp._best_deletion_set
+        counting_pass = forest_dp._best_score
 
         def spy(skeleton, n, k, delta):
-            passes.append((delta, counting_pass(skeleton, n, k, delta)))
-            return passes[-1][1]
+            score = counting_pass(skeleton, n, k, delta)
+            passes.append((delta, decode_score(score, n)))
+            return score
 
-        monkeypatch.setattr(forest_dp, "_best_deletion_set", spy)
+        monkeypatch.setattr(forest_dp, "_best_score", spy)
         value, cert = compute_fk_forest(forest, 2)
         assert passes == [(2, (5, (1,))), (1, (5, (0,)))]
         assert (value, cert.x) == (1, (0,))
@@ -300,7 +321,12 @@ def test_public_names_resolve():
 
 
 def counting_skeleton(forest):
-    return _build_skeleton(forest, components(forest))
+    return _build_skeleton(forest)
+
+
+def pass_pair(skel, n, k, delta):
+    """One counting pass read as (order, X), or None when infeasible."""
+    return decode_score(_best_score(skel, n, k, delta), n)
 
 
 def exhaustive_min_deletions(forest):
@@ -329,7 +355,7 @@ def reference_fk_forest(forest, k):
     skel = counting_skeleton(forest)
     best = tuple(range(n - k + 1))  # keep k - 1 vertices
     for delta in range(deltas[k - 1] + 1):
-        found = _best_deletion_set(skel, n, k, delta)
+        found = pass_pair(skel, n, k, delta)
         if found is not None and (len(found[1]), found[1]) < (len(best), best):
             best = found[1]
     return len(best), make_certificate(forest, best, k, "dp")
@@ -436,7 +462,7 @@ class TestCombine:
         star = build_star(3)
         _, _, free = _pass_vectors(counting_skeleton(star), 3, 2, 1)[0]
         assert free[2] == 2 * 8 + (1 << (3 - 1 - 1))
-        assert _best_deletion_set(counting_skeleton(star), 3, 2, 1) == (2, (1,))
+        assert pass_pair(counting_skeleton(star), 3, 2, 1) == (2, (1,))
 
     def test_must_keep_child_sorts_first(self):
         # K_1,4 at delta = 1: deleting the centre keeps four vertices, but
@@ -446,8 +472,8 @@ class TestCombine:
         _, _, free = _pass_vectors(skel, 5, 2, 1)[0]
         assert at(free, 0, 5) == 4
         assert at(free, 2, 5) == 2
-        assert _best_deletion_set(skel, 5, 0, 1) == (4, (0,))
-        assert _best_deletion_set(skel, 5, 2, 1) == (2, (1, 2, 3))
+        assert pass_pair(skel, 5, 0, 1) == (4, (0,))
+        assert pass_pair(skel, 5, 2, 1) == (2, (1, 2, 3))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -465,8 +491,8 @@ class TestCombine:
             rng.shuffle(kids)
         shuffled = replace(skel, children=tuple(map(tuple, children)))
         for delta in range(max(map(len, forest.adj), default=0) + 1):
-            expected = _best_deletion_set(skel, forest.n, k, delta)
-            assert _best_deletion_set(shuffled, forest.n, k, delta) == expected
+            expected = pass_pair(skel, forest.n, k, delta)
+            assert pass_pair(shuffled, forest.n, k, delta) == expected
 
 
 def rooted_skeleton(forest, roots):
@@ -624,7 +650,7 @@ class TestMaxSubforestOrder:
 
     @staticmethod
     def best(forest, k, delta):
-        return _best_deletion_set(counting_skeleton(forest), forest.n, k, delta)
+        return pass_pair(counting_skeleton(forest), forest.n, k, delta)
 
     def test_star_two_leaf_specials(self):
         assert self.best(build_star(4), 2, 0) == (3, (0,))
@@ -663,7 +689,7 @@ class TestMaxSubforestOrder:
             for k in (1, 2, 3):
                 for delta in range(max(map(len, tree.adj), default=0) + 1):
                     values = {
-                        _best_deletion_set(rooted_skeleton(tree, (r,)), 7, k, delta)
+                        pass_pair(rooted_skeleton(tree, (r,)), 7, k, delta)
                         for r in range(7)
                     }
                     assert values == {self.best(tree, k, delta)}
@@ -674,7 +700,7 @@ class TestMaxSubforestOrder:
         for k in (2, 3):
             for delta in range(max(map(len, forest.adj), default=0) + 1):
                 values = {
-                    _best_deletion_set(rooted_skeleton(forest, roots), forest.n, k, delta)
+                    pass_pair(rooted_skeleton(forest, roots), forest.n, k, delta)
                     for roots in product(*comps)
                 }
                 assert values == {self.best(forest, k, delta)}
@@ -715,7 +741,7 @@ class TestMaxSubforestOrder:
         def refuse(*args):
             raise AssertionError("a counting pass ran with n <= k")
 
-        monkeypatch.setattr(forest_dp, "_best_deletion_set", refuse)
+        monkeypatch.setattr(forest_dp, "_best_score", refuse)
         assert compute_fk_forest(path4, 4)[0] == 1
         assert compute_fk_forest(path4, 5)[0] == 0
         assert compute_fk_forest(Graph.from_edges(4, []), 4)[0] == 0
@@ -726,8 +752,8 @@ class TestRootedView:
         # hanging P_4 from vertex 1, which the optimum keeps at degree delta
         skel = rooted_skeleton(path4, (1,))
         assert skel.children[path4.n] == (1,)
-        found = _best_deletion_set(skel, 4, 2, 1)
-        assert found == _best_deletion_set(counting_skeleton(path4), 4, 2, 1)
+        found = pass_pair(skel, 4, 2, 1)
+        assert found == pass_pair(counting_skeleton(path4), 4, 2, 1)
         assert found == subforest_sweep(path4, 2)[1][1] == (3, (1,))
 
     def test_virtual_root_for_disconnected(self):
@@ -755,7 +781,7 @@ class TestRootedView:
             for j, b in enumerate(roots[1])
             if i + j == 2 and a >= 0 and b >= 0
         )
-        order, x = _best_deletion_set(skel, n, 2, 1)
+        order, x = pass_pair(skel, n, 2, 1)
         assert score == (order << n) + sum(1 << (n - 1 - v) for v in x)
         assert order == max(
             brute_force_subforest(forest, s, 1) for s in combinations(range(n), 2)
@@ -800,9 +826,9 @@ class TestDownwardWalk:
 
         def counted(*args):
             calls.append(args[3])
-            return _best_deletion_set(*args)
+            return _best_score(*args)
 
-        monkeypatch.setattr(forest_dp, "_best_deletion_set", counted)
+        monkeypatch.setattr(forest_dp, "_best_score", counted)
         value, cert = compute_fk_forest(build_star_union([201, 200]), 2)
         assert value == 1
         assert calls == [200]
@@ -835,13 +861,13 @@ class TestBoundOnlyWhereItCanCut:
             events.append(("bdd", delta))
             return _min_deletions(skel, delta)
 
-        def counting_pass(*args):
-            found = _best_deletion_set(*args)
-            events.append(("pass", found))
-            return found
+        def counting_pass(skel, n, k, delta):
+            score = _best_score(skel, n, k, delta)
+            events.append(("pass", decode_score(score, n)))
+            return score
 
         monkeypatch.setattr(forest_dp, "_min_deletions", bound)
-        monkeypatch.setattr(forest_dp, "_best_deletion_set", counting_pass)
+        monkeypatch.setattr(forest_dp, "_best_score", counting_pass)
         return compute_fk_forest(forest, k), events
 
     def test_extremal_forest_asks_once(self, monkeypatch):
@@ -899,3 +925,23 @@ class TestCertificateRooting:
         got, _ = compute_fk_forest(forest, k)
         assert got == value
         assert len(calls) == builds
+
+    def test_one_search_roots_and_checks_the_forest(self, monkeypatch):
+        # the rooting search also counts the components for the forest
+        # check, so no component search runs beside it
+        calls = []
+        build = forest_dp._build_skeleton
+
+        def counted_build(*args):
+            calls.append("skeleton")
+            return build(*args)
+
+        def counted_components(graph):
+            calls.append("components")
+            return components(graph)
+
+        monkeypatch.setattr(forest_dp, "_build_skeleton", counted_build)
+        monkeypatch.setattr(forest_dp, "components", counted_components, raising=False)
+        value, _ = compute_fk_forest(build_star_union([4, 2, 2]), 3)
+        assert value == 2
+        assert calls == ["skeleton"]

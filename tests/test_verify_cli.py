@@ -4,10 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degeq
 from degeq import (
@@ -248,6 +251,68 @@ class TestCli:
         assert result.stdout == ""
         assert result.stderr.count("\n") == 1
         assert "deadline exceeded" in result.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_compute_refuses_nan_or_negative_timeout(self, tmp_path, monkeypatch, value):
+        # a NaN deadline never passed (time.monotonic() > nan is false), so
+        # the solve ran unbounded; both are refused before any solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("compute solved with a refused --timeout")
+
+        monkeypatch.setattr(degeq.cli, "compute_fk_forest", refuse)
+        path = self.write_graph(tmp_path, to_edgelist(degeq.build_extremal_forest(18)))
+        result = self.runner.invoke(
+            main, ["compute", "--input", path, "--k", "3", "--timeout", value]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"usage error: --timeout must be >= 0 seconds, not {float(value)}\n"
+        )
+
+    def test_compute_keeps_zero_and_infinite_timeout(self, tmp_path):
+        path = self.write_graph(tmp_path, to_edgelist(degeq.build_extremal_forest(6)))
+        args = ["compute", "--input", path, "--k", "3", "--timeout"]
+        result = self.runner.invoke(main, [*args, "inf"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith("f_3 = 6 ")
+        result = self.runner.invoke(main, [*args, "0"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("refused: forest solver deadline exceeded")
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_verify_refuses_nan_or_negative_timeout(self, tmp_path, monkeypatch, value):
+        # -1 turned every exact claim into a timeout skip and still printed
+        # RESULT: ok with exit 0; NaN ran with no deadline at all
+        import degeq.verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify ran with a refused --timeout")
+
+        monkeypatch.setattr(degeq.verify, "run_verification", refuse)
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"kind": "random-forest", "n": 9, "seed": 1}]))
+        result = self.runner.invoke(main, [
+            "verify", "--claims", "oracle-equiv", "--corpus", str(corpus),
+            "--timeout", value,
+        ])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"usage error: --timeout must be >= 0 seconds, not {float(value)}\n"
+        )
+
+    @pytest.mark.parametrize("value, status", [("0", "skip"), ("inf", "pass")])
+    def test_verify_keeps_zero_and_infinite_timeout(self, tmp_path, value, status):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"kind": "random-forest", "n": 9, "seed": 1}]))
+        result = self.runner.invoke(main, [
+            "verify", "--claims", "oracle-equiv", "--corpus", str(corpus),
+            "--timeout", value, "--format", "json",
+        ])
+        assert result.exit_code == 0, result.output
+        entries = json.loads(result.stdout)["results"][0]["entries"]
+        assert {entry["status"] for entry in entries} == {status}
 
     def test_dp_has_no_order_limit(self, tmp_path):
         # forests of any order go to the tree program; F_12 has 206 vertices
@@ -612,6 +677,100 @@ class TestCli:
         payload = json.loads(result.output)
         assert payload["X"] == [2, 3, 4]
         assert payload["valid"] is True
+
+
+# Corpus fields for the boundary fuzz.  A line is either in range, so that
+# the run does real work, or has each field drawn from the odd values every
+# field may meet: negatives, bool, float, NaN, str, list and null.  The
+# integers stay small (n <= 12, t <= 6, at most 4 sizes of at most 8 leaves,
+# count <= 3), so no draw builds a graph in proportion to a huge value.
+ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(min_value=-3, max_value=12),
+    st.just(float("nan")),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=-2, max_value=3), max_size=2),
+    st.none(),
+)
+KINDS = st.sampled_from(sorted(CORPUS_KINDS))
+SEEDS = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+def small_or_odd(low, high):
+    return st.one_of(st.integers(min_value=low, max_value=high), ODD_VALUES)
+
+
+def corpus_line(kind, n, m, t, sizes, seed, count, split, required=()):
+    """A one-line corpus; the fields not ``required`` may be missing."""
+    fields = {"n": n, "m": m, "t": t, "sizes": sizes, "seed": seed, "count": count,
+              "split": split}
+    fixed = {"kind": kind, **{key: fields.pop(key) for key in required}}
+    return st.lists(st.fixed_dictionaries(fixed, optional=fields), min_size=1, max_size=1)
+
+
+IN_RANGE_CORPUS = corpus_line(
+    KINDS,
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=4),
+    SEEDS,
+    st.integers(min_value=1, max_value=3),
+    st.floats(min_value=0, max_value=1),
+    required=("n", "t", "sizes"),
+)
+ODD_CORPUS = corpus_line(
+    st.one_of(KINDS, ODD_VALUES),
+    small_or_odd(-2, 12),
+    small_or_odd(-2, 30),
+    small_or_odd(-2, 6),
+    st.one_of(st.lists(small_or_odd(-2, 8), max_size=4), ODD_VALUES),
+    st.one_of(SEEDS, ODD_VALUES),
+    small_or_odd(-1, 3),
+    st.one_of(st.floats(min_value=-0.5, max_value=1.5), ODD_VALUES),
+)
+K_RANGES = st.one_of(
+    st.sampled_from(["2", "2,3", "3,2", "4", "2,99999999999999999999"]),
+    st.sampled_from(["1,3", "2,2", "0", "", "x", "2,,3", "2.5"]),
+    st.text(alphabet="0123456789,-. ", max_size=6),
+)
+TIMEOUTS = st.one_of(
+    st.none(),
+    st.sampled_from(["0", "inf", "1e999", "30"]),
+    st.sampled_from(["-inf", "nan", "-1", "abc", ""]),
+    st.floats(allow_nan=True).map(repr),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus=st.one_of(
+        IN_RANGE_CORPUS,
+        IN_RANGE_CORPUS.map(lambda lines: {"configs": lines}),
+        ODD_CORPUS,
+        ODD_VALUES,
+    ),
+    claims=st.lists(st.sampled_from(CLAIM_TAGS), min_size=1, max_size=4, unique=True),
+    k_range=K_RANGES,
+    timeout=TIMEOUTS,
+)
+def test_verify_boundary_fuzz(tmp_path_factory, corpus, claims, k_range, timeout):
+    # every drawn input ends in a result or a typed refusal, quickly
+    path = tmp_path_factory.mktemp("fuzz") / "corpus.json"
+    path.write_text(json.dumps(corpus), encoding="utf-8")
+    args = ["verify", "--claims", ",".join(claims), "--corpus", str(path)]
+    args += ["--k-range", k_range]
+    if timeout is not None:
+        args += ["--timeout", timeout]
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, args)
+    elapsed = time.perf_counter() - start
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, corpus, result.exception,
+    )
+    assert result.exit_code in (0, 1, 2, 3), (args, corpus, result.output)
+    assert "Traceback" not in result.output
+    assert elapsed < 1.0, (args, corpus, elapsed)
 
 
 def test_package_has_no_assert_statement():
