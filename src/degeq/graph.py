@@ -180,6 +180,8 @@ def components(graph: Graph) -> list[list[int]]:
 
 
 def is_forest(graph: Graph) -> bool:
+    if graph.m >= graph.n >= 1:  # a forest on n >= 1 vertices has <= n - 1 edges
+        return False
     return graph.m == graph.n - len(components(graph))
 
 

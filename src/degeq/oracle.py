@@ -56,6 +56,13 @@ def brute_force_fk(
     fewer than k vertices never reach the search: their first set succeeds
     by the order-below-k escape.
 
+    Last pick: with r = 1 and fewer than k live vertices at the top degree
+    d (always, by iterative deepening), only the least of them, u, and its
+    neighbours are tried, in increasing order.  Degrees only fall, so any
+    other pick leaves u and the maximum at d with fewer than k vertices
+    there: that leaf fails, and the first success is unchanged.  The prune
+    stays sound: its maximum counts only tried candidates.
+
     The deadline is checked every 4096 search nodes; pruned subtrees have no
     leaves, so counting leaves could leave it unchecked for long.
     """
@@ -91,7 +98,15 @@ def brute_force_fk(
         high = max(deg[:start], default=-1)
         if hopeless(high, r):
             return False
-        for v in range(start, n - r + 1):
+        candidates = range(start, n - r + 1)
+        if r == 1:
+            d = top
+            while not hist[d]:
+                d -= 1
+            if hist[d] < k:  # the last pick must be u or a neighbour of u
+                u = deg.index(d)
+                candidates = sorted(w for w in (u, *adj[u]) if w >= start)
+        for v in candidates:
             nodes += 1
             if deadline is not None and not nodes % 4096:
                 if time.monotonic() > deadline:

@@ -22,6 +22,7 @@ from degeq import (
     to_edgelist,
     validate_certificate,
 )
+from degeq import graph as graph_module
 from degeq.extremal import build_extremal_forest, build_star, build_star_union
 from degeq.graph import residual_degrees
 
@@ -273,6 +274,25 @@ class TestComponentsForest:
     def test_forest_iff_infinite_girth(self, g):
         assert is_forest(g) == (girth(g) == math.inf)
         assert g.m == g.n - len(components(g)) or not is_forest(g)
+
+    @settings(max_examples=60)
+    @given(st.one_of(
+        random_graphs(),
+        st.builds(gen_random_forest, st.integers(min_value=1, max_value=30),
+                  split_prob=st.floats(min_value=0, max_value=1),
+                  seed=st.integers(min_value=0, max_value=2**32)),
+        st.sampled_from([Graph.from_edges(0, []), Graph.from_edges(1, [])]),
+    ))
+    def test_forest_iff_edges_match_components(self, g):
+        assert is_forest(g) == (g.m == g.n - len(components(g)))
+
+    def test_n_or_more_edges_answer_without_components(self, cycle5, monkeypatch):
+        def unexpected(graph):
+            raise AssertionError("components ran")
+
+        monkeypatch.setattr(graph_module, "components", unexpected)
+        assert not is_forest(cycle5)
+        assert not is_forest(heawood())
 
 
 class TestRemoveVertices:

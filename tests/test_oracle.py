@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -57,6 +58,11 @@ def _hubbed_girth5(n, seed):
     return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+def _reversed_labels(graph):
+    n = graph.n
+    return Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in graph.edges()])
+
+
 FAMILIES = {
     "gnp": _gnp,
     "forest": lambda n, seed: gen_random_forest(n, split_prob=0.3, seed=seed),
@@ -80,10 +86,9 @@ def test_search_matches_reference(family):
 
 def test_deadline_passing_mid_search_raises(monkeypatch):
     # F_5 with reversed labels keeps the prune weak: the k = 4 search visits
-    # about 7,400 nodes, past the first periodic check at 4,096.
-    forest = build_extremal_forest(5)
-    n = forest.n
-    graph = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in forest.edges()])
+    # about 7,300 nodes, past the first periodic check at 4,096.
+    graph = _reversed_labels(build_extremal_forest(5))
+    n = graph.n
     calls = []
 
     def clock():
@@ -94,6 +99,25 @@ def test_deadline_passing_mid_search_raises(monkeypatch):
     with pytest.raises(DeadlineExceeded):
         brute_force_fk(graph, 4, limit=n, deadline=1.0)
     assert len(calls) == 2
+
+
+# sha256 of repr((value, X, witnesses)) from brute_force_fk(g, k, limit=g.n),
+# one per line: 99 hubbed girth-5 graphs with n = 14..24 at k = 2..4, then
+# F_4 and F_5 with reversed labels at k = 3, 4.  These orders are past
+# _reference_fk's reach; the digest pins the search's certificates there.
+ORACLE_DIGEST = "cdbee1b8c1d3dd215a298b0f5d76b9a55330691cadc8749a9d8c580206168615"
+
+
+def test_oracle_certificate_digest():
+    graphs = [(_hubbed_girth5(14 + seed % 11, instance_seed(2300, seed)), (2, 3, 4))
+              for seed in range(99)]
+    graphs += [(_reversed_labels(build_extremal_forest(t)), (3, 4)) for t in (4, 5)]
+    digest = hashlib.sha256()
+    for graph, ks in graphs:
+        for k in ks:
+            value, cert = brute_force_fk(graph, k, limit=graph.n)
+            digest.update(repr((value, cert.x, cert.witnesses)).encode() + b"\n")
+    assert digest.hexdigest() == ORACLE_DIGEST
 
 
 def test_star_union_fixture():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import degeq
 from degeq import (
     GeneratorConfig,
+    Graph,
     parse_graph,
     run_verification,
     to_edgelist,
@@ -762,15 +763,98 @@ def test_verify_boundary_fuzz(tmp_path_factory, corpus, claims, k_range, timeout
     args += ["--k-range", k_range]
     if timeout is not None:
         args += ["--timeout", timeout]
+    invoke_to_typed_end(args, corpus)
+
+
+def invoke_to_typed_end(args, given_input):
+    """Run one command in process: it ends in a result or a typed refusal,
+    with no traceback, within a second."""
     start = time.perf_counter()
     result = CliRunner().invoke(main, args)
     elapsed = time.perf_counter() - start
     assert result.exception is None or isinstance(result.exception, SystemExit), (
-        args, corpus, result.exception,
+        args, given_input, result.exception,
     )
-    assert result.exit_code in (0, 1, 2, 3), (args, corpus, result.output)
+    assert result.exit_code in (0, 1, 2, 3), (args, given_input, result.output)
     assert "Traceback" not in result.output
-    assert elapsed < 1.0, (args, corpus, elapsed)
+    assert elapsed < 1.0, (args, given_input, elapsed)
+
+
+# Graph files for the compute/brute fuzz: valid edge lists (n <= 14), fixed
+# malformed ones, and drawn ones with a header n <= 20 and a few edge lines
+# of small or odd tokens.  No header n is drawn larger: parse_graph allocates
+# in proportion to it.
+@st.composite
+def valid_graph_text(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return to_edgelist(Graph.from_edges(n, chosen))
+
+
+TOKENS = st.one_of(
+    st.integers(min_value=-1, max_value=22).map(str),
+    st.sampled_from(["", "x", "1.0", "+1", "٣", "１", "2 ", " 2", "0x1", "99999999999999999999"]),
+)
+DRAWN_LINES = st.lists(
+    st.tuples(TOKENS, TOKENS).map(" ".join) | st.sampled_from(["# note", "", "0 1 2"]),
+    max_size=8,
+)
+DRAWN_GRAPH_TEXT = st.builds(
+    lambda n, m, lines: "\n".join([f"{n} {m}", *lines]) + "\n",
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=8),
+    DRAWN_LINES,
+)
+MALFORMED_GRAPH_TEXT = st.sampled_from([
+    "",                        # empty file
+    "\n# only a comment\n",
+    "3\n",                     # bad header
+    "3 1 1\n0 1\n",
+    "-3 0\n",
+    "n m\n",
+    "3 1\n3 4\n",              # u >= n
+    "3 1\n0 3\n",              # v >= n
+    "3 1\n2 1\n",              # u > v
+    "3 2\n0 1\n0 1\n",         # duplicate edge
+    "3 1\n1 1\n",              # self-loop
+    "3 1\n0 1\n1 2\n",         # extra lines
+    "3 1\n٠ ١\n",              # non-ASCII digits
+    "٣ ٠\n",
+    "3 2\n0 1\n",              # too few edges
+    "3 1\r\n0 1\r\n",
+])
+GRAPH_FILES = st.one_of(
+    valid_graph_text().map(str.encode),
+    DRAWN_GRAPH_TEXT.map(str.encode),
+    MALFORMED_GRAPH_TEXT.map(str.encode),
+    st.just(b"\xff\xfe3 0\n"),      # not UTF-8
+)
+K_VALUES = st.sampled_from(["2", "3", "4", str(10**20), "1", "-1", "x"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=GRAPH_FILES,
+    k=K_VALUES,
+    command=st.one_of(
+        st.tuples(st.just("compute"), st.sampled_from(["dp", "brute", "auto"]), TIMEOUTS),
+        st.tuples(st.just("brute"), st.sampled_from([None, "0", "-1", str(10**20)])),
+    ),
+)
+def test_compute_and_brute_boundary_fuzz(tmp_path_factory, data, k, command):
+    # every drawn graph file and option ends in a result or a typed refusal
+    path = tmp_path_factory.mktemp("fuzz") / "graph.txt"
+    path.write_bytes(data)
+    args = [command[0], "--input", str(path), "--k", k]
+    if command[0] == "compute":
+        _, method, timeout = command
+        args += ["--method", method]
+        if timeout is not None:
+            args += ["--timeout", timeout]
+    elif command[1] is not None:
+        args += ["--limit", command[1]]
+    invoke_to_typed_end(args, data)
 
 
 def test_package_has_no_assert_statement():
