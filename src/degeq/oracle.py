@@ -56,12 +56,14 @@ def brute_force_fk(
     fewer than k vertices never reach the search: their first set succeeds
     by the order-below-k escape.
 
-    Last pick: with r = 1 and fewer than k live vertices at the top degree
-    d (always, by iterative deepening), only the least of them, u, and its
-    neighbours are tried, in increasing order.  Degrees only fall, so any
-    other pick leaves u and the maximum at d with fewer than k vertices
-    there: that leaf fails, and the first success is unchanged.  The prune
-    stays sound: its maximum counts only tried candidates.
+    Last pick: with r = 1, fewer than k live vertices hold the top degree d,
+    since otherwise the picks so far would be a smaller success, found by
+    the exact search of the size below (or the check before size 1).  Only
+    the least of them, u, and its neighbours are tried, in increasing order.
+    Degrees only fall, so any other pick leaves u and the maximum at d with
+    fewer than k vertices there: that leaf fails, and the first success is
+    unchanged.  The prune stays sound: its maximum counts only tried
+    candidates.
 
     The deadline is checked every 4096 search nodes; pruned subtrees have no
     leaves, so counting leaves could leave it unchecked for long.
@@ -81,11 +83,14 @@ def brute_force_fk(
     picked: list[int] = []
     nodes = 0
 
-    def equalized() -> bool:
+    def top_degree() -> int:
         d = top
         while not hist[d]:
             d -= 1
-        return hist[d] >= k
+        return d
+
+    def equalized() -> bool:
+        return hist[top_degree()] >= k
 
     def hopeless(high: int, r: int) -> bool:
         # fewer than k live vertices have degree at least high - r
@@ -99,13 +104,9 @@ def brute_force_fk(
         if hopeless(high, r):
             return False
         candidates = range(start, n - r + 1)
-        if r == 1:
-            d = top
-            while not hist[d]:
-                d -= 1
-            if hist[d] < k:  # the last pick must be u or a neighbour of u
-                u = deg.index(d)
-                candidates = sorted(w for w in (u, *adj[u]) if w >= start)
+        if r == 1:  # the last pick must be u or a neighbour of u
+            u = deg.index(top_degree())
+            candidates = sorted(w for w in (u, *adj[u]) if w >= start)
         for v in candidates:
             nodes += 1
             if deadline is not None and not nodes % 4096:
