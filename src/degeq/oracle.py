@@ -56,14 +56,12 @@ def brute_force_fk(
     fewer than k vertices never reach the search: their first set succeeds
     by the order-below-k escape.
 
-    Last pick: with r = 1, fewer than k live vertices hold the top degree d,
-    since otherwise the picks so far would be a smaller success, found by
-    the exact search of the size below (or the check before size 1).  Only
-    the least of them, u, and its neighbours are tried, in increasing order.
-    Degrees only fall, so any other pick leaves u and the maximum at d with
-    fewer than k vertices there: that leaf fails, and the first success is
-    unchanged.  The prune stays sound: its maximum counts only tried
-    candidates.
+    Last pick: with r = 1, fewer than k live vertices hold the top degree d
+    (else the picks so far were a smaller success, found one size earlier).
+    Only the least of them, u, and its neighbours are tried, in order: as
+    degrees only fall, any other pick leaves u, and the maximum, at d, so
+    that leaf fails and the first success is unchanged.  The prune's
+    maximum counts only tried candidates, so it stays sound.
 
     The deadline is checked every 4096 search nodes; pruned subtrees have no
     leaves, so counting leaves could leave it unchecked for long.
