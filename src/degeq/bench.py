@@ -42,11 +42,12 @@ def run_suite(suite: str) -> list[BenchRow]:
             ("forest-n12", gen_random_forest(12, seed=7), (2, 3)),
         ]
     elif suite == "forest-dp":
-        # seeds with f_k >= 1 on every row; f_3(F_15) = 15, and f_2 = 10 on
-        # S_10, the star union with C(i + 1, 2) + 1 leaves for i = 10..1
+        # seeds with f_k >= 2 on every row, so each solve runs counting
+        # passes; f_3(F_15) = 15, and f_2 = 10 on S_10, the star union with
+        # C(i + 1, 2) + 1 leaves for i = 10..1
         cases = [
             (f"forest-n{n}", gen_random_forest(n, seed=3000 + n), (k,))
-            for k, sizes in ((2, (40, 70, 100)), (3, (30, 45, 60)))
+            for k, sizes in ((2, (41, 70, 100)), (3, (30, 45, 60)))
             for n in sizes
         ]
         s10 = build_star_union([comb(i + 1, 2) + 1 for i in range(10, 0, -1)])

@@ -17,6 +17,13 @@ best score and decodes the certificate from it once.  A pass folds each
 vertex's twin leaf children in one step.  The passes walk delta down from the
 k-th largest degree until a bounded-degree-deletion lower bound
 (``_min_deletions``) shows that no lower delta can reach the best order.
+
+No pass runs when one deletion suffices.  Fewer than k vertices hold the top
+degree d, so deleting a vertex outside the closed neighbourhood N[u] of u,
+the least of them, leaves u, and so the maximum, at d with fewer than k
+vertices there.  ``_one_deletion`` tries only N[u], in ascending id, against
+one degree histogram; this is the argument of the "Last pick" paragraph of
+``brute_force_fk``.
 """
 
 from __future__ import annotations
@@ -248,6 +255,37 @@ def _min_deletions(skel: _Skeleton, delta: int) -> int:
     return sum(free[v] for v in children[-1])
 
 
+def _one_deletion(forest: Graph, k: int, u: int) -> int | None:
+    """The least vertex whose deletion equalizes ``forest``, or None, where
+    ``u`` is the least vertex of the top degree, which fewer than k vertices
+    hold: only u and its neighbours can succeed (see the module docstring).
+
+    Each candidate is deleted in a degree histogram, the top bucket is read,
+    and the deletion is undone, in O(deg v), as in ``brute_force_fk``'s search.
+    """
+    adj = forest.adj
+    deg = [len(nbrs) for nbrs in adj]
+    top = deg[u]
+    hist = [0] * (top + 1)
+    for d in deg:
+        hist[d] += 1
+    for v in sorted((u, *adj[u])):
+        hist[deg[v]] -= 1
+        for w in adj[v]:  # each neighbour loses one degree
+            hist[deg[w]] -= 1
+            hist[deg[w] - 1] += 1
+        d = top
+        while not hist[d]:
+            d -= 1
+        if hist[d] >= k:
+            return v
+        for w in adj[v]:
+            hist[deg[w] - 1] -= 1
+            hist[deg[w]] += 1
+        hist[deg[v]] += 1
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Driver
 
@@ -274,6 +312,11 @@ def compute_fk_forest(
     deletion set, so bdd is computed only where n minus their number is below
     the incumbent.  The test is strict: a delta that could tie the optimum
     still runs its pass, since its deletion set may be the lesser one.
+
+    Before the walk, f_k = 1 is answered without any pass or bdd: only the
+    closed neighbourhood of the least top-degree vertex can hold a single
+    successful deletion (see ``_one_deletion``), and the first success in
+    ascending id is the least deletion set.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -281,11 +324,15 @@ def compute_fk_forest(
     skeleton = _build_skeleton(forest)
     if forest.m != n - len(skeleton.children[n]):
         raise ValueError("input graph is not a forest")
-    deltas = degree_profile(forest).deltas
+    profile = degree_profile(forest)
+    deltas = profile.deltas
     if n < k or deltas[0] == deltas[k - 1]:  # k vertices share the maximum
         return 0, make_certificate(forest, (), k, "dp")
     if n == k:  # not equalized, and deleting vertex 0 leaves k - 1 vertices
         return 1, make_certificate(forest, (0,), k, "dp")
+    v = _one_deletion(forest, k, profile.witnesses[0])
+    if v is not None:
+        return 1, make_certificate(forest, (v,), k, "dp")
 
     best = ((k - 1) << n) + (1 << n) - (1 << (k - 1))  # the escape: delete 0..n-k
     above = 0  # vertices of degree above delta

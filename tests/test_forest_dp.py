@@ -26,7 +26,9 @@ from degeq import (
     to_edgelist,
     validate_certificate,
 )
+from degeq import certificates as certificates_module
 from degeq import forest_dp
+from degeq import graph as graph_module
 from degeq.certificates import make_certificate
 from degeq.forest_dp import (
     DeadlineExceeded,
@@ -216,13 +218,15 @@ class TestComputeFkForest:
                 assert cert.x == least
 
     def test_tie_across_passes_keeps_least_set(self, monkeypatch):
-        # A claw with one leg extended, plus an isolated vertex, at k = 2.
-        # Deleting leaf 1 or 2 leaves 0 and 3 at degree 2, and deleting 0
-        # leaves 3 and 4 at degree 1: the delta-2 pass finds (1,) first and
-        # the delta-1 pass must replace it with the lesser (0,).
-        forest = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
-        assert [x for x in combinations(range(6), 1)
-                if check_fk_condition(forest, x, 2)] == [(0,), (1,), (2,)]
+        # A claw plus an edge, at k = 3 (f_3 = 2, so the walk runs).
+        # Deleting leaves 1 and 2 leaves 0, 3, 4 and 5 at degree 1, and
+        # deleting 0 and 4 leaves four isolated vertices: the delta-1 pass
+        # finds (1, 2) first and the delta-0 pass must replace it with the
+        # lesser (0, 4) at the same order.
+        forest = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+        assert not any(check_fk_condition(forest, (v,), 3) for v in range(6))
+        assert [x for x in combinations(range(6), 2)
+                if check_fk_condition(forest, x, 3)][:3] == [(0, 4), (0, 5), (1, 2)]
         passes = []
         counting_pass = forest_dp._best_score
 
@@ -232,10 +236,10 @@ class TestComputeFkForest:
             return score
 
         monkeypatch.setattr(forest_dp, "_best_score", spy)
-        value, cert = compute_fk_forest(forest, 2)
-        assert passes == [(2, (5, (1,))), (1, (5, (0,)))]
-        assert (value, cert.x) == (1, (0,))
-        assert replace(cert, method="brute") == brute_force_fk(forest, 2)[1]
+        value, cert = compute_fk_forest(forest, 3)
+        assert passes == [(1, (4, (1, 2))), (0, (4, (0, 4)))]
+        assert (value, cert.x) == (2, (0, 4))
+        assert replace(cert, method="brute") == brute_force_fk(forest, 3)[1]
 
 
 @st.composite
@@ -820,18 +824,13 @@ class TestDownwardWalk:
             assert_oracle_answer(TIE_HEAVY_SHAPES[index], k)
 
     def test_star_union_runs_one_counting_pass(self, monkeypatch):
-        # f_2 = 1: the pass at delta = 200 keeps n - 1 vertices, and every
-        # lower delta needs two deletions
-        calls = []
-
-        def counted(*args):
-            calls.append(args[3])
-            return _best_score(*args)
-
-        monkeypatch.setattr(forest_dp, "_best_score", counted)
-        value, cert = compute_fk_forest(build_star_union([201, 200]), 2)
-        assert value == 1
-        assert calls == [200]
+        # f_2 = 1: deleting a leaf of the larger star equalizes, and the
+        # one-deletion exit finds it with no counting pass and no bdd call
+        (value, cert), events = TestBoundOnlyWhereItCanCut.walk(
+            monkeypatch, build_star_union([201, 200]), 2
+        )
+        assert (value, cert.x) == (1, (1,))
+        assert events == []
 
     def test_deadline_passing_mid_walk_raises(self, monkeypatch):
         # f_3(F_6) = 6 is large, so the bound skips none of its 8 passes
@@ -879,12 +878,15 @@ class TestBoundOnlyWhereItCanCut:
         assert sum(tag == "pass" for tag, _ in events) == 8
 
     def test_star_union_asks_only_below_its_first_pass(self, monkeypatch):
-        # the pass at delta = 200 keeps 402 of 403 vertices; at delta = 200
-        # one vertex is above, at 199 two are, and bdd(199) = 2 stops the walk
-        (value, _), events = self.walk(monkeypatch, build_star_union([201, 200]), 2)
-        assert value == 1
-        assert [tag for tag, _ in events] == ["pass", "bdd"]
-        assert events[1] == ("bdd", 199)
+        # two adjacent claw centres and an edge, at k = 3 (f_3 = 2): at
+        # delta = 1 two vertices are above, so n - above = 6 needs no bdd, and
+        # the pass keeps 6 of 8 vertices with X = (0, 2); at delta = 0 all 8
+        # are above, and bdd(0) = 3 stops the walk
+        forest = Graph.from_edges(8, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (6, 7)])
+        (value, _), events = self.walk(monkeypatch, forest, 3)
+        assert value == 2
+        assert events == [("pass", (6, (0, 2))), ("bdd", 0)]
+        assert _min_deletions(counting_skeleton(forest), 0) == 3
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_every_small_forest(self, monkeypatch, n):
@@ -894,12 +896,42 @@ class TestBoundOnlyWhereItCanCut:
                 (value, cert), events = self.walk(monkeypatch, forest, k)
                 bf_value, bf_cert = brute_force_fk(forest, k)
                 assert (value, cert.x) == (bf_value, bf_cert.x), k
+                # f_k = 1 is answered before any pass or bdd call, and a
+                # larger f_k runs at least one pass
+                if bf_value == 1:
+                    assert events == [], k
+                elif bf_value >= 2:
+                    assert any(tag == "pass" for tag, _ in events), k
                 best = k - 1
                 for tag, got in events:
                     if tag == "pass" and got is not None:
                         best = max(best, got[0])
                     elif tag == "bdd":
                         assert n - sum(d > got for d in deltas) < best
+
+
+def test_one_deletion_candidates_never_rebuild_residual_degrees(monkeypatch):
+    # f_2 = 2 on the star union [30, 28]: the one-deletion exit tries the
+    # centre and all 30 of its leaves in a degree histogram, and none of them
+    # calls either function
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    for module in (graph_module, certificates_module, forest_dp):
+        for name in ("residual_degrees", "check_fk_condition"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    assert forest_dp._one_deletion(build_star_union([30, 28]), 2, 0) is None
+    assert calls == []
+    value, cert = compute_fk_forest(build_star_union([30, 29]), 2)
+    assert (value, cert.x) == (1, (1,))
+    assert calls == ["residual_degrees"]  # the one certificate build
 
 
 class TestCertificateRooting:

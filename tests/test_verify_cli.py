@@ -857,6 +857,35 @@ def test_compute_and_brute_boundary_fuzz(tmp_path_factory, data, k, command):
     invoke_to_typed_end(args, data)
 
 
+# --k, --t and --p for the equalize/bounds fuzz: the small values, and 10**20,
+# which no option may turn into work in proportion to its size
+BIG = str(10**20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=GRAPH_FILES,
+    k=st.sampled_from(["2", BIG]),
+    t=st.sampled_from([None, "-5", "0", "2", BIG]),
+    command=st.one_of(
+        st.tuples(st.just("equalize"), st.sampled_from(["girth5", "peel"])),
+        st.tuples(st.just("bounds"), st.sampled_from(["1", BIG])),
+    ),
+)
+def test_equalize_and_bounds_boundary_fuzz(tmp_path_factory, data, k, t, command):
+    # every drawn graph file and option ends in a result or a typed refusal
+    path = tmp_path_factory.mktemp("fuzz") / "graph.txt"
+    path.write_bytes(data)
+    args = [command[0], "--input", str(path), "--k", k]
+    if t is not None:
+        args += ["--t", t]
+    if command[0] == "equalize":
+        args += ["--procedure", command[1]]
+    else:
+        args += ["--p", command[1]]
+    invoke_to_typed_end(args, data)
+
+
 def test_package_has_no_assert_statement():
     # python -O strips assert statements, so no invariant of the package
     # may be one; a broken invariant raises an exception explicitly
