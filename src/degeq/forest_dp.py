@@ -18,12 +18,9 @@ vertex's twin leaf children in one step.  The passes walk delta down from the
 k-th largest degree until a bounded-degree-deletion lower bound
 (``_min_deletions``) shows that no lower delta can reach the best order.
 
-No pass runs when one deletion suffices.  Fewer than k vertices hold the top
-degree d, so deleting a vertex outside the closed neighbourhood N[u] of u,
-the least of them, leaves u, and so the maximum, at d with fewer than k
-vertices there.  ``_one_deletion`` tries only N[u], in ascending id, against
-one degree histogram; this is the argument of the "Last pick" paragraph of
-``brute_force_fk``.
+No pass runs when one deletion suffices: ``_last_pick`` tries only the
+closed neighbourhood of the least top-degree vertex, against one degree
+histogram.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .certificates import RemovalCertificate, make_certificate
-from .graph import Graph, degree_profile
+from .graph import Graph, _last_pick
 
 
 class DeadlineExceeded(Exception):
@@ -139,8 +136,6 @@ def _kept(base, at_delta, gain: int, k: int):
     """Vector of a kept vertex: ``base`` plus the vertex itself, and, from the
     children choices ``at_delta`` that give it degree delta, the vertex
     counted at degree delta as well."""
-    if base is None:
-        return None
     out = [a + gain if a >= 0 else -1 for a in base]
     if at_delta is not None:
         for j in range(min(len(at_delta), k)):
@@ -255,37 +250,6 @@ def _min_deletions(skel: _Skeleton, delta: int) -> int:
     return sum(free[v] for v in children[-1])
 
 
-def _one_deletion(forest: Graph, k: int, u: int) -> int | None:
-    """The least vertex whose deletion equalizes ``forest``, or None, where
-    ``u`` is the least vertex of the top degree, which fewer than k vertices
-    hold: only u and its neighbours can succeed (see the module docstring).
-
-    Each candidate is deleted in a degree histogram, the top bucket is read,
-    and the deletion is undone, in O(deg v), as in ``brute_force_fk``'s search.
-    """
-    adj = forest.adj
-    deg = [len(nbrs) for nbrs in adj]
-    top = deg[u]
-    hist = [0] * (top + 1)
-    for d in deg:
-        hist[d] += 1
-    for v in sorted((u, *adj[u])):
-        hist[deg[v]] -= 1
-        for w in adj[v]:  # each neighbour loses one degree
-            hist[deg[w]] -= 1
-            hist[deg[w] - 1] += 1
-        d = top
-        while not hist[d]:
-            d -= 1
-        if hist[d] >= k:
-            return v
-        for w in adj[v]:
-            hist[deg[w] - 1] -= 1
-            hist[deg[w]] += 1
-        hist[deg[v]] += 1
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Driver
 
@@ -313,10 +277,9 @@ def compute_fk_forest(
     the incumbent.  The test is strict: a delta that could tie the optimum
     still runs its pass, since its deletion set may be the lesser one.
 
-    Before the walk, f_k = 1 is answered without any pass or bdd: only the
-    closed neighbourhood of the least top-degree vertex can hold a single
-    successful deletion (see ``_one_deletion``), and the first success in
-    ascending id is the least deletion set.
+    Before the walk, f_k = 1 is answered without any pass or bdd by
+    ``_last_pick``, whose first success in ascending id is the least
+    deletion set.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -324,26 +287,28 @@ def compute_fk_forest(
     skeleton = _build_skeleton(forest)
     if forest.m != n - len(skeleton.children[n]):
         raise ValueError("input graph is not a forest")
-    profile = degree_profile(forest)
-    deltas = profile.deltas
-    if n < k or deltas[0] == deltas[k - 1]:  # k vertices share the maximum
+    deg = [len(nbrs) for nbrs in forest.adj]
+    hist = [0] * (max(deg, default=0) + 1)
+    for d in deg:
+        hist[d] += 1
+    if n < k or hist[-1] >= k:  # k vertices share the maximum
         return 0, make_certificate(forest, (), k, "dp")
     if n == k:  # not equalized, and deleting vertex 0 leaves k - 1 vertices
         return 1, make_certificate(forest, (0,), k, "dp")
-    v = _one_deletion(forest, k, profile.witnesses[0])
+    v = _last_pick(forest.adj, deg, hist, k)
     if v is not None:
         return 1, make_certificate(forest, (v,), k, "dp")
 
     best = ((k - 1) << n) + (1 << n) - (1 << (k - 1))  # the escape: delete 0..n-k
     above = 0  # vertices of degree above delta
-    for delta in range(deltas[k - 1], -1, -1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded("forest solver deadline exceeded")
-        while above < n and deltas[above] > delta:
-            above += 1
-        if n - above < best >> n and n - _min_deletions(skeleton, delta) < best >> n:
-            break  # n - bdd only falls with delta: no lower delta can win
-        best = max(best, _best_score(skeleton, n, k, delta))
+    for delta in range(len(hist) - 1, -1, -1):
+        if above + hist[delta] >= k:  # delta is at most d_k, the k-th largest
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlineExceeded("forest solver deadline exceeded")
+            if n - above < best >> n > n - _min_deletions(skeleton, delta):
+                break  # n - bdd only falls with delta: no lower delta can win
+            best = max(best, _best_score(skeleton, n, k, delta))
+        above += hist[delta]
 
     x = tuple(v for v in range(n) if best >> (n - 1 - v) & 1)
     if len(x) != n - (best >> n):

@@ -4,6 +4,10 @@ Everything downstream (the forest solver, the brute-force oracle, the
 constructive procedures) works on the immutable :class:`Graph` defined here,
 together with the degree-profile, girth, and component utilities and the
 success condition for the degree-equalization number f_k.
+
+Both exact solvers end with ``_last_pick``: when fewer than k vertices hold
+the top degree d, a deletion outside the closed neighbourhood N[u] of u, the
+least of them, leaves u, and so the maximum, at d, so only N[u] can succeed.
 """
 
 from __future__ import annotations
@@ -257,3 +261,43 @@ def check_fk_condition(graph: Graph, removed: Iterable[int], k: int) -> bool:
         raise ValueError("k must be at least 2")
     live = [d for d in residual_degrees(graph, removed) if d >= 0]
     return len(live) < k or live.count(max(live)) >= k
+
+
+def _last_pick(adj, deg, hist, k: int, start: int = 0, high: int = -1) -> int | None:
+    """The least v >= start in N[u], u the least top-degree vertex, whose
+    deletion leaves k live vertices at the top degree, or None.  ``deg`` is
+    -1 at deleted vertices, none from start on, and ``hist`` counts live
+    degrees; each candidate is deleted and restored in ``hist`` alone.
+    ``high`` is the largest live degree below start: a tried candidate stays
+    live and loses at most one degree, so once fewer than k live vertices
+    reach high - 1, no later one can succeed.
+    """
+    top = len(hist) - 1
+    while not hist[top]:
+        top -= 1
+    u = deg.index(top)
+    for v in sorted(w for w in (u, *adj[u]) if w >= start):
+        dv = deg[v]
+        hist[dv] -= 1
+        for w in adj[v]:
+            dw = deg[w]
+            if dw > 0:  # live: a live neighbour of v has degree >= 1
+                hist[dw] -= 1
+                hist[dw - 1] += 1
+        d = top
+        while not hist[d]:
+            d -= 1
+        found = hist[d] >= k
+        for w in adj[v]:
+            dw = deg[w]
+            if dw > 0:
+                hist[dw - 1] -= 1
+                hist[dw] += 1
+        hist[dv] += 1
+        if found:
+            return v
+        if dv > high:
+            high = dv
+            if high > 1 and sum(hist[high - 1 :]) < k:
+                return None
+    return None

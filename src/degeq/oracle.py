@@ -11,7 +11,7 @@ import time
 
 from .certificates import RemovalCertificate, make_certificate
 from .forest_dp import DeadlineExceeded
-from .graph import Graph
+from .graph import Graph, _last_pick
 
 DEFAULT_ORDER_LIMIT = 18
 
@@ -56,15 +56,14 @@ def brute_force_fk(
     fewer than k vertices never reach the search: their first set succeeds
     by the order-below-k escape.
 
-    Last pick: with r = 1, fewer than k live vertices hold the top degree d
-    (else the picks so far were a smaller success, found one size earlier).
-    Only the least of them, u, and its neighbours are tried, in order: as
-    degrees only fall, any other pick leaves u, and the maximum, at d, so
-    that leaf fails and the first success is unchanged.  The prune's
-    maximum counts only tried candidates, so it stays sound.
+    Last pick: with r = 1, fewer than k live vertices hold the top degree
+    (else the picks so far were a smaller success, found one size earlier),
+    so ``_last_pick`` tries only the closed neighbourhood of the least of
+    them, with the same prune.
 
-    The deadline is checked every 4096 search nodes; pruned subtrees have no
-    leaves, so counting leaves could leave it unchecked for long.
+    The deadline is checked every 4096 nodes, each a candidate tried with two
+    or more picks left and followed by at most deg(u) + 1 leaf checks; pruned
+    subtrees have no leaves, so a leaf count could go long without a check.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -74,21 +73,11 @@ def brute_force_fk(
     n = graph.n
     adj = graph.adj
     deg = [len(nbrs) for nbrs in adj]  # -1 marks a removed vertex
-    top = max(deg, default=0)
-    hist = [0] * (top + 1)
+    hist = [0] * (max(deg, default=0) + 1)
     for d in deg:
         hist[d] += 1
     picked: list[int] = []
     nodes = 0
-
-    def top_degree() -> int:
-        d = top
-        while not hist[d]:
-            d -= 1
-        return d
-
-    def equalized() -> bool:
-        return hist[top_degree()] >= k
 
     def hopeless(high: int, r: int) -> bool:
         # fewer than k live vertices have degree at least high - r
@@ -101,11 +90,12 @@ def brute_force_fk(
         high = max(deg[:start], default=-1)
         if hopeless(high, r):
             return False
-        candidates = range(start, n - r + 1)
-        if r == 1:  # the last pick must be u or a neighbour of u
-            u = deg.index(top_degree())
-            candidates = sorted(w for w in (u, *adj[u]) if w >= start)
-        for v in candidates:
+        if r == 1:
+            v = _last_pick(adj, deg, hist, k, start, high)
+            if v is not None:
+                picked.append(v)
+            return v is not None
+        for v in range(start, n - r + 1):
             nodes += 1
             if deadline is not None and not nodes % 4096:
                 if time.monotonic() > deadline:
@@ -119,7 +109,7 @@ def brute_force_fk(
                     hist[dw] -= 1
                     hist[dw - 1] += 1
                     deg[w] = dw - 1
-            if equalized() if r == 1 else search(v + 1, r - 1):
+            if search(v + 1, r - 1):
                 picked.append(v)
                 return True
             for w in adj[v]:
@@ -137,7 +127,7 @@ def brute_force_fk(
         return False
 
     x: tuple[int, ...] = ()
-    if n >= k and not equalized():
+    if n >= k and hist[-1] < k:  # fewer than k vertices share the maximum
         for size in range(1, n - k + 1):
             if search(0, size):
                 x = tuple(sorted(picked))

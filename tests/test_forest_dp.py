@@ -911,9 +911,9 @@ class TestBoundOnlyWhereItCanCut:
 
 
 def test_one_deletion_candidates_never_rebuild_residual_degrees(monkeypatch):
-    # f_2 = 2 on the star union [30, 28]: the one-deletion exit tries the
-    # centre and all 30 of its leaves in a degree histogram, and none of them
-    # calls either function
+    # f_2 = 2 on the star union [30, 28]: the last pick tries the centre's
+    # closed neighbourhood in a degree histogram, and no candidate calls
+    # either function
     calls = []
 
     def spy(name, fn):
@@ -927,7 +927,10 @@ def test_one_deletion_candidates_never_rebuild_residual_degrees(monkeypatch):
         for name in ("residual_degrees", "check_fk_condition"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
-    assert forest_dp._one_deletion(build_star_union([30, 28]), 2, 0) is None
+    star_union = build_star_union([30, 28])
+    deg = list(star_union.degrees())
+    hist = [deg.count(d) for d in range(max(deg) + 1)]
+    assert graph_module._last_pick(star_union.adj, deg, hist, 2) is None
     assert calls == []
     value, cert = compute_fk_forest(build_star_union([30, 29]), 2)
     assert (value, cert.x) == (1, (1,))

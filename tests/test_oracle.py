@@ -1,11 +1,12 @@
 import hashlib
-from itertools import combinations
+from itertools import chain, combinations
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_forests
 from degeq import (
     OrderLimitError,
     brute_force_fk,
@@ -20,7 +21,7 @@ from degeq import (
     validate_certificate,
 )
 from degeq.forest_dp import DeadlineExceeded
-from degeq.graph import Graph, parse_graph
+from degeq.graph import Graph, _last_pick, parse_graph, residual_degrees
 from degeq.prng import SplitMix64, instance_seed
 from reference import brute_force_subforest, brute_force_subforest_all
 
@@ -84,10 +85,57 @@ def test_search_matches_reference(family):
     assert max(values) >= 3
 
 
+def _last_pick_states(source):
+    """(graph, deleted, k) triples: every forest with n <= 9 and nothing
+    deleted, or one family's graphs with one or two vertices deleted."""
+    if source == "forests":
+        for n in range(3, 10):
+            for forest in all_forests(n):
+                yield from ((forest, (), k) for k in range(2, 6))
+        return
+    for seed in range(100):
+        graph = FAMILIES[source](2 + seed % 11, instance_seed(2500, seed))
+        ids = range(graph.n)
+        for deleted in chain(combinations(ids, 1), combinations(ids, 2)):
+            yield from ((graph, deleted, k) for k in range(2, 6))
+
+
+@pytest.mark.parametrize("source", ["forests", *sorted(FAMILIES)])
+def test_last_pick_matches_exhaustive_search(source):
+    # at each state the search could reach with one pick left (fewer than k
+    # live vertices at the top degree, at least k + 1 live), the last pick
+    # is the least v >= start whose deletion succeeds, and it leaves its
+    # arguments as it found them
+    answers = []
+    for graph, deleted, k in _last_pick_states(source):
+        deg = residual_degrees(graph, deleted)
+        live = [d for d in deg if d >= 0]
+        if len(live) <= k or live.count(max(live)) >= k:
+            continue
+        hist = [0] * (max(graph.degrees()) + 1)
+        for d in live:
+            hist[d] += 1
+        start = max(deleted, default=-1) + 1
+        high = max(deg[:start], default=-1)  # as the search computes it
+        before = (deg[:], hist[:])
+        expected = next(
+            (v for v in range(start, graph.n)
+             if check_fk_condition(graph, deleted + (v,), k)),
+            None,
+        )
+        got = _last_pick(graph.adj, deg, hist, k, start, high)
+        assert got == expected, (graph.edges(), deleted, k)
+        assert (deg, hist) == before, (graph.edges(), deleted, k)
+        answers.append(got)
+    # both outcomes occur, and the corpus is not trivial
+    assert None in answers and len(set(answers)) > 2 and len(answers) > 200
+
+
 def test_deadline_passing_mid_search_raises(monkeypatch):
-    # F_5 with reversed labels keeps the prune weak: the k = 4 search visits
-    # about 7,300 nodes, past the first periodic check at 4,096.
-    graph = _reversed_labels(build_extremal_forest(5))
+    # F_6 with reversed labels keeps the prune weak: the k = 4 search tries
+    # over 20,000 candidates with two or more picks left (its nodes), past
+    # the first periodic check at 4,096.
+    graph = _reversed_labels(build_extremal_forest(6))
     n = graph.n
     calls = []
 

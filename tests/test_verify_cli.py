@@ -16,6 +16,7 @@ import degeq
 from degeq import (
     GeneratorConfig,
     Graph,
+    build_extremal_forest,
     parse_graph,
     run_verification,
     to_edgelist,
@@ -669,6 +670,33 @@ class TestCli:
         assert result.exit_code == 0
         assert "forest-n12" in result.output
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bench_oracle_json_and_csv(self, fmt):
+        result = self.runner.invoke(main, ["bench", "--suite", "oracle", "--format", fmt])
+        assert result.exit_code == 0, result.output
+        keys = ["name", "n", "m", "k", "method", "value", "elapsed_ms"]
+        if fmt == "json":
+            rows = json.loads(result.output)
+            assert [list(row) for row in rows] == [keys] * 3
+        else:
+            header, *lines = result.output.splitlines()
+            assert header == "name,n,m,k,method,value,elapsed_ms"
+            rows = [dict(zip(keys, line.split(","))) for line in lines]
+        # f_3(F_t) = t
+        assert [(row["name"], row["method"], int(row["value"])) for row in rows] == [
+            (f"extremal-F{t}", "brute", t) for t in (2, 3, 4)
+        ]
+
+    def test_bounds_json_at_t(self, tmp_path):
+        path = self.write_graph(tmp_path, to_edgelist(build_extremal_forest(3)))
+        result = self.runner.invoke(
+            main, ["bounds", "--input", path, "--t", "2", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        entry = json.loads(result.output)["degree_lower_bounds_at_t"]
+        assert {"i", "ii", "iii"} <= set(entry["conclusion"])
+        assert entry["hypothesis_holds"] is None
+
     def test_equalize_girth5(self, tmp_path):
         path = self.write_graph(tmp_path, "5 4\n0 1\n0 2\n0 3\n0 4\n")
         result = self.runner.invoke(
@@ -884,6 +912,52 @@ def test_equalize_and_bounds_boundary_fuzz(tmp_path_factory, data, k, t, command
     else:
         args += ["--p", command[1]]
     invoke_to_typed_end(args, data)
+
+
+# construct and gen options for their boundary fuzz: every family and kind,
+# --t at -5, 0, 1..8 or not an int, --n up to 40 or -1, at most 4 sizes of at
+# most 8, --m and --seed at -1, in range or 10**20, and --count up to 3.  No
+# larger construct --t or --n, or gen --count, is drawn: each builds or loops
+# in proportion to its value.
+NOT_INTS = st.sampled_from(["x", "1.5", "", "nan", "٣", BIG + ".0"])
+ORDERS = st.integers(min_value=-1, max_value=40).map(str)
+
+
+def maybe(name, values):
+    """No option, or ``name`` with a drawn value."""
+    return st.one_of(st.just([]), values.map(lambda value: [name, value]))
+
+
+CONSTRUCT_ARGS = st.tuples(
+    st.sampled_from(sorted(k.lower() for k, e in CORPUS_KINDS.items() if not e.random)),
+    maybe("--t", st.one_of(st.sampled_from(["-5", "0"]),
+                           st.integers(min_value=1, max_value=8).map(str), NOT_INTS)),
+    maybe("--n", ORDERS),
+    maybe("--sizes", st.lists(
+        st.one_of(st.integers(min_value=-2, max_value=8).map(str),
+                  st.sampled_from(["", "x", "1.5", " 3", "٣"])),
+        max_size=4,
+    ).map(",".join)),
+).map(lambda parts: ["construct", "--family", parts[0], *parts[1], *parts[2], *parts[3]])
+GEN_ARGS = st.tuples(
+    st.sampled_from(sorted(k for k, e in CORPUS_KINDS.items() if e.random)),
+    ORDERS,
+    maybe("--m", st.one_of(st.sampled_from(["-1", BIG]),
+                           st.integers(min_value=0, max_value=60).map(str))),
+    maybe("--seed", st.one_of(st.sampled_from(["-1", BIG]),
+                              st.integers(min_value=0, max_value=2**64).map(str))),
+    maybe("--count", st.integers(min_value=-1, max_value=3).map(str)),
+).map(lambda parts: ["gen", "--kind", parts[0], "--n", parts[1], *parts[2], *parts[3],
+                     *parts[4]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(args=st.one_of(CONSTRUCT_ARGS, GEN_ARGS))
+def test_construct_and_gen_boundary_fuzz(tmp_path_factory, args):
+    # every drawn family, kind and option ends in a result or a typed refusal
+    if args[0] == "gen":
+        args = [*args, "--out", str(tmp_path_factory.mktemp("fuzz"))]
+    invoke_to_typed_end(args, None)
 
 
 def test_package_has_no_assert_statement():
