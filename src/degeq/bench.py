@@ -33,13 +33,13 @@ def _timed(fn, *args, **kwargs):
 def run_suite(suite: str) -> list[BenchRow]:
     rows: list[BenchRow] = []
     if suite == "small":
-        # every row has f_k >= 1: path-4 and F_3 share their top two degrees
+        # every row has f_k >= 2, so no solve ends at the one-deletion exit
         cases = [
             ("path-4", build_path(4), (3,)),
-            ("star-union-1-3", build_star_union([3, 1]), (2, 3)),
+            ("star-union-1-3", build_star_union([3, 1]), (3,)),
             ("extremal-F3", build_extremal_forest(3), (3,)),
-            ("extremal-F4", build_extremal_forest(4), (2, 3)),
-            ("forest-n12", gen_random_forest(12, seed=7), (2, 3)),
+            ("extremal-F4", build_extremal_forest(4), (3,)),
+            ("forest-n12", gen_random_forest(12, seed=7), (4, 5)),
         ]
     elif suite == "forest-dp":
         # seeds with f_k >= 2 on every row, so each solve runs counting

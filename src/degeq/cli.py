@@ -363,7 +363,7 @@ def bench(suite, fmt):
 @main.command()
 @click.option("--input", "input_path", required=True)
 @click.option("--k", "k", type=click.IntRange(min=2), required=True)
-@click.option("--t", "t", type=int, required=True)
+@click.option("--t", "t", type=int, default=None, help="Deletion budget (girth5 only).")
 @click.option(
     "--procedure",
     type=click.Choice(["girth5", "peel"]),
@@ -374,6 +374,10 @@ def equalize(input_path, k, t, procedure):
     """Run a constructive procedure and print its certificate."""
     from .constructive import PreconditionError, girth5_equalize, peel_removal
 
+    if procedure == "girth5" and t is None:
+        _fail(EXIT_USAGE, "usage error: --procedure girth5 requires --t")
+    if procedure == "peel" and t is not None:
+        _fail(EXIT_USAGE, "usage error: --procedure peel takes no --t")
     graph = _load_graph(input_path)
     try:
         if procedure == "peel":

@@ -113,9 +113,6 @@ def _within_budget(
 def _claim_oracle_equiv(ctx, k_range) -> list[ClaimEntry]:
     out = []
     for k in k_range:
-        if not ctx.forest:
-            out.append(_skip("oracle-equiv", {"k": k}, "not a forest"))
-            continue
         try:  # the oracle first: past its reach the tree program need not run
             bf_value, bf_cert = brute_force_fk(ctx.graph, k, deadline=ctx.deadline)
         except OrderLimitError:
@@ -243,9 +240,9 @@ def _claim_moore(ctx, k_range) -> list[ClaimEntry]:
     return [bounds.moore_entry(ctx.graph, p, ctx.girth) for p in (2, 3)]
 
 
-# Claims about forests only; any other graph gets one "not a forest" skip.
-_FOREST_ONLY = frozenset({"thm1", "thm2", "thm2-cert", "cor1", "cor2"})
-# Claims about girth >= 5 only; below it each k is inapplicable.
+# Claims about forests only, and about girth >= 5 only: outside its class a
+# claim is inapplicable at each k, with the hypothesis the instance fails.
+_FOREST_ONLY = frozenset({"oracle-equiv", "thm1", "thm2", "thm2-cert", "cor1", "cor2"})
 _GIRTH5_ONLY = frozenset({"thm3", "lemma3-cert"})
 
 _CLAIM_FUNCS = {
@@ -299,11 +296,13 @@ def _run_instance(args) -> RunResult:
     entries: list[ClaimEntry] = []
     for claim in claims:
         if claim in _FOREST_ONLY and not ctx.forest:
-            entries.append(_skip(claim, {}, "not a forest"))
-            continue
-        if claim in _GIRTH5_ONLY and ctx.girth < 5:
-            hypothesis = {"girth": ctx.girth, "needs": ">= 5"}
-            entries.extend(_inapplicable(claim, {"k": k}, hypothesis) for k in k_range)
+            failed = {"forest": False}
+        elif claim in _GIRTH5_ONLY and ctx.girth < 5:
+            failed = {"girth": ctx.girth, "needs": ">= 5"}
+        else:
+            failed = None
+        if failed is not None:
+            entries.extend(_inapplicable(claim, {"k": k}, failed) for k in k_range)
             continue
         try:
             entries.extend(_CLAIM_FUNCS[claim](ctx, k_range))

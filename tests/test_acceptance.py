@@ -347,10 +347,11 @@ def test_bench_oracle_suite_is_nontrivial():
 
 
 def test_bench_small_suite_is_nontrivial():
-    # a row with f_k = 0 times the already-equalized exit, not a counting pass
+    # a row with f_k <= 1 times the already-equalized or one-deletion exit,
+    # not a counting pass
     rows = run_suite("small")
     assert "forest-n12" in {row.name for row in rows}
-    assert all(row.value >= 1 for row in rows), [(r.name, r.k, r.value) for r in rows]
+    assert all(row.value >= 2 for row in rows), [(r.name, r.k, r.value) for r in rows]
 
 
 def test_bench_forest_dp_suite_is_nontrivial():

@@ -20,12 +20,10 @@ from degeq import (
 from degeq import bounds
 from degeq.cli import main
 from degeq.generators import expand_corpus, realize
-from degeq.graph import degree_profile
+from degeq.graph import degree_profile, is_forest
 from degeq.verify import CLAIM_TAGS
 
 from reference import linear_minimal_t
-
-NOT_A_FOREST = "skip: not a forest"
 
 # A saturated girth-5 graph above the oracle limit (thm3 has no exact
 # solver), a small one the oracle solves, and F_4.
@@ -33,13 +31,21 @@ PINNED = [
     (
         GeneratorConfig("random-girth5", n=30, seed=3),
         [
-            ("oracle-equiv", {"k": 2}, "skip", NOT_A_FOREST),
-            ("oracle-equiv", {"k": 3}, "skip", NOT_A_FOREST),
-            ("oracle-equiv", {"k": 4}, "skip", NOT_A_FOREST),
-            ("thm1", {}, "skip", NOT_A_FOREST),
-            ("thm2", {}, "skip", NOT_A_FOREST),
-            ("cor1", {}, "skip", NOT_A_FOREST),
-            ("cor2", {}, "skip", NOT_A_FOREST),
+            ("oracle-equiv", {"k": 2}, "inapplicable", ""),
+            ("oracle-equiv", {"k": 3}, "inapplicable", ""),
+            ("oracle-equiv", {"k": 4}, "inapplicable", ""),
+            ("thm1", {"k": 2}, "inapplicable", ""),
+            ("thm1", {"k": 3}, "inapplicable", ""),
+            ("thm1", {"k": 4}, "inapplicable", ""),
+            ("thm2", {"k": 2}, "inapplicable", ""),
+            ("thm2", {"k": 3}, "inapplicable", ""),
+            ("thm2", {"k": 4}, "inapplicable", ""),
+            ("cor1", {"k": 2}, "inapplicable", ""),
+            ("cor1", {"k": 3}, "inapplicable", ""),
+            ("cor1", {"k": 4}, "inapplicable", ""),
+            ("cor2", {"k": 2}, "inapplicable", ""),
+            ("cor2", {"k": 3}, "inapplicable", ""),
+            ("cor2", {"k": 4}, "inapplicable", ""),
             ("thm3", {"k": 2, "t": 3}, "skip", "skip: no exact solver for f_2"),
             ("thm3", {"k": 3, "t": 7}, "skip", "skip: no exact solver for f_3"),
             ("thm3", {"k": 4, "t": 12}, "skip", "skip: no exact solver for f_4"),
@@ -47,7 +53,9 @@ PINNED = [
             ("lemma3-cert", {"k": 2, "t": 2}, "pass", ""),
             ("lemma3-cert", {"k": 3, "t": 4}, "pass", ""),
             ("lemma3-cert", {"k": 4, "t": 9}, "pass", ""),
-            ("thm2-cert", {}, "skip", NOT_A_FOREST),
+            ("thm2-cert", {"k": 2}, "inapplicable", ""),
+            ("thm2-cert", {"k": 3}, "inapplicable", ""),
+            ("thm2-cert", {"k": 4}, "inapplicable", ""),
             ("moore", {"p": 2}, "pass", ""),
             ("moore", {"p": 3}, "inapplicable", ""),
         ],
@@ -55,13 +63,21 @@ PINNED = [
     (
         GeneratorConfig("random-girth5", n=12, seed=5),
         [
-            ("oracle-equiv", {"k": 2}, "skip", NOT_A_FOREST),
-            ("oracle-equiv", {"k": 3}, "skip", NOT_A_FOREST),
-            ("oracle-equiv", {"k": 4}, "skip", NOT_A_FOREST),
-            ("thm1", {}, "skip", NOT_A_FOREST),
-            ("thm2", {}, "skip", NOT_A_FOREST),
-            ("cor1", {}, "skip", NOT_A_FOREST),
-            ("cor2", {}, "skip", NOT_A_FOREST),
+            ("oracle-equiv", {"k": 2}, "inapplicable", ""),
+            ("oracle-equiv", {"k": 3}, "inapplicable", ""),
+            ("oracle-equiv", {"k": 4}, "inapplicable", ""),
+            ("thm1", {"k": 2}, "inapplicable", ""),
+            ("thm1", {"k": 3}, "inapplicable", ""),
+            ("thm1", {"k": 4}, "inapplicable", ""),
+            ("thm2", {"k": 2}, "inapplicable", ""),
+            ("thm2", {"k": 3}, "inapplicable", ""),
+            ("thm2", {"k": 4}, "inapplicable", ""),
+            ("cor1", {"k": 2}, "inapplicable", ""),
+            ("cor1", {"k": 3}, "inapplicable", ""),
+            ("cor1", {"k": 4}, "inapplicable", ""),
+            ("cor2", {"k": 2}, "inapplicable", ""),
+            ("cor2", {"k": 3}, "inapplicable", ""),
+            ("cor2", {"k": 4}, "inapplicable", ""),
             ("thm3", {"k": 2, "t": 2}, "pass", ""),
             ("thm3", {"k": 3, "t": 6}, "pass", ""),
             ("thm3", {"k": 4, "t": 11}, "pass", ""),
@@ -69,7 +85,9 @@ PINNED = [
             ("lemma3-cert", {"k": 2, "t": 1}, "pass", ""),
             ("lemma3-cert", {"k": 3, "t": 4}, "pass", ""),
             ("lemma3-cert", {"k": 4, "t": 9}, "pass", ""),
-            ("thm2-cert", {}, "skip", NOT_A_FOREST),
+            ("thm2-cert", {"k": 2}, "inapplicable", ""),
+            ("thm2-cert", {"k": 3}, "inapplicable", ""),
+            ("thm2-cert", {"k": 4}, "inapplicable", ""),
             ("moore", {"p": 2}, "pass", ""),
             ("moore", {"p": 3}, "inapplicable", ""),
         ],
@@ -131,7 +149,7 @@ def test_bounds_thresholds_match_verify(tmp_path, config):
         assert report_k["girth5_threshold"]["t"] == verify_t[("thm3", k)]
         forest = report_k.get("forest_thresholds")
         if forest is None:
-            assert verify_t[("thm1", None)] is None  # the "not a forest" skip
+            assert verify_t[("thm1", k)] is None  # inapplicable: not a forest
             continue
         assert forest["two-max-degrees"]["t"] == verify_t[("thm1", 2)]
         assert forest["three-max-degrees-profile"]["t"] == verify_t[("thm2", 3)]
@@ -223,7 +241,7 @@ GOLDEN_CORPUS = [
     GeneratorConfig("star", n=6),
 ]
 # sha256 of the verify CSV for all claims at k (2, 3), then at k 2..5
-GOLDEN_VERIFY_DIGEST = "374f8cd396335b028c72c4c0dda109dd943debffe74371e96124c9d03e334992"
+GOLDEN_VERIFY_DIGEST = "64c4e0be8f31f88f14bd040258947cff9a983f3482ceaf7dc4413f5d1ee0bf0a"
 
 
 def test_golden_verify_digest():
@@ -232,6 +250,30 @@ def test_golden_verify_digest():
         report = run_verification(GOLDEN_CORPUS, list(CLAIM_TAGS), k_range=k_range)
         digest.update(report.to_csv().encode())
     assert digest.hexdigest() == GOLDEN_VERIFY_DIGEST
+
+
+# A skip means only that no solver or procedure decided the entry.
+SKIP_REASONS = tuple(
+    f"skip: {reason}"
+    for reason in ("no exact solver", "above oracle limit", "timeout", "precondition")
+)
+FOREST_CLAIMS = ("oracle-equiv", "thm1", "thm2", "thm2-cert", "cor1", "cor2")
+
+
+@pytest.mark.parametrize("k_range", [(2, 3), (2, 3, 4, 5)])
+def test_skips_are_refusals_and_non_forests_are_inapplicable(k_range):
+    report = run_verification(GOLDEN_CORPUS, list(CLAIM_TAGS), k_range=k_range)
+    skips = [e.note for r in report.results for e in r.entries if e.status == "skip"]
+    assert skips and all(note.startswith(SKIP_REASONS) for note in skips), skips
+    non_forests = [r for r in report.results if not r.error and not is_forest(realize(r.spec))]
+    assert non_forests
+    for result in non_forests:
+        outside = {
+            (e.claim, e.params["k"])
+            for e in result.entries
+            if e.status == "inapplicable" and e.hypothesis == {"forest": False}
+        }
+        assert outside == {(claim, k) for claim in FOREST_CLAIMS for k in k_range}
 
 
 def test_minimal_t_matches_linear_scan_on_golden_corpus():

@@ -707,6 +707,28 @@ class TestCli:
         assert payload["X"] == [2, 3, 4]
         assert payload["valid"] is True
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ([], "usage error: --procedure girth5 requires --t"),
+            (["--procedure", "peel", "--t", "-5"], "usage error: --procedure peel takes no --t"),
+        ],
+        ids=["girth5-without-t", "peel-with-t"],
+    )
+    def test_equalize_t_only_with_girth5(self, tmp_path, extra, message):
+        path = self.write_graph(tmp_path, "5 4\n0 1\n0 2\n0 3\n0 4\n")
+        result = self.runner.invoke(main, ["equalize", "--input", path, "--k", "2", *extra])
+        assert result.exit_code == 2
+        assert result.output.strip() == message
+
+    def test_equalize_peel_without_t(self, tmp_path):
+        path = self.write_graph(tmp_path, "5 4\n0 1\n0 2\n0 3\n0 4\n")
+        result = self.runner.invoke(
+            main, ["equalize", "--input", path, "--k", "2", "--procedure", "peel"]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["valid"] is True
+
 
 # Corpus fields for the boundary fuzz.  A line is either in range, so that
 # the run does real work, or has each field drawn from the odd values every
@@ -806,6 +828,7 @@ def invoke_to_typed_end(args, given_input):
     assert result.exit_code in (0, 1, 2, 3), (args, given_input, result.output)
     assert "Traceback" not in result.output
     assert elapsed < 1.0, (args, given_input, elapsed)
+    return result
 
 
 # Graph files for the compute/brute fuzz: valid edge lists (n <= 14), fixed
@@ -951,13 +974,24 @@ GEN_ARGS = st.tuples(
                      *parts[4]])
 
 
+# bench options: every suite and format, no --suite, and names that are not
+# a suite or a format.  All three suites together run in well under 0.1 s.
+BENCH_ARGS = st.tuples(
+    maybe("--suite", st.sampled_from(["small", "forest-dp", "oracle", "", "Small", "forest_dp"])),
+    maybe("--format", st.sampled_from(["text", "json", "csv", "", "JSON", "yaml"])),
+).map(lambda parts: ["bench", *parts[0], *parts[1]])
+
+
 @settings(max_examples=80, deadline=None)
-@given(args=st.one_of(CONSTRUCT_ARGS, GEN_ARGS))
+@given(args=st.one_of(CONSTRUCT_ARGS, GEN_ARGS, BENCH_ARGS))
 def test_construct_and_gen_boundary_fuzz(tmp_path_factory, args):
-    # every drawn family, kind and option ends in a result or a typed refusal
+    # every drawn family, kind, suite and option ends in a result or a typed
+    # refusal; bench has nothing to refuse but its usage
     if args[0] == "gen":
         args = [*args, "--out", str(tmp_path_factory.mktemp("fuzz"))]
-    invoke_to_typed_end(args, None)
+    result = invoke_to_typed_end(args, None)
+    if args[0] == "bench":
+        assert result.exit_code in (0, 2), (args, result.output)
 
 
 def test_package_has_no_assert_statement():
