@@ -24,14 +24,7 @@ class BenchRow:
     elapsed_ms: float
 
 
-def _timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    value, _cert = fn(*args, **kwargs)
-    return value, (time.perf_counter() - start) * 1000.0
-
-
 def run_suite(suite: str) -> list[BenchRow]:
-    rows: list[BenchRow] = []
     if suite == "small":
         # every row has f_k >= 2, so no solve ends at the one-deletion exit
         cases = [
@@ -55,19 +48,19 @@ def run_suite(suite: str) -> list[BenchRow]:
         cases += [("star-union-S10", s10, (2,))]
     elif suite == "oracle":
         # f_3(F_t) = t, and F_4 has 18 vertices, the default oracle limit
-        for t in (2, 3, 4):
-            graph = build_extremal_forest(t)
-            value, ms = _timed(brute_force_fk, graph, 3)
-            rows.append(
-                BenchRow(f"extremal-F{t}", graph.n, graph.m, 3, "brute", value, ms)
-            )
-        return rows
+        cases = [(f"extremal-F{t}", build_extremal_forest(t), (3,)) for t in (2, 3, 4)]
     else:
         raise ValueError(f"unknown bench suite {suite!r}")
+    solve, method = (
+        (brute_force_fk, "brute") if suite == "oracle" else (compute_fk_forest, "dp")
+    )
+    rows = []
     for name, graph, ks in cases:
         for k in ks:
-            value, ms = _timed(compute_fk_forest, graph, k)
-            rows.append(BenchRow(name, graph.n, graph.m, k, "dp", value, ms))
+            start = time.perf_counter()
+            value, _cert = solve(graph, k)
+            ms = (time.perf_counter() - start) * 1000.0
+            rows.append(BenchRow(name, graph.n, graph.m, k, method, value, ms))
     return rows
 
 

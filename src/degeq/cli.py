@@ -311,18 +311,14 @@ def bounds(input_path, k, t, p, fmt):
 @click.option("--k-range", default="2,3", show_default=True)
 def verify(claims, corpus_path, jobs, timeout, fmt, k_range):
     """Run claim checks over a generated corpus; exit 1 on any violation."""
-    from .verify import CLAIM_TAGS, run_verification
+    from .verify import CLAIM_TAGS, check_k_range, run_verification
 
     claim_list = [c.strip() for c in claims.split(",") if c.strip()]
     unknown = [c for c in claim_list if c not in CLAIM_TAGS]
     if unknown:
         _fail(EXIT_USAGE, f"usage error: unknown claims {unknown}")
     try:
-        ks = tuple(int(x) for x in k_range.split(","))
-        if any(k < 2 for k in ks):
-            raise ValueError("k values must be at least 2")
-        if len(set(ks)) < len(ks):
-            raise ValueError("k values must be distinct")
+        ks = check_k_range(int(x) for x in k_range.split(","))
     except ValueError as exc:
         _fail(EXIT_USAGE, f"usage error: bad --k-range: {exc}")
     try:

@@ -100,164 +100,142 @@ def _within_budget(
     except PreconditionError as exc:
         return _skip(claim, skip_params, f"precondition: {exc}")
     ok = validate_certificate(ctx.graph, cert, k) and len(cert.x) <= t
-    return ClaimEntry(
-        claim,
-        {"k": k, "t": t},
-        hypothesis,
-        True,
-        {"x_size": len(cert.x), "certificate_valid": ok},
-        ok,
+    conclusion = {"x_size": len(cert.x), "certificate_valid": ok}
+    return ClaimEntry(claim, {"k": k, "t": t}, hypothesis, True, conclusion, ok)
+
+
+def _claim_oracle_equiv(ctx, k: int) -> list[ClaimEntry]:
+    try:  # the oracle first: past its reach the tree program need not run
+        bf_value, bf_cert = brute_force_fk(ctx.graph, k, deadline=ctx.deadline)
+    except OrderLimitError:
+        return [_skip("oracle-equiv", {"k": k}, "above oracle limit")]
+    dp_value, _ = ctx.fk(k)
+    dp_cert = ctx.certificates[k]
+    certs_ok = validate_certificate(ctx.graph, dp_cert, k) and validate_certificate(
+        ctx.graph, bf_cert, k
     )
-
-
-def _claim_oracle_equiv(ctx, k_range) -> list[ClaimEntry]:
-    out = []
-    for k in k_range:
-        try:  # the oracle first: past its reach the tree program need not run
-            bf_value, bf_cert = brute_force_fk(ctx.graph, k, deadline=ctx.deadline)
-        except OrderLimitError:
-            out.append(_skip("oracle-equiv", {"k": k}, "above oracle limit"))
-            continue
-        dp_value, _ = ctx.fk(k)
-        dp_cert = ctx.certificates[k]
-        certs_ok = validate_certificate(ctx.graph, dp_cert, k) and validate_certificate(
-            ctx.graph, bf_cert, k
+    same_x = dp_cert.x == bf_cert.x
+    return [
+        ClaimEntry(
+            "oracle-equiv",
+            {"k": k},
+            {"n": ctx.graph.n},
+            True,
+            {
+                "dp": dp_value,
+                "brute": bf_value,
+                "certificates_valid": certs_ok,
+                "same_x": same_x,
+            },
+            dp_value == bf_value and certs_ok and same_x,
+            fk=bf_value,
         )
-        same_x = dp_cert.x == bf_cert.x
-        out.append(
-            ClaimEntry(
-                "oracle-equiv",
-                {"k": k},
-                {"n": ctx.graph.n},
-                True,
-                {
-                    "dp": dp_value,
-                    "brute": bf_value,
-                    "certificates_valid": certs_ok,
-                    "same_x": same_x,
-                },
-                dp_value == bf_value and certs_ok and same_x,
-                fk=bf_value,
-            )
-        )
-    return out
+    ]
 
 
-def _claim_thm1(ctx, k_range) -> list[ClaimEntry]:
+def _claim_thm1(ctx, k: int) -> list[ClaimEntry]:
     t = bounds.theorem1_t(ctx.graph)
     hypothesis = {"m": ctx.graph.m, "bound": bounds.bound_theorem1(t)}
-    return [_at_most_t(ctx, "thm1", 2, t, hypothesis)]
+    return [_at_most_t(ctx, "thm1", k, t, hypothesis)]
 
 
-def _claim_thm2(ctx, k_range) -> list[ClaimEntry]:
+def _claim_thm2(ctx, k: int) -> list[ClaimEntry]:
     t = bounds.theorem2_t(ctx.profile)
     hypothesis = {
-        "d1_plus_2d2": bounds.weighted_degrees(ctx.profile, 3),
+        "d1_plus_2d2": bounds.weighted_degrees(ctx.profile, k),
         "bound": bounds.bound_theorem2(t),
     }
-    return [_at_most_t(ctx, "thm2", 3, t, hypothesis)]
+    return [_at_most_t(ctx, "thm2", k, t, hypothesis)]
 
 
-def _claim_thm2_cert(ctx, k_range) -> list[ClaimEntry]:
+def _claim_thm2_cert(ctx, k: int) -> list[ClaimEntry]:
     t = bounds.theorem2_t(ctx.profile)
     return [
         _within_budget(
-            ctx, "thm2-cert", 3, t, {"budget": t}, {"t": t},
+            ctx, "thm2-cert", k, t, {"budget": t}, {"t": t},
             lambda: equalize3_forest(ctx.graph, t),
         )
     ]
 
 
-def _claim_cor1(ctx, k_range) -> list[ClaimEntry]:
-    value, _ = ctx.fk(3)
+def _claim_cor1(ctx, k: int) -> list[ClaimEntry]:
+    value, _ = ctx.fk(k)
     if value <= 2:
-        return [
-            _inapplicable("cor1", {"t": 2}, {"f_3": value, "needs": "> 2"})
-        ]
+        return [_inapplicable("cor1", {"t": 2}, {f"f_{k}": value, "needs": "> 2"})]
     return [
         bounds.corollary1_check(ctx.profile, t, fk=value)
         for t in range(2, value)
     ]
 
 
-def _claim_cor2(ctx, k_range) -> list[ClaimEntry]:
+def _claim_cor2(ctx, k: int) -> list[ClaimEntry]:
     t = bounds.corollary2_t(ctx.graph)
     hypothesis = {"m": ctx.graph.m, "bound": str(bounds.bound_corollary2(t))}
-    return [_at_most_t(ctx, "cor2", 3, t, hypothesis)]
+    return [_at_most_t(ctx, "cor2", k, t, hypothesis)]
 
 
-def _claim_thm3(ctx, k_range) -> list[ClaimEntry]:
-    out = []
-    for k in k_range:
-        t = bounds.theorem3_t(ctx.profile, k)
-        hypothesis = {
-            "weighted_degrees": bounds.weighted_degrees(ctx.profile, k),
-            "bound": bounds.bound_theorem3(k, t),
-            "c_k": bounds.c_k(k),
-        }
-        out.append(_at_most_t(ctx, "thm3", k, t, hypothesis))
-    return out
+def _claim_thm3(ctx, k: int) -> list[ClaimEntry]:
+    t = bounds.theorem3_t(ctx.profile, k)
+    hypothesis = {
+        "weighted_degrees": bounds.weighted_degrees(ctx.profile, k),
+        "bound": bounds.bound_theorem3(k, t),
+        "c_k": bounds.c_k(k),
+    }
+    return [_at_most_t(ctx, "thm3", k, t, hypothesis)]
 
 
-def _claim_lemma2(ctx, k_range) -> list[ClaimEntry]:
+def _claim_lemma2(ctx, k: int) -> list[ClaimEntry]:
     if ctx.spec.kind != "extremal-Ft":
         return [_inapplicable("lemma2", {}, {"kind": ctx.spec.kind})]
     t = ctx.spec.params["t"]
-    value, method = ctx.fk(3)
+    value, method = ctx.fk(k)
     return [
         ClaimEntry(
             "lemma2",
-            {"k": 3, "t": t},
+            {"k": k, "t": t},
             {"kind": "extremal-Ft"},
             True,
-            {"f_3": value, "expected": t, "method": method},
+            {f"f_{k}": value, "expected": t, "method": method},
             value == t,
             fk=value,
         )
     ]
 
 
-def _claim_lemma3_cert(ctx, k_range) -> list[ClaimEntry]:
-    out = []
-    for k in k_range:
-        if ctx.graph.n < k:
-            out.append(
-                _inapplicable("lemma3-cert", {"k": k}, {"n": ctx.graph.n})
-            )
-            continue
-        surplus = bounds.lemma3_surplus(ctx.profile, k)
-        t = max((k - 1) ** 2, surplus)
-        out.append(
-            _within_budget(
-                ctx, "lemma3-cert", k, t, {"surplus": surplus, "budget": t},
-                {"k": k, "t": t}, lambda: girth5_equalize(ctx.graph, k, t, ctx.girth),
-            )
+def _claim_lemma3_cert(ctx, k: int) -> list[ClaimEntry]:
+    if ctx.graph.n < k:
+        return [_inapplicable("lemma3-cert", {"k": k}, {"n": ctx.graph.n})]
+    surplus = bounds.lemma3_surplus(ctx.profile, k)
+    t = max((k - 1) ** 2, surplus)
+    return [
+        _within_budget(
+            ctx, "lemma3-cert", k, t, {"surplus": surplus, "budget": t},
+            {"k": k, "t": t}, lambda: girth5_equalize(ctx.graph, k, t, ctx.girth),
         )
-    return out
+    ]
 
 
-def _claim_moore(ctx, k_range) -> list[ClaimEntry]:
-    return [bounds.moore_entry(ctx.graph, p, ctx.girth) for p in (2, 3)]
+def _claim_moore(ctx, p: int) -> list[ClaimEntry]:
+    return [bounds.moore_entry(ctx.graph, p, ctx.girth)]
 
 
-# Claims about forests only, and about girth >= 5 only: outside its class a
-# claim is inapplicable at each k, with the hypothesis the instance fails.
-_FOREST_ONLY = frozenset({"oracle-equiv", "thm1", "thm2", "thm2-cert", "cor1", "cor2"})
-_GIRTH5_ONLY = frozenset({"thm3", "lemma3-cert"})
-
-_CLAIM_FUNCS = {
-    "oracle-equiv": _claim_oracle_equiv,
-    "thm1": _claim_thm1,
-    "thm2": _claim_thm2,
-    "cor1": _claim_cor1,
-    "cor2": _claim_cor2,
-    "thm3": _claim_thm3,
-    "lemma2": _claim_lemma2,
-    "lemma3-cert": _claim_lemma3_cert,
-    "thm2-cert": _claim_thm2_cert,
-    "moore": _claim_moore,
+# claim -> (its function of one k, or of p for moore; the graph class its
+# hypotheses need; the values the paper states it at, None for every k of
+# the run).  Outside its class a claim is inapplicable at each k of the run,
+# with the hypothesis the instance fails.
+_CLAIMS = {
+    "oracle-equiv": (_claim_oracle_equiv, "forest", None),
+    "thm1": (_claim_thm1, "forest", (2,)),
+    "thm2": (_claim_thm2, "forest", (3,)),
+    "cor1": (_claim_cor1, "forest", (3,)),
+    "cor2": (_claim_cor2, "forest", (3,)),
+    "thm3": (_claim_thm3, "girth5", None),
+    "lemma2": (_claim_lemma2, None, (3,)),
+    "lemma3-cert": (_claim_lemma3_cert, "girth5", None),
+    "thm2-cert": (_claim_thm2_cert, "forest", (3,)),
+    "moore": (_claim_moore, None, (2, 3)),
 }
-CLAIM_TAGS = tuple(_CLAIM_FUNCS)
+CLAIM_TAGS = tuple(_CLAIMS)
 
 
 @dataclass
@@ -295,17 +273,18 @@ def _run_instance(args) -> RunResult:
     ctx = _InstanceContext(spec, graph, deadline)
     entries: list[ClaimEntry] = []
     for claim in claims:
-        if claim in _FOREST_ONLY and not ctx.forest:
+        func, needs, values = _CLAIMS[claim]
+        if needs == "forest" and not ctx.forest:
             failed = {"forest": False}
-        elif claim in _GIRTH5_ONLY and ctx.girth < 5:
+        elif needs == "girth5" and ctx.girth < 5:
             failed = {"girth": ctx.girth, "needs": ">= 5"}
         else:
             failed = None
         if failed is not None:
             entries.extend(_inapplicable(claim, {"k": k}, failed) for k in k_range)
             continue
-        try:
-            entries.extend(_CLAIM_FUNCS[claim](ctx, k_range))
+        try:  # a timeout at any value drops the claim's rows for one skip
+            entries.extend([row for v in values or k_range for row in func(ctx, v)])
         except DeadlineExceeded:
             entries.append(_skip(claim, {}, "timeout"))
     computed = {}
@@ -319,16 +298,8 @@ def _run_instance(args) -> RunResult:
             "certificate_valid": cert_ok,
         }
         if cert_ok is False:
-            entries.append(
-                ClaimEntry(
-                    "certificate",
-                    {"k": k},
-                    {},
-                    True,
-                    {"certificate_valid": False},
-                    False,
-                )
-            )
+            concl = {"certificate_valid": False}
+            entries.append(ClaimEntry("certificate", {"k": k}, {}, True, concl, False))
     elapsed = (time.monotonic() - start) * 1000.0
     return RunResult(spec, graph.n, graph.m, entries, computed, elapsed)
 
@@ -421,6 +392,20 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def check_k_range(k_range) -> tuple[int, ...]:
+    """The run's k values as a tuple; ValueError unless distinct integers >= 2."""
+    ks = tuple(k_range)
+    if not ks:  # oracle-equiv, thm3 and lemma3-cert would check nothing
+        raise ValueError("no k values")
+    if not all(isinstance(k, int) for k in ks):
+        raise ValueError("k values must be integers")
+    if any(k < 2 for k in ks):
+        raise ValueError("k values must be at least 2")
+    if len(set(ks)) < len(ks):
+        raise ValueError("k values must be distinct")
+    return ks
+
+
 def run_verification(
     configs: list[GeneratorConfig],
     claims: list[str],
@@ -430,10 +415,13 @@ def run_verification(
 ) -> VerificationReport:
     """Evaluate the requested claims on every instance of the corpus."""
     for claim in claims:
-        if claim not in _CLAIM_FUNCS:
+        if claim not in _CLAIMS:
             raise ValueError(f"unknown claim {claim!r}")
+    k_range = check_k_range(k_range)
+    if timeout is not None and not timeout >= 0:  # a NaN deadline never passes
+        raise ValueError(f"timeout must be >= 0 seconds, not {timeout}")
     specs = expand_corpus(configs)
-    work = [(spec, tuple(claims), tuple(k_range), timeout) for spec in specs]
+    work = [(spec, tuple(claims), k_range, timeout) for spec in specs]
     if jobs > 1 and len(work) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -441,4 +429,4 @@ def run_verification(
             results = list(pool.map(_run_instance, work))
     else:
         results = [_run_instance(item) for item in work]
-    return VerificationReport(results, tuple(claims), tuple(k_range))
+    return VerificationReport(results, tuple(claims), k_range)

@@ -126,6 +126,33 @@ def test_claim_rows_are_pinned(config, rows):
     assert got == rows
 
 
+def test_claims_stated_at_one_k_ignore_the_k_range():
+    # thm1 is stated at k = 2 and thm2, cor1, cor2, lemma2, thm2-cert at
+    # k = 3, so a run over k = 4, 5 still checks them there; the per-k claims
+    # follow the run
+    report = run_verification(
+        [GeneratorConfig("extremal-Ft", t=4)], list(CLAIM_TAGS), k_range=(4, 5)
+    )
+    got = [(e.claim, e.params, e.status) for e in report.results[0].entries]
+    assert got == [
+        ("oracle-equiv", {"k": 4}, "pass"),
+        ("oracle-equiv", {"k": 5}, "pass"),
+        ("thm1", {"k": 2, "t": 3}, "pass"),
+        ("thm2", {"k": 3, "t": 4}, "pass"),
+        ("cor1", {"t": 2}, "pass"),
+        ("cor1", {"t": 3}, "pass"),
+        ("cor2", {"k": 3, "t": 5}, "pass"),
+        ("thm3", {"k": 4, "t": 11}, "pass"),
+        ("thm3", {"k": 5, "t": 18}, "pass"),
+        ("lemma2", {"k": 3, "t": 4}, "pass"),
+        ("lemma3-cert", {"k": 4, "t": 10}, "pass"),
+        ("lemma3-cert", {"k": 5, "t": 16}, "pass"),
+        ("thm2-cert", {"k": 3, "t": 4}, "pass"),
+        ("moore", {"p": 2}, "pass"),
+        ("moore", {"p": 3}, "pass"),
+    ]
+
+
 @pytest.mark.parametrize(
     "config",
     [GeneratorConfig("extremal-Ft", t=5), GeneratorConfig("random-girth5", n=12, seed=5)],

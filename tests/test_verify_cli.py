@@ -127,6 +127,43 @@ class TestRunVerification:
         assert report.ok
 
 
+    def test_timeout_at_a_later_k_drops_the_claims_earlier_rows(self, monkeypatch):
+        brute = degeq.verify.brute_force_fk
+
+        def brute_until_3(graph, k, **options):
+            if k == 3:
+                raise degeq.verify.DeadlineExceeded("deadline passed")
+            return brute(graph, k, **options)
+
+        monkeypatch.setattr(degeq.verify, "brute_force_fk", brute_until_3)
+        report = run_verification([forest_config(count=1)], ["oracle-equiv"], k_range=(2, 3))
+        (result,) = report.results
+        got = [(e.claim, e.params, e.status, e.note) for e in result.entries]
+        assert got == [("oracle-equiv", {}, "skip", "skip: timeout")]
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"k_range": ()},
+            {"k_range": (2, 2)},
+            {"k_range": (1,)},
+            {"k_range": (2.0, 3)},
+            {"timeout": -1.0},
+            {"timeout": float("nan")},
+        ],
+        ids=[
+            "no-k", "repeated-k", "k-below-2", "float-k", "negative-timeout",
+            "nan-timeout",
+        ],
+    )
+    def test_bad_request_refused_before_any_instance(self, monkeypatch, options):
+        realized = []
+        monkeypatch.setattr(degeq.verify, "realize", realized.append)
+        with pytest.raises(ValueError):
+            run_verification([forest_config()], ["thm1", "oracle-equiv"], **options)
+        assert realized == []
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
