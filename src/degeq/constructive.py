@@ -240,7 +240,4 @@ def equalize3_forest(forest: Graph, t: int) -> RemovalCertificate:
     removed = _equalize3(forest, t)
     if len(removed) > t:
         raise AssertionError("equalizer exceeded its budget t")
-    cert = make_certificate(forest, removed, 3, "theorem2")
-    if not check_fk_condition(forest, cert.x, 3):
-        raise AssertionError("equalizer produced an invalid certificate")
-    return cert
+    return make_certificate(forest, removed, 3, "theorem2")

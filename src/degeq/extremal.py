@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from .graph import Graph
 
+MAX_EXTREMAL_ORDER = 10**6  # a larger F_t is refused before it is built
+
 
 def a_sequence(i: int) -> int:
     """The i-th star size of the extremal family.
@@ -55,6 +57,9 @@ def build_extremal_forest(t: int) -> Graph:
     """Union of stars with leaf counts a_1 .. a_t."""
     if t < 1:
         raise ValueError("t must be positive")
+    order = extremal_size(t) + t  # t stars: a centre each, and the m leaves
+    if order > MAX_EXTREMAL_ORDER:
+        raise ValueError(f"F_{t} has {order} vertices, over {MAX_EXTREMAL_ORDER}")
     return build_star_union([a_sequence(i) for i in range(1, t + 1)])
 
 

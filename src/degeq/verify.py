@@ -220,9 +220,8 @@ def _claim_moore(ctx, p: int) -> list[ClaimEntry]:
 
 
 # claim -> (its function of one k, or of p for moore; the graph class its
-# hypotheses need; the values the paper states it at, None for every k of
-# the run).  Outside its class a claim is inapplicable at each k of the run,
-# with the hypothesis the instance fails.
+# hypotheses need; the values the paper states it at, None for every k of the
+# run).  Outside its class a claim is inapplicable at those same values.
 _CLAIMS = {
     "oracle-equiv": (_claim_oracle_equiv, "forest", None),
     "thm1": (_claim_thm1, "forest", (2,)),
@@ -274,6 +273,7 @@ def _run_instance(args) -> RunResult:
     entries: list[ClaimEntry] = []
     for claim in claims:
         func, needs, values = _CLAIMS[claim]
+        values = values or k_range
         if needs == "forest" and not ctx.forest:
             failed = {"forest": False}
         elif needs == "girth5" and ctx.girth < 5:
@@ -281,10 +281,10 @@ def _run_instance(args) -> RunResult:
         else:
             failed = None
         if failed is not None:
-            entries.extend(_inapplicable(claim, {"k": k}, failed) for k in k_range)
+            entries.extend(_inapplicable(claim, {"k": k}, failed) for k in values)
             continue
         try:  # a timeout at any value drops the claim's rows for one skip
-            entries.extend([row for v in values or k_range for row in func(ctx, v)])
+            entries.extend([row for v in values for row in func(ctx, v)])
         except DeadlineExceeded:
             entries.append(_skip(claim, {}, "timeout"))
     computed = {}

@@ -35,17 +35,9 @@ PINNED = [
             ("oracle-equiv", {"k": 3}, "inapplicable", ""),
             ("oracle-equiv", {"k": 4}, "inapplicable", ""),
             ("thm1", {"k": 2}, "inapplicable", ""),
-            ("thm1", {"k": 3}, "inapplicable", ""),
-            ("thm1", {"k": 4}, "inapplicable", ""),
-            ("thm2", {"k": 2}, "inapplicable", ""),
             ("thm2", {"k": 3}, "inapplicable", ""),
-            ("thm2", {"k": 4}, "inapplicable", ""),
-            ("cor1", {"k": 2}, "inapplicable", ""),
             ("cor1", {"k": 3}, "inapplicable", ""),
-            ("cor1", {"k": 4}, "inapplicable", ""),
-            ("cor2", {"k": 2}, "inapplicable", ""),
             ("cor2", {"k": 3}, "inapplicable", ""),
-            ("cor2", {"k": 4}, "inapplicable", ""),
             ("thm3", {"k": 2, "t": 3}, "skip", "skip: no exact solver for f_2"),
             ("thm3", {"k": 3, "t": 7}, "skip", "skip: no exact solver for f_3"),
             ("thm3", {"k": 4, "t": 12}, "skip", "skip: no exact solver for f_4"),
@@ -53,9 +45,7 @@ PINNED = [
             ("lemma3-cert", {"k": 2, "t": 2}, "pass", ""),
             ("lemma3-cert", {"k": 3, "t": 4}, "pass", ""),
             ("lemma3-cert", {"k": 4, "t": 9}, "pass", ""),
-            ("thm2-cert", {"k": 2}, "inapplicable", ""),
             ("thm2-cert", {"k": 3}, "inapplicable", ""),
-            ("thm2-cert", {"k": 4}, "inapplicable", ""),
             ("moore", {"p": 2}, "pass", ""),
             ("moore", {"p": 3}, "inapplicable", ""),
         ],
@@ -67,17 +57,9 @@ PINNED = [
             ("oracle-equiv", {"k": 3}, "inapplicable", ""),
             ("oracle-equiv", {"k": 4}, "inapplicable", ""),
             ("thm1", {"k": 2}, "inapplicable", ""),
-            ("thm1", {"k": 3}, "inapplicable", ""),
-            ("thm1", {"k": 4}, "inapplicable", ""),
-            ("thm2", {"k": 2}, "inapplicable", ""),
             ("thm2", {"k": 3}, "inapplicable", ""),
-            ("thm2", {"k": 4}, "inapplicable", ""),
-            ("cor1", {"k": 2}, "inapplicable", ""),
             ("cor1", {"k": 3}, "inapplicable", ""),
-            ("cor1", {"k": 4}, "inapplicable", ""),
-            ("cor2", {"k": 2}, "inapplicable", ""),
             ("cor2", {"k": 3}, "inapplicable", ""),
-            ("cor2", {"k": 4}, "inapplicable", ""),
             ("thm3", {"k": 2, "t": 2}, "pass", ""),
             ("thm3", {"k": 3, "t": 6}, "pass", ""),
             ("thm3", {"k": 4, "t": 11}, "pass", ""),
@@ -85,9 +67,7 @@ PINNED = [
             ("lemma3-cert", {"k": 2, "t": 1}, "pass", ""),
             ("lemma3-cert", {"k": 3, "t": 4}, "pass", ""),
             ("lemma3-cert", {"k": 4, "t": 9}, "pass", ""),
-            ("thm2-cert", {"k": 2}, "inapplicable", ""),
             ("thm2-cert", {"k": 3}, "inapplicable", ""),
-            ("thm2-cert", {"k": 4}, "inapplicable", ""),
             ("moore", {"p": 2}, "pass", ""),
             ("moore", {"p": 3}, "inapplicable", ""),
         ],
@@ -153,6 +133,26 @@ def test_claims_stated_at_one_k_ignore_the_k_range():
     ]
 
 
+def test_non_forest_rows_ignore_the_k_range():
+    # the same rule outside the forest class: a non-forest gets thm1's
+    # inapplicable row at k = 2 alone and thm2's, thm2-cert's, cor1's and
+    # cor2's at k = 3 alone; oracle-equiv's follow the run
+    claims = ["oracle-equiv", "thm1", "thm2", "thm2-cert", "cor1", "cor2"]
+    outside = ("inapplicable", {"forest": False})
+    for k_range in ((2, 3), (4, 5), (2, 3, 4, 5)):
+        report = run_verification(
+            [GeneratorConfig("random-girth5", n=12, seed=5)], claims, k_range=k_range
+        )
+        got = [(e.claim, e.params, e.status, e.hypothesis) for e in report.results[0].entries]
+        assert got == [("oracle-equiv", {"k": k}, *outside) for k in k_range] + [
+            ("thm1", {"k": 2}, *outside),
+            ("thm2", {"k": 3}, *outside),
+            ("thm2-cert", {"k": 3}, *outside),
+            ("cor1", {"k": 3}, *outside),
+            ("cor2", {"k": 3}, *outside),
+        ], k_range
+
+
 @pytest.mark.parametrize(
     "config",
     [GeneratorConfig("extremal-Ft", t=5), GeneratorConfig("random-girth5", n=12, seed=5)],
@@ -176,7 +176,7 @@ def test_bounds_thresholds_match_verify(tmp_path, config):
         assert report_k["girth5_threshold"]["t"] == verify_t[("thm3", k)]
         forest = report_k.get("forest_thresholds")
         if forest is None:
-            assert verify_t[("thm1", k)] is None  # inapplicable: not a forest
+            assert verify_t[("thm1", 2)] is None  # inapplicable: not a forest
             continue
         assert forest["two-max-degrees"]["t"] == verify_t[("thm1", 2)]
         assert forest["three-max-degrees-profile"]["t"] == verify_t[("thm2", 3)]
@@ -268,7 +268,7 @@ GOLDEN_CORPUS = [
     GeneratorConfig("star", n=6),
 ]
 # sha256 of the verify CSV for all claims at k (2, 3), then at k 2..5
-GOLDEN_VERIFY_DIGEST = "64c4e0be8f31f88f14bd040258947cff9a983f3482ceaf7dc4413f5d1ee0bf0a"
+GOLDEN_VERIFY_DIGEST = "104f5dcbbcecdebe50e385a95f2f8ca62f349fd9c71987ab12304ffd0763a368"
 
 
 def test_golden_verify_digest():
@@ -300,7 +300,9 @@ def test_skips_are_refusals_and_non_forests_are_inapplicable(k_range):
             for e in result.entries
             if e.status == "inapplicable" and e.hypothesis == {"forest": False}
         }
-        assert outside == {(claim, k) for claim in FOREST_CLAIMS for k in k_range}
+        assert outside == {
+            (claim, k) for claim in FOREST_CLAIMS for k in verify._CLAIMS[claim][2] or k_range
+        }
 
 
 def test_minimal_t_matches_linear_scan_on_golden_corpus():

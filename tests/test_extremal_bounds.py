@@ -36,6 +36,7 @@ from degeq.bounds import (
     theorem3_t,
     weighted_degrees,
 )
+from degeq.extremal import MAX_EXTREMAL_ORDER
 from conftest import all_forests
 from reference import a_closed_form
 
@@ -72,6 +73,13 @@ class TestExtremalForest:
     def test_sizes(self, t, expected_m):
         assert extremal_size(t) == expected_m
         assert build_extremal_forest(t).m == expected_m
+
+    def test_order_past_the_limit_is_refused_unbuilt(self):
+        # F_227 is the largest F_t within the limit
+        assert extremal_size(227) + 227 == 988_074 <= MAX_EXTREMAL_ORDER
+        assert build_extremal_forest(18).n == extremal_size(18) + 18
+        with pytest.raises(ValueError, match="^F_228 has 1001186 vertices"):
+            build_extremal_forest(228)
 
     def test_size_formula_matches_sum_up_to_50(self):
         for t in range(1, 51):

@@ -397,6 +397,24 @@ class TestCli:
         )
         assert parse_graph(result.output).m == 4
 
+    @pytest.mark.parametrize("t", [228, 10**5, 10**20])
+    def test_construct_refuses_an_extremal_forest_too_large_to_build(self, tmp_path, t):
+        # F_t's order is known in closed form, so even t = 10**20 is refused
+        # at once; a verify corpus line gives an ERROR row instead
+        start = time.perf_counter()
+        result = self.runner.invoke(main, ["construct", "--family", "extremal-ft", "--t", str(t)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"usage error: F_{t} has ")
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"kind": "extremal-Ft", "t": t}]))
+        result = self.runner.invoke(main, ["verify", "--claims", "thm2", "--corpus", str(corpus)])
+        assert result.exit_code == 0
+        assert result.output.startswith(f"0:extremal-Ft(t={t}): ERROR ValueError: F_{t} has ")
+        assert time.perf_counter() - start < 1.0
+
     def test_gen_refuses_negative_edge_target(self, tmp_path):
         out = tmp_path / "corpus"
         result = self.runner.invoke(
@@ -975,9 +993,10 @@ def test_equalize_and_bounds_boundary_fuzz(tmp_path_factory, data, k, t, command
 
 
 # construct and gen options for their boundary fuzz: every family and kind,
-# --t at -5, 0, 1..8 or not an int, --n up to 40 or -1, at most 4 sizes of at
+# --t at -5, 0, 1..8, 228, 10**5, 10**20 or not an int (F_t past 10**6
+# vertices is refused unbuilt), --n up to 40 or -1, at most 4 sizes of at
 # most 8, --m and --seed at -1, in range or 10**20, and --count up to 3.  No
-# larger construct --t or --n, or gen --count, is drawn: each builds or loops
+# larger construct --n, or gen --n or --count, is drawn: each builds or loops
 # in proportion to its value.
 NOT_INTS = st.sampled_from(["x", "1.5", "", "nan", "٣", BIG + ".0"])
 ORDERS = st.integers(min_value=-1, max_value=40).map(str)
@@ -990,7 +1009,7 @@ def maybe(name, values):
 
 CONSTRUCT_ARGS = st.tuples(
     st.sampled_from(sorted(k.lower() for k, e in CORPUS_KINDS.items() if not e.random)),
-    maybe("--t", st.one_of(st.sampled_from(["-5", "0"]),
+    maybe("--t", st.one_of(st.sampled_from(["-5", "0", "228", "100000", BIG]),
                            st.integers(min_value=1, max_value=8).map(str), NOT_INTS)),
     maybe("--n", ORDERS),
     maybe("--sizes", st.lists(
