@@ -4,11 +4,15 @@ expansion of corpus configs into instances."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import combinations
 from typing import Callable
 
 from .extremal import build_extremal_forest, build_path, build_star, build_star_union
 from .graph import Graph
 from .prng import SplitMix64, instance_seed
+
+MAX_FOREST_ORDER = 10**6  # larger random forests are refused before they are built,
+MAX_GIRTH_PAIRS = 2 * 10**6  # as are girth graphs on more vertex pairs (n > 2,000)
 
 
 class GirthSaturationError(ValueError):
@@ -37,6 +41,8 @@ def gen_random_forest(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_FOREST_ORDER:
+        raise ValueError(f"a random forest on {n} vertices is over {MAX_FOREST_ORDER}")
     rng = SplitMix64(seed)
     edges: list[tuple[int, int]] = []
     if m is not None:
@@ -56,12 +62,13 @@ def _ball_keeper(n: int, wide: int):
     """Adjacency lists and balls (``balls[r][x]``: the vertices within r steps
     of x, r = 0..wide) of an empty graph, and ``insert(a, b)``, which adds an
     edge and keeps every ball exact: each x at distance i < r from a gains b's
-    ball of radius r - 1 - i, and likewise with a and b swapped.  Rings are
-    taken first and radii walked from wide down, so no ball read has grown."""
+    ball of radius r - 1 - i, and likewise with a and b swapped; at i = 0 that
+    is a's own ball, written directly.  Rings are taken first and radii
+    walked from wide down, so no ball read has grown."""
     adj: list[list[int]] = [[] for _ in range(n)]
     balls = [[1 << x for x in range(n)] for _ in range(wide + 1)]
-    steps = [(balls[r], i, balls[r - 1 - i]) for r in range(wide, 0, -1)
-             for i in range(r)]
+    steps = [(balls[r], balls[r - 1], [(i, balls[r - 1 - i]) for i in range(1, r)])
+             for r in range(wide, 0, -1)]
 
     def insert(a: int, b: int) -> None:
         rings_a, rings_b = [(a,), adj[a]], [(b,), adj[b]]
@@ -69,12 +76,15 @@ def _ball_keeper(n: int, wide: int):
             for x, rings in ((a, rings_a), (b, rings_b)):
                 near = balls[i - 1][x]
                 rings.append([y for w in rings[-1] for y in adj[w] if not near >> y & 1])
-        for row, i, far in steps:
-            gain_a, gain_b = far[b], far[a]
-            for z in rings_a[i]:
-                row[z] |= gain_a
-            for z in rings_b[i]:
-                row[z] |= gain_b
+        for row, own, ring_steps in steps:
+            row[a] |= own[b]
+            row[b] |= own[a]
+            for i, far in ring_steps:
+                gain_a, gain_b = far[b], far[a]
+                for z in rings_a[i]:
+                    row[z] |= gain_a
+                for z in rings_b[i]:
+                    row[z] |= gain_b
         adj[a].append(b)
         adj[b].append(a)
 
@@ -101,25 +111,29 @@ def gen_random_girth5(
         raise ValueError("min_girth below 3 is not a girth constraint")
     if m is not None and m < 0:
         raise ValueError("edge target m must be non-negative")
+    if n * (n - 1) > 2 * MAX_GIRTH_PAIRS:
+        raise ValueError(f"{n} vertices have over {MAX_GIRTH_PAIRS} vertex pairs")
     rng = SplitMix64(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = list(combinations(range(n), 2))
     rng.shuffle(pairs)
-    edges: list[tuple[int, int]] = []
-    cap = min_girth - 2
-    # dist(u, v) <= cap iff ball(u, wide) meets ball(v, narrow)
+    # dist(u, v) <= cap iff ball(u, wide) meets ball(v, narrow); no distance
+    # exceeds n - 1, so a larger cap tests the same and only costs balls
+    cap = min(min_girth - 2, n - 1)
     wide, narrow = (cap + 1) // 2, cap // 2
-    _, balls, insert = _ball_keeper(n, wide)
+    adj, balls, insert = _ball_keeper(n, wide)
     wide_ball, narrow_ball = balls[wide], balls[narrow]
+    count = 0
     for u, v in pairs:
         if wide_ball[u] & narrow_ball[v]:
             continue
-        if len(edges) == m:
+        if count == m:
             break
         insert(u, v)
-        edges.append((u, v))
-    if m is not None and len(edges) < m:
-        raise GirthSaturationError(m, len(edges))
-    return Graph.from_edges(n, edges)
+        count += 1
+    if m is not None and count < m:
+        raise GirthSaturationError(m, count)
+    # each inserted pair is distinct with u < v, so adj needs no re-validation
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj), count)
 
 
 def _needs_n(config: GeneratorConfig) -> None:

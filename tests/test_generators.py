@@ -1,4 +1,5 @@
 import hashlib
+import time
 from collections import deque
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from degeq import (
     GeneratorConfig,
     GirthSaturationError,
+    Graph,
     SplitMix64,
     gen_random_forest,
     gen_random_girth5,
@@ -15,7 +17,7 @@ from degeq import (
     instance_seed,
     is_forest,
 )
-from degeq.generators import _ball_keeper
+from degeq.generators import MAX_FOREST_ORDER, MAX_GIRTH_PAIRS, _ball_keeper
 from degeq.prng import _BLOCK, _GAMMA, _MASK, mix64
 
 from reference import randrange_shuffle, unmix64
@@ -220,6 +222,51 @@ class TestGirth5Generator:
     def test_higher_girth_option(self):
         g = gen_random_girth5(16, None, seed=2, min_girth=7)
         assert girth(g) >= 7
+
+    def test_graph_is_the_one_from_edges_builds(self):
+        # the graph is built from the ball keeper's adjacency lists, with no
+        # edge re-validated: it must equal the graph of its own edge list
+        for n in range(1, 30):
+            for min_girth in range(3, 10):
+                for m in (None, 0, n):
+                    try:
+                        g = gen_random_girth5(n, m, seed=n + min_girth, min_girth=min_girth)
+                    except GirthSaturationError:
+                        continue
+                    assert g == Graph.from_edges(n, g.edges()), (n, min_girth, m)
+
+    def test_no_edge_list_is_built(self, monkeypatch):
+        calls = []
+        from_edges = Graph.from_edges.__func__
+
+        def spy(cls, n, edges):
+            calls.append(n)
+            return from_edges(cls, n, edges)
+
+        monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
+        for seed in range(4):
+            gen_random_girth5(20, None, seed)
+            gen_random_girth5(20, 10, seed, min_girth=7)
+        assert calls == []
+
+    def test_min_girth_past_the_order_is_clamped(self):
+        # no distance in an n-vertex graph exceeds n - 1, so every min_girth
+        # above n + 1 tests the same pairs as n + 1 and keeps no more balls
+        start = time.perf_counter()
+        for n in (2, 3, 12, 30):
+            for m in (None, n // 2):
+                huge = gen_random_girth5(n, m, seed=n, min_girth=10**9)
+                assert huge == gen_random_girth5(n, m, seed=n, min_girth=n + 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_order_limits_sit_past_2000_vertices_and_a_million(self):
+        # the refusals themselves, at these orders and far past them, are
+        # tested through gen and verify
+        assert 2000 * 1999 // 2 <= MAX_GIRTH_PAIRS < 2001 * 2000 // 2
+        with pytest.raises(ValueError, match="over 2000000 vertex pairs"):
+            gen_random_girth5(2001, 0)
+        with pytest.raises(ValueError, match="random forest on 1000001 vertices"):
+            gen_random_forest(MAX_FOREST_ORDER + 1, m=0)
 
     def test_inserted_edges_keep_every_ball_exact(self):
         # sequences that close short cycles, forests and girth-5 graphs, one

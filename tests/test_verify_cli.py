@@ -415,6 +415,32 @@ class TestCli:
         assert result.output.startswith(f"0:extremal-Ft(t={t}): ERROR ValueError: F_{t} has ")
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("random-girth5", 2001), ("random-girth5", 10**5), ("random-girth5", 10**20),
+         ("random-forest", 10**6 + 1), ("random-forest", 10**20)],
+    )
+    def test_gen_refuses_a_random_graph_too_large_to_build(self, tmp_path, kind, n):
+        # past C(n, 2) = 2 * 10**6 pairs or 10**6 forest vertices nothing is
+        # allocated; a verify corpus line gives an ERROR row instead
+        start = time.perf_counter()
+        out = tmp_path / "corpus"
+        result = self.runner.invoke(
+            main, ["gen", "--kind", kind, "--n", str(n), "--count", "3", "--out", str(out)]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("input error: instance 0: ")
+        assert list(out.iterdir()) == []
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"kind": kind, "n": n}]))
+        result = self.runner.invoke(main, ["verify", "--claims", "moore", "--corpus", str(corpus)])
+        assert result.exit_code == 0
+        (row,) = [line for line in result.output.splitlines() if line.startswith("0:")]
+        assert row.startswith(f"0:{kind}(") and ": ERROR ValueError: " in row
+        assert time.perf_counter() - start < 1.0
+
     def test_gen_refuses_negative_edge_target(self, tmp_path):
         out = tmp_path / "corpus"
         result = self.runner.invoke(
@@ -995,9 +1021,12 @@ def test_equalize_and_bounds_boundary_fuzz(tmp_path_factory, data, k, t, command
 # construct and gen options for their boundary fuzz: every family and kind,
 # --t at -5, 0, 1..8, 228, 10**5, 10**20 or not an int (F_t past 10**6
 # vertices is refused unbuilt), --n up to 40 or -1, at most 4 sizes of at
-# most 8, --m and --seed at -1, in range or 10**20, and --count up to 3.  No
-# larger construct --n, or gen --n or --count, is drawn: each builds or loops
-# in proportion to its value.
+# most 8, --m and --seed at -1, in range or 10**20, and --count up to 3.
+# gen --n is also drawn at 2,001 and 10**6 + 1 (the least order each random
+# kind refuses unbuilt) and at 10**20, and for random-girth5 at 10**5.  No
+# larger construct --n or gen --count is drawn, nor a random forest of 10**5
+# vertices: each builds in proportion to its value, and the forest is within
+# its limit but takes about half a second.
 NOT_INTS = st.sampled_from(["x", "1.5", "", "nan", "٣", BIG + ".0"])
 ORDERS = st.integers(min_value=-1, max_value=40).map(str)
 
@@ -1018,16 +1047,19 @@ CONSTRUCT_ARGS = st.tuples(
         max_size=4,
     ).map(",".join)),
 ).map(lambda parts: ["construct", "--family", parts[0], *parts[1], *parts[2], *parts[3]])
+GEN_ORDERS = {"random-forest": ["2001", "1000001", BIG],
+              "random-girth5": ["2001", "1000001", "100000", BIG]}
 GEN_ARGS = st.tuples(
-    st.sampled_from(sorted(k for k, e in CORPUS_KINDS.items() if e.random)),
-    ORDERS,
+    st.sampled_from(sorted(k for k, e in CORPUS_KINDS.items() if e.random)).flatmap(
+        lambda kind: st.one_of(ORDERS, st.sampled_from(GEN_ORDERS[kind])).map(
+            lambda order: ["--kind", kind, "--n", order])
+    ),
     maybe("--m", st.one_of(st.sampled_from(["-1", BIG]),
                            st.integers(min_value=0, max_value=60).map(str))),
     maybe("--seed", st.one_of(st.sampled_from(["-1", BIG]),
                               st.integers(min_value=0, max_value=2**64).map(str))),
     maybe("--count", st.integers(min_value=-1, max_value=3).map(str)),
-).map(lambda parts: ["gen", "--kind", parts[0], "--n", parts[1], *parts[2], *parts[3],
-                     *parts[4]])
+).map(lambda parts: ["gen", *parts[0], *parts[1], *parts[2], *parts[3]])
 
 
 # bench options: every suite and format, no --suite, and names that are not
