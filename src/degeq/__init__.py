@@ -28,7 +28,7 @@ _HOME = {
          "build_star_union", "extremal_size"],
         "extremal",
     ),
-    "compute_fk_forest": "forest_dp",
+    **dict.fromkeys(["NotAForestError", "compute_fk_forest"], "forest_dp"),
     **dict.fromkeys(
         ["GeneratorConfig", "GirthSaturationError", "gen_random_forest",
          "gen_random_girth5"],
@@ -40,7 +40,7 @@ _HOME = {
          "to_edgelist"],
         "graph",
     ),
-    **dict.fromkeys(["OrderLimitError", "brute_force_fk"], "oracle"),
+    **dict.fromkeys(["OrderLimitError", "brute_force_fk", "solve"], "oracle"),
     **dict.fromkeys(["SplitMix64", "instance_seed"], "prng"),
     "run_verification": "verify",
 }

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .extremal import build_extremal_forest, build_path, build_star_union
-from .forest_dp import compute_fk_forest
 from .generators import gen_random_forest
-from .oracle import brute_force_fk
+from .oracle import brute_force_fk, solve
 
 
 @dataclass
@@ -47,20 +46,18 @@ def run_suite(suite: str) -> list[BenchRow]:
         cases += [("extremal-F15", build_extremal_forest(15), (3,))]
         cases += [("star-union-S10", s10, (2,))]
     elif suite == "oracle":
-        # f_3(F_t) = t, and F_4 has 18 vertices, the default oracle limit
+        # forests, so not solve: f_3(F_t) = t, and F_4 has the limit's 18 vertices
         cases = [(f"extremal-F{t}", build_extremal_forest(t), (3,)) for t in (2, 3, 4)]
     else:
         raise ValueError(f"unknown bench suite {suite!r}")
-    solve, method = (
-        (brute_force_fk, "brute") if suite == "oracle" else (compute_fk_forest, "dp")
-    )
+    exact = brute_force_fk if suite == "oracle" else solve
     rows = []
     for name, graph, ks in cases:
         for k in ks:
             start = time.perf_counter()
-            value, _cert = solve(graph, k)
+            value, cert = exact(graph, k)
             ms = (time.perf_counter() - start) * 1000.0
-            rows.append(BenchRow(name, graph.n, graph.m, k, method, value, ms))
+            rows.append(BenchRow(name, graph.n, graph.m, k, cert.method, value, ms))
     return rows
 
 

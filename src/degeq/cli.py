@@ -16,7 +16,7 @@ from typing import NoReturn
 import click
 
 from .certificates import validate_certificate
-from .forest_dp import DeadlineExceeded, compute_fk_forest
+from .forest_dp import DeadlineExceeded, NotAForestError, compute_fk_forest
 from .generators import CORPUS_KINDS, GeneratorConfig, expand_corpus, realize
 from .graph import (
     Graph,
@@ -27,7 +27,7 @@ from .graph import (
     parse_graph,
     to_edgelist,
 )
-from .oracle import DEFAULT_ORDER_LIMIT, OrderLimitError, brute_force_fk
+from .oracle import DEFAULT_ORDER_LIMIT, OrderLimitError, brute_force_fk, solve
 
 
 def _register_unexecuted(*names: str) -> None:
@@ -93,6 +93,8 @@ def _solve_and_emit(
         options["deadline"] = time.monotonic() + timeout
     try:
         value, cert = solve(graph, k, **options)
+    except NotAForestError:
+        _fail(EXIT_INPUT, "input error: the tree solver requires a forest")
     except OrderLimitError as exc:
         _fail(EXIT_USAGE, f"usage error: {exc}")
     except DeadlineExceeded as exc:
@@ -170,16 +172,12 @@ def main():
 def compute(input_path, k, method, fmt, force, timeout):
     """Exact equalization number of a graph."""
     graph = _load_graph(input_path)
-    forest = is_forest(graph)
-    if method == "auto":
-        method = "dp" if forest else "brute"
-    if method == "dp" and not forest:
-        _fail(EXIT_INPUT, "input error: the tree solver requires a forest")
     if method == "dp":
         _solve_and_emit(graph, k, fmt, compute_fk_forest, timeout)
     else:
         limit = graph.n if force else DEFAULT_ORDER_LIMIT
-        _solve_and_emit(graph, k, fmt, brute_force_fk, timeout, limit=limit)
+        pick = solve if method == "auto" else brute_force_fk
+        _solve_and_emit(graph, k, fmt, pick, timeout, limit=limit)
 
 
 @main.command()
@@ -227,12 +225,12 @@ def gen(kind, n, m, seed, count, out_dir):
     except ValueError as exc:
         _fail(EXIT_INPUT, f"input error: {exc}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for spec in expand_corpus([config]):
         try:
             graph = realize(spec)
         except ValueError as exc:
             _fail(EXIT_INPUT, f"input error: instance {spec.index}: {exc}")
+        out.mkdir(parents=True, exist_ok=True)  # not before an instance is built
         path = out / f"{kind}-n{n}-s{seed}-i{spec.index:04d}.txt"
         path.write_text(to_edgelist(graph), encoding="utf-8")
         click.echo(str(path))

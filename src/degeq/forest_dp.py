@@ -38,6 +38,10 @@ class DeadlineExceeded(Exception):
     """Cooperative timeout raised by long-running solvers."""
 
 
+class NotAForestError(ValueError):
+    """The tree program was given a graph with a cycle."""
+
+
 @dataclass(frozen=True)
 class _Skeleton:
     """A forest rooted at the virtual vertex n, which is adjacent to the
@@ -279,14 +283,15 @@ def compute_fk_forest(
 
     Before the walk, f_k = 1 is answered without any pass or bdd by
     ``_last_pick``, whose first success in ascending id is the least
-    deletion set.
+    deletion set.  A graph with a cycle raises ``NotAForestError``: at once
+    when m >= n >= 1, else from the rooting search's component count.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     n = forest.n
-    skeleton = _build_skeleton(forest)
-    if forest.m != n - len(skeleton.children[n]):
-        raise ValueError("input graph is not a forest")
+    skeleton = None if forest.m >= n >= 1 else _build_skeleton(forest)
+    if skeleton is None or forest.m != n - len(skeleton.children[n]):
+        raise NotAForestError("input graph is not a forest")
     deg = [len(nbrs) for nbrs in forest.adj]
     hist = [0] * (max(deg, default=0) + 1)
     for d in deg:

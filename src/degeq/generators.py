@@ -44,7 +44,7 @@ def gen_random_forest(
     if n > MAX_FOREST_ORDER:
         raise ValueError(f"a random forest on {n} vertices is over {MAX_FOREST_ORDER}")
     rng = SplitMix64(seed)
-    edges: list[tuple[int, int]] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
     if m is not None:
         if not 0 <= m <= n - 1:
             raise ValueError(f"a forest on {n} vertices has 0..{n - 1} edges")
@@ -54,8 +54,11 @@ def gen_random_forest(
     for v in range(1, n):
         if (v in extra_starts) if m is not None else rng.random() < split_prob:
             continue
-        edges.append((rng.randrange(v), v))
-    return Graph.from_edges(n, edges)
+        p = rng.randrange(v)
+        adj[p].append(v)
+        adj[v].append(p)
+    # v gets its parent p < v, then its children by id: every list is sorted
+    return Graph(n, tuple(map(tuple, adj)), sum(map(len, adj)) // 2)
 
 
 def _ball_keeper(n: int, wide: int):

@@ -3,6 +3,7 @@
 ``brute_force_fk`` finds what the definition of the equalization number asks
 for: the smallest deletion set, by size then lexicographic order, whose
 removal leaves k vertices of maximum degree or fewer than k vertices.
+``solve`` runs the tree program on a forest and this search on other graphs.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import time
 
 from .certificates import RemovalCertificate, make_certificate
-from .forest_dp import DeadlineExceeded
+from .forest_dp import DeadlineExceeded, NotAForestError, compute_fk_forest
 from .graph import Graph, _last_pick
 
 DEFAULT_ORDER_LIMIT = 18
@@ -136,3 +137,16 @@ def brute_force_fk(
             # the first set that leaves fewer than k vertices
             x = tuple(range(n - k + 1))
     return len(x), make_certificate(graph, x, k, "brute")
+
+
+def solve(
+    graph: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT, deadline: float | None = None
+) -> tuple[int, RemovalCertificate]:
+    """Exact equalization number with certificate, method ``"dp"`` on a
+    forest and ``"brute"`` otherwise; ``OrderLimitError`` past ``limit``
+    on a graph with a cycle.  The tree program's own rooting search is the
+    forest check."""
+    try:
+        return compute_fk_forest(graph, k, deadline=deadline)
+    except NotAForestError:
+        return brute_force_fk(graph, k, limit, deadline)

@@ -20,10 +20,10 @@ from . import bounds
 from .bounds import ClaimEntry, INAPPLICABLE, PASS, SKIP, VIOLATED
 from .certificates import RemovalCertificate, validate_certificate
 from .constructive import PreconditionError, equalize3_forest, girth5_equalize
-from .forest_dp import DeadlineExceeded, compute_fk_forest
+from .forest_dp import DeadlineExceeded
 from .generators import GeneratorConfig, InstanceSpec, expand_corpus, realize
 from .graph import degree_profile, girth, is_forest
-from .oracle import OrderLimitError, brute_force_fk
+from .oracle import OrderLimitError, brute_force_fk, solve
 
 
 class _InstanceContext:
@@ -49,22 +49,16 @@ class _InstanceContext:
         return is_forest(self.graph)
 
     def fk(self, k: int) -> tuple[int | None, str]:
-        """(value, method) with value None when no exact solver applies."""
+        """(value, method) with value None past the oracle's reach."""
         if k not in self.certificates:
-            self.certificates[k] = self._solve(k)
+            try:
+                self.certificates[k] = solve(self.graph, k, deadline=self.deadline)[1]
+            except OrderLimitError:
+                self.certificates[k] = None
         cert = self.certificates[k]
         if cert is None:
             return None, "none"
         return len(cert.x), cert.method
-
-    def _solve(self, k: int) -> RemovalCertificate | None:
-        """The exact solver's certificate; None past the oracle's reach."""
-        if self.forest:
-            return compute_fk_forest(self.graph, k, deadline=self.deadline)[1]
-        try:
-            return brute_force_fk(self.graph, k, deadline=self.deadline)[1]
-        except OrderLimitError:
-            return None
 
 
 def _skip(claim: str, params: dict, note: str) -> ClaimEntry:

@@ -32,6 +32,7 @@ from degeq import graph as graph_module
 from degeq.certificates import make_certificate
 from degeq.forest_dp import (
     DeadlineExceeded,
+    NotAForestError,
     _best_score,
     _build_skeleton,
     _min_deletions,
@@ -120,6 +121,19 @@ class TestComputeFkForest:
     def test_rejects_non_forest(self, cycle5):
         with pytest.raises(ValueError):
             compute_fk_forest(cycle5, 2)
+
+    def test_n_or_more_edges_refused_before_rooting(self, cycle5, monkeypatch):
+        # a forest on n >= 1 vertices has at most n - 1 edges, so C_5 and the
+        # Heawood graph are refused without the rooting search
+        def unexpected(forest):
+            raise AssertionError("skeleton built")
+
+        monkeypatch.setattr(forest_dp, "_build_skeleton", unexpected)
+        ring = [(i, (i + 1) % 14) for i in range(14)]
+        heawood = Graph.from_edges(14, ring + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+        for graph in (cycle5, heawood):
+            with pytest.raises(NotAForestError, match="input graph is not a forest"):
+                compute_fk_forest(graph, 2)
 
     @pytest.mark.parametrize(
         "graph",

@@ -225,7 +225,8 @@ class TestGirth5Generator:
 
     def test_graph_is_the_one_from_edges_builds(self):
         # the graph is built from the ball keeper's adjacency lists, with no
-        # edge re-validated: it must equal the graph of its own edge list
+        # edge re-validated: it must equal the graph of its own edge list;
+        # likewise a random forest's, built from its parent attachments
         for n in range(1, 30):
             for min_girth in range(3, 10):
                 for m in (None, 0, n):
@@ -234,6 +235,9 @@ class TestGirth5Generator:
                     except GirthSaturationError:
                         continue
                     assert g == Graph.from_edges(n, g.edges()), (n, min_girth, m)
+            for m in (None, 0, n // 2, n - 1):
+                g = gen_random_forest(n, seed=n, m=m)
+                assert g == Graph.from_edges(n, g.edges()), (n, m)
 
     def test_no_edge_list_is_built(self, monkeypatch):
         calls = []
@@ -247,6 +251,8 @@ class TestGirth5Generator:
         for seed in range(4):
             gen_random_girth5(20, None, seed)
             gen_random_girth5(20, 10, seed, min_girth=7)
+            gen_random_forest(20, seed=seed)
+            gen_random_forest(20, seed=seed, m=10)
         assert calls == []
 
     def test_min_girth_past_the_order_is_clamped(self):

@@ -18,6 +18,7 @@ from degeq import (
     gen_random_girth5,
     make_certificate,
     oracle,
+    solve,
     validate_certificate,
 )
 from degeq.forest_dp import DeadlineExceeded
@@ -201,6 +202,33 @@ def test_order_limit_guard():
         brute_force_fk(g, 2)
     value, _ = brute_force_fk(g, 2, limit=19)
     assert value == 0
+
+
+def test_solve_takes_the_tree_program_on_a_forest_of_any_order():
+    # F_12 has 206 vertices, far above the oracle's limit
+    f12 = build_extremal_forest(12)
+    value, cert = solve(f12, 3)
+    assert (value, cert.method) == (12, "dp")
+    assert validate_certificate(f12, cert, 3)
+
+
+def test_solve_takes_the_oracle_on_a_small_graph_with_a_cycle():
+    # K_2 + C_3 has fewer edges than vertices: the tree program's rooting
+    # search, not its edge count, finds the cycle
+    k2_c3 = Graph.from_edges(6, [(0, 1), (3, 4), (4, 5), (3, 5)])
+    for graph, k in [(gen_random_girth5(n, seed=n), 3) for n in (10, 14, 18)] + [(k2_c3, 2)]:
+        value, cert = solve(graph, k)
+        assert cert.method == "brute"
+        assert (value, cert) == brute_force_fk(graph, k)
+
+
+def test_solve_refuses_a_graph_with_a_cycle_past_the_limit():
+    big = gen_random_girth5(19, seed=1)
+    with pytest.raises(OrderLimitError):
+        solve(big, 3)
+    with pytest.raises(OrderLimitError):
+        solve(_hubbed_girth5(12, seed=3), 3, limit=11)
+    assert solve(big, 3, limit=19)[1].method == "brute"
 
 
 def test_subforest_star_two_leaves():

@@ -267,6 +267,45 @@ class TestCli:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        ["3 3\n0 1\n0 2\n1 2\n", "6 4\n0 1\n3 4\n4 5\n3 5\n"],
+        ids=["C3", "K2+C3"],
+    )
+    def test_compute_dp_refuses_a_cycle_the_tree_program_finds(self, tmp_path, text):
+        # with m >= n the tree program refuses at once; K_2 + C_3 has fewer
+        # edges than vertices, and its rooting search finds the cycle
+        path = self.write_graph(tmp_path, text)
+        result = self.runner.invoke(
+            main, ["compute", "--input", path, "--k", "2", "--method", "dp"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "input error: the tree solver requires a forest\n"
+
+    def test_compute_reads_a_forest_once(self, tmp_path, monkeypatch):
+        # the tree program's rooting search is the only forest check: no
+        # component search runs before it
+        calls = []
+        components = degeq.graph.components
+        build = degeq.forest_dp._build_skeleton
+
+        def counted_components(graph):
+            calls.append("components")
+            return components(graph)
+
+        def counted_build(forest):
+            calls.append("skeleton")
+            return build(forest)
+
+        monkeypatch.setattr(degeq.graph, "components", counted_components)
+        monkeypatch.setattr(degeq.forest_dp, "_build_skeleton", counted_build)
+        path = self.write_graph(tmp_path, "5 3\n0 1\n0 2\n3 4\n")
+        result = self.runner.invoke(main, ["compute", "--input", path, "--k", "2"])
+        assert result.exit_code == 0, result.output
+        assert "method dp" in result.stdout
+        assert calls == ["skeleton"]
+
     def test_input_error_exit_code(self, tmp_path):
         path = self.write_graph(tmp_path, "3 1\n0 0\n")
         result = self.runner.invoke(main, ["compute", "--input", path, "--k", "2"])
@@ -298,7 +337,8 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("compute solved with a refused --timeout")
 
-        monkeypatch.setattr(degeq.cli, "compute_fk_forest", refuse)
+        for name in ("solve", "compute_fk_forest", "brute_force_fk"):
+            monkeypatch.setattr(degeq.cli, name, refuse)
         path = self.write_graph(tmp_path, to_edgelist(degeq.build_extremal_forest(18)))
         result = self.runner.invoke(
             main, ["compute", "--input", path, "--k", "3", "--timeout", value]
@@ -432,7 +472,7 @@ class TestCli:
         assert result.stdout == ""
         (line,) = result.stderr.splitlines()
         assert line.startswith("input error: instance 0: ")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps([{"kind": kind, "n": n}]))
         result = self.runner.invoke(main, ["verify", "--claims", "moore", "--corpus", str(corpus)])
