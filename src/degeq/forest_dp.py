@@ -13,8 +13,12 @@ One counting pass per delta (``_best_score``) solves that problem for every
 choice of the k vertices at once, on the forest rooted by one depth-first
 search, and scores each subforest so that the maximum also names the
 lexicographically least deletion set of largest order: the walk keeps the
-best score and decodes the certificate from it once.  A pass folds each
-vertex's twin leaf children in one step.  The passes walk delta down from the
+best score and decodes the certificate from it once.  A pass walks only the
+vertices with children; each folds its twin leaf children in one step, from
+the prefix sums of their deletion bits that ``split`` caches for all passes.
+From delta = 2 on a kept leaf never counts toward the k and adds 2**n for
+one deletion bit below 2**n, so the fold tries only the most kept leaves
+below degree delta and exactly delta.  The passes walk delta down from the
 k-th largest degree until a bounded-degree-deletion lower bound
 (``_min_deletions``) shows that no lower delta can reach the best order.
 
@@ -51,21 +55,23 @@ class _Skeleton:
     children: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def split(self) -> list[tuple[list[int], list[int]]]:
-        """Each vertex's non-leaf children, and the deletion bits of its leaf
-        children from the lowest id up."""
+    def split(self) -> list[tuple[int, list[int], list[int] | tuple[()]]]:
+        """Each vertex with children, children first: its non-leaf children,
+        and the prefix sums ``[0, *accumulate(bits)]`` of its leaf children's
+        deletion bits from the lowest id up, or () when it has no leaf child."""
         children = self.children
         n = len(children) - 1
         out = []
-        for kids in children[:-1]:
-            inner, bits = [], []
-            for v in kids:
-                if children[v]:
-                    inner.append(v)
-                else:
-                    bits.append(1 << (n - 1 - v))
-            bits.sort(reverse=True)
-            out.append((inner, bits))
+        for u in self.order[:-1]:
+            if children[u]:
+                inner, bits = [], []
+                for v in children[u]:
+                    if children[v]:
+                        inner.append(v)
+                    else:
+                        bits.append(1 << (n - 1 - v))
+                bits.sort(reverse=True)
+                out.append((u, inner, [0, *accumulate(bits)] if bits else ()))
         return out
 
 
@@ -153,10 +159,10 @@ def _kept(base, at_delta, gain: int, k: int):
     return out
 
 
-def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, leaf_bits=()):
+def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, dropped=()):
     """(deleted, kept with the parent edge, free) vectors of one vertex, whose
     deletion bit is ``bit``, from its children's triples ``kids`` and the
-    bits ``leaf_bits`` of its leaf children, highest first."""
+    prefix sums ``dropped`` of its leaf children's bits, highest first."""
     deleted = [bit]
     rows = [[0]]  # rows[c]: exactly c kept children
     for drop, up, free in kids:
@@ -168,18 +174,21 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, leaf_bits=())
             for c, row in enumerate(rows[:delta]):
                 new[c + 1] = _vmax(new[c + 1], _merge(row, up, k))
         rows = new
-    if leaf_bits:
+    if dropped:
         # leaves are twins: keeping c of them is best done by deleting the
         # count - c lowest ids.  A leaf counts toward j only at degree delta:
         # kept beside its parent at delta = 1, or with it deleted at delta = 0
-        # (capped at j = k here: _merge does not truncate beside a scalar)
-        count = len(leaf_bits)
+        # (capped at j = k here: _merge does not truncate beside a scalar).
+        # From delta = 2 on a kept leaf never counts and adds 2**n for one
+        # deletion bit below 2**n, so row c tries only the most leaves that
+        # stay below delta and exactly delta - c (at delta <= 1, every count)
+        count = len(dropped) - 1
         width = 1 + min(count, k) if delta == 0 else 1
         deleted = _merge(deleted, [count * gain] * width, k)
-        dropped = [0, *accumulate(leaf_bits)]
         folded = [None] * min(len(rows) + count, delta + 1)
         for c, row in enumerate(rows):
-            for extra in range(min(count, delta - c) + 1):
+            least = max(0, min(count, delta - 1 - c))
+            for extra in range(least, min(count, delta - c) + 1):
                 b = extra * gain + dropped[count - extra]
                 shift = [b] * (1 + extra if delta == 1 else 1)
                 folded[c + extra] = _vmax(folded[c + extra], _merge(row, shift, k))
@@ -196,20 +205,14 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, leaf_bits=())
 
 
 def _pass_vectors(skel: _Skeleton, n: int, k: int, delta: int) -> list:
-    """Every vertex's ``_vertex_vectors`` triple at delta, children first;
-    each vertex folds in its leaf children at once."""
+    """The ``_vertex_vectors`` triple at delta of every vertex with children,
+    children first, and None for a leaf: each vertex folds in its leaf
+    children at once, so the pass never visits a leaf."""
     gain = 1 << n
-    children, split = skel.children, skel.split
-    _, up, free = _vertex_vectors(0, [], gain, k, delta)  # shared by every leaf
     vectors = [None] * n
-    for u in skel.order[:-1]:
-        bit = 1 << (n - 1 - u)
-        if children[u]:
-            kids, leaf_bits = split[u]
-            kids = [vectors[v] for v in kids]
-            vectors[u] = _vertex_vectors(bit, kids, gain, k, delta, leaf_bits)
-        else:
-            vectors[u] = ([bit], up, free)
+    for u, inner, dropped in skel.split:
+        kids = [vectors[v] for v in inner]
+        vectors[u] = _vertex_vectors(1 << (n - 1 - u), kids, gain, k, delta, dropped)
     return vectors
 
 
@@ -218,9 +221,12 @@ def _best_score(skel: _Skeleton, n: int, k: int, delta: int) -> int:
     least k vertices of degree delta, whose bits name the lexicographically
     least deletion set over all largest subforests; -1 if there is none."""
     vectors = _pass_vectors(skel, n, k, delta)
+    # an isolated vertex is kept at every j, its 2**n above its deletion
+    # bit, so one triple with no bit serves them all
+    _, _, alone = _vertex_vectors(0, [], 1 << n, k, delta)
     total = [0]
     for v in skel.children[n]:
-        total = _merge(total, vectors[v][2], k)
+        total = _merge(total, alone if vectors[v] is None else vectors[v][2], k)
     return total[k] if len(total) > k else -1
 
 

@@ -58,6 +58,12 @@ def at(vec, j, n):
     return vec[j] >> n
 
 
+def leaf_triple(n, v, k, delta):
+    """Leaf v's triple in an n-vertex pass, which the pass itself never builds:
+    ``_vertex_vectors`` with no children."""
+    return _vertex_vectors(1 << (n - 1 - v), (), 1 << n, k, delta)
+
+
 def childless(bit, gain, delta):
     """A leaf's (deleted, kept with the parent edge, free) vectors, read off
     the definition: kept alone it has degree 0, kept with its parent degree
@@ -89,15 +95,18 @@ class TestLeafBase:
     @pytest.mark.parametrize("special", [False, True])
     @pytest.mark.parametrize("delta", [0, 1, 2, 4])
     def test_combine_with_no_children_reproduces_base(self, special, delta):
-        # each leaf of a pass gets the childless vectors for its own bit
+        # a pass builds no leaf triple; each leaf's own, built with no
+        # children, is the childless vectors for its bit
         star = build_star(5)
         n = star.n
         vectors = _pass_vectors(counting_skeleton(star), n, 2, delta)
         base = _vertex_vectors(1, (), 2, 2, delta)
         for leaf in range(1, n):
+            assert vectors[leaf] is None
+            triple = leaf_triple(n, leaf, 2, delta)
             expected = childless(1 << (n - 1 - leaf), 1 << n, delta)
-            assert list(vectors[leaf]) == list(expected)
-            got = [at(vec, int(special), n) for vec in vectors[leaf]]
+            assert list(triple) == list(expected)
+            got = [at(vec, int(special), n) for vec in triple]
             assert got == [at(vec, int(special), 1) for vec in base]
 
 
@@ -318,9 +327,9 @@ class TestCountingSolverDifferential:
         assert cert.method == "dp"
         assert validate_certificate(forest, cert, 20)
 
-    def test_extremal_family_values_eight_to_fifteen(self):
+    def test_extremal_family_values_eight_to_thirty(self):
         # Lemma 2: f_3(F_t) = t
-        for t in range(8, 16):
+        for t in range(8, 31):
             assert compute_fk_forest(build_extremal_forest(t), 3)[0] == t
 
 
@@ -456,6 +465,41 @@ def test_golden_certificate_digest():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+def relabelled(graph, seed):
+    """``graph`` with its ids permuted by ``SplitMix64(seed).shuffle``."""
+    label = list(range(graph.n))
+    SplitMix64(seed).shuffle(label)
+    return Graph.from_edges(graph.n, [(label[u], label[v]) for u, v in graph.edges()])
+
+
+def scale_cases():
+    """(forest, k) pairs with stars of tens to thousands of leaves, far above
+    the oracle's reach: F_16 to F_30, two wide star unions, and four
+    relabelled unions at every k from 2 to 5."""
+    for t in range(16, 31):
+        yield build_extremal_forest(t), 3
+    yield build_star_union([900, 700, 700, 500, 300]), 3
+    yield build_star_union([2000, 1500, 1500, 800]), 4
+    for s in range(4):
+        union = relabelled(build_star_union([60 - 7 * s, 45, 45, 30 + s, 12, 3]), 77 + s)
+        for k in range(2, 6):
+            yield union, k
+
+
+# sha256 of every repr(compute_fk_forest(F, k)) for the cases above, one per
+# line, as a fold over every count of kept leaves gives them.  It pins each
+# certificate where the fold tries only two counts per row, at stars of up to
+# 2,000 leaves
+SCALE_DIGEST = "d789a96e8f010ecf6b6768a7e3308b859dbfb9d09e9d397369e35133267fcff2"
+
+
+def test_scale_certificate_digest():
+    digest = hashlib.sha256()
+    for forest, k in scale_cases():
+        digest.update(repr(compute_fk_forest(forest, k)).encode() + b"\n")
+    assert digest.hexdigest() == SCALE_DIGEST
+
+
 class TestCombine:
     def test_single_special_child(self):
         # K_2 at delta = 1: the kept child counts, and so does its parent
@@ -584,7 +628,11 @@ class TestEngineAgainstPlans:
                 for delta in range(max(map(len, forest.adj), default=0) + 1):
                     vectors = _pass_vectors(skel, forest.n, k, delta)
                     for u in range(forest.n):
-                        got = [padded(vec, k) for vec in vectors[u]]
+                        if skel.children[u]:
+                            triple = vectors[u]
+                        else:
+                            triple = leaf_triple(forest.n, u, k, delta)
+                        got = [padded(vec, k) for vec in triple]
                         assert got == swept_vectors(forest, skel, u, k, delta)
 
 
@@ -600,8 +648,9 @@ def shuffled_star_union(seed, stars, leaves):
 
 
 class TestLeafFold:
-    # a pass folds each vertex's leaf children in closed form; the generic
-    # step merges the leaves' own triples one at a time
+    # a pass folds each vertex's leaf children in closed form and builds no
+    # leaf triple; the generic step merges the leaves' own triples one at a
+    # time
     @staticmethod
     def assert_fold_is_generic(forest):
         skel = counting_skeleton(forest)
@@ -610,10 +659,14 @@ class TestLeafFold:
             for delta in range(max(map(len, forest.adj), default=0) + 2):
                 vectors = _pass_vectors(skel, n, k, delta)
                 for u in range(n):
-                    kids = [vectors[v] for v in skel.children[u]]
-                    generic = _vertex_vectors(
-                        1 << (n - 1 - u), kids, 1 << n, k, delta, leaf_bits=()
-                    )
+                    if not skel.children[u]:
+                        assert vectors[u] is None, (u, k, delta)
+                        continue
+                    kids = [
+                        vectors[v] if skel.children[v] else leaf_triple(n, v, k, delta)
+                        for v in skel.children[u]
+                    ]
+                    generic = _vertex_vectors(1 << (n - 1 - u), kids, 1 << n, k, delta)
                     assert tuple(vectors[u]) == generic, (u, k, delta)
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -621,13 +674,27 @@ class TestLeafFold:
         for forest in all_forests(n):
             self.assert_fold_is_generic(forest)
 
-    @pytest.mark.parametrize("t", range(1, 9))
+    @pytest.mark.parametrize("t", range(1, 11))
     def test_extremal_family(self, t):
         self.assert_fold_is_generic(build_extremal_forest(t))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_shuffled_star_unions(self, seed):
         self.assert_fold_is_generic(shuffled_star_union(seed, 7, 12))
+
+    # from delta = 2 on the fold tries only two counts of kept leaves per row:
+    # with up to 40 leaves a star, it skips most of them at most deltas
+    @pytest.mark.parametrize("seed", range(8))
+    def test_wide_shuffled_star_unions(self, seed):
+        self.assert_fold_is_generic(shuffled_star_union(seed, 3, 40))
+
+    @pytest.mark.parametrize(
+        "forest",
+        [double_star(15, 20), double_star(18, 17), caterpillar((16, 20, 15, 18))],
+        ids=["double-star-15-20", "double-star-18-17", "caterpillar"],
+    )
+    def test_wide_spines(self, forest):
+        self.assert_fold_is_generic(forest)
 
     @pytest.mark.parametrize("delta", [0, 1])
     @pytest.mark.parametrize(
@@ -636,8 +703,7 @@ class TestLeafFold:
         ids=["F6", "star-union"],
     )
     def test_one_step_per_non_leaf_vertex(self, monkeypatch, forest, delta):
-        # one step per non-leaf vertex, plus one for the triple that every
-        # leaf shares
+        # one step per non-leaf vertex, and none for a leaf
         skel = counting_skeleton(forest)
         step, calls = forest_dp._vertex_vectors, []
 
@@ -649,7 +715,31 @@ class TestLeafFold:
         _pass_vectors(skel, forest.n, 3, delta)
         inner = sum(1 for kids in skel.children[:-1] if kids)
         assert 0 < inner < forest.n
-        assert len(calls) == 1 + inner
+        assert len(calls) == inner
+
+    @pytest.mark.parametrize(
+        "build, k, delta",
+        [
+            (lambda: build_star_union([2000, 1500, 1500, 800]), 4, 800),
+            (lambda: build_extremal_forest(30), 3, 200),
+        ],
+        ids=["S2000-1500-1500-800", "F30"],
+    )
+    def test_merges_paid_per_internal_vertex(self, monkeypatch, build, k, delta):
+        # a pass pays for vertices with children, not for leaves: at most
+        # four merges per internal vertex and one per component at the root
+        forest = build()
+        skel = counting_skeleton(forest)
+        merge, calls = forest_dp._merge, []
+
+        def counted(*args):
+            calls.append(None)
+            return merge(*args)
+
+        monkeypatch.setattr(forest_dp, "_merge", counted)
+        _best_score(skel, forest.n, k, delta)
+        inner = sum(1 for kids in skel.children[:-1] if kids)
+        assert len(calls) <= 4 * inner + len(skel.children[forest.n])
 
     def test_shuffled_star_unions_match_oracle(self):
         checked = 0
