@@ -4,9 +4,13 @@ degrees despite having few edges."""
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import MAX_ORDER, Graph
 
-MAX_EXTREMAL_ORDER = 10**6  # a larger F_t is refused before it is built
+
+def _refuse_over(order: int, name: str) -> None:
+    """Refuse a family member of more than ``MAX_ORDER`` vertices unbuilt."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{name} has {order} vertices, over {MAX_ORDER}")
 
 
 def a_sequence(i: int) -> int:
@@ -29,12 +33,14 @@ def build_star(n: int) -> Graph:
     """Star on n vertices: center 0, leaves 1..n-1."""
     if n < 1:
         raise ValueError("star needs at least one vertex")
+    _refuse_over(n, "the star")
     return Graph.from_edges(n, [(0, v) for v in range(1, n)])
 
 
 def build_path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
+    _refuse_over(n, "the path")
     return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
@@ -44,6 +50,7 @@ def build_star_union(leaf_counts) -> Graph:
     leaf_counts = list(leaf_counts)
     if not leaf_counts or any(c < 0 for c in leaf_counts):
         raise ValueError("leaf counts must be non-negative and non-empty")
+    _refuse_over(len(leaf_counts) + sum(leaf_counts), "the star union")
     edges = []
     base = 0
     for count in leaf_counts:
@@ -57,9 +64,8 @@ def build_extremal_forest(t: int) -> Graph:
     """Union of stars with leaf counts a_1 .. a_t."""
     if t < 1:
         raise ValueError("t must be positive")
-    order = extremal_size(t) + t  # t stars: a centre each, and the m leaves
-    if order > MAX_EXTREMAL_ORDER:
-        raise ValueError(f"F_{t} has {order} vertices, over {MAX_EXTREMAL_ORDER}")
+    # t stars: a centre each, and the m leaves; checked before any a_i is built
+    _refuse_over(extremal_size(t) + t, f"F_{t}")
     return build_star_union([a_sequence(i) for i in range(1, t + 1)])
 
 

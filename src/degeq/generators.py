@@ -8,11 +8,11 @@ from itertools import combinations
 from typing import Callable
 
 from .extremal import build_extremal_forest, build_path, build_star, build_star_union
-from .graph import Graph
+from .graph import MAX_ORDER, Graph
 from .prng import SplitMix64, instance_seed
 
-MAX_FOREST_ORDER = 10**6  # larger random forests are refused before they are built,
-MAX_GIRTH_PAIRS = 2 * 10**6  # as are girth graphs on more vertex pairs (n > 2,000)
+MAX_GIRTH_PAIRS = 2 * 10**6  # random girth graphs on more pairs (n > 2,000) are refused
+MAX_COUNT = 10**6  # instances per corpus line; a larger count is refused unexpanded
 
 
 class GirthSaturationError(ValueError):
@@ -41,8 +41,8 @@ def gen_random_forest(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > MAX_FOREST_ORDER:
-        raise ValueError(f"a random forest on {n} vertices is over {MAX_FOREST_ORDER}")
+    if n > MAX_ORDER:
+        raise ValueError(f"a random forest on {n} vertices is over {MAX_ORDER}")
     rng = SplitMix64(seed)
     adj: list[list[int]] = [[] for _ in range(n)]
     if m is not None:
@@ -166,7 +166,8 @@ class CorpusKind:
     random: bool = False
 
 
-# Every corpus kind; configs, corpus expansion and the CLI read this table.
+# Every corpus kind; configs and corpus expansion read this table, and the CLI
+# spells out its names, in its order, as the construct and gen choices.
 CORPUS_KINDS = {
     "random-forest": CorpusKind(
         _needs_n,
@@ -225,6 +226,8 @@ class GeneratorConfig:
             raise ValueError("split must be in [0, 1]")
         if self.count < 1:
             raise ValueError("count must be positive")
+        if self.count > MAX_COUNT:
+            raise ValueError(f"count {self.count} is over {MAX_COUNT}")
         CORPUS_KINDS[self.kind].require(self)
 
     @classmethod

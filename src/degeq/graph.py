@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 INFINITY = math.inf
+MAX_ORDER = 10**6  # parse_graph and the generators refuse a larger graph unbuilt
 
 # ASCII digits only: \d would also accept other scripts' digits, which int() reads.
 _PAIR_LINE = re.compile(r"([0-9]+) ([0-9]+)$")
@@ -98,8 +99,9 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
     """Parse the edge-list format: header ``n m`` then m lines ``u v``.
 
     Lines starting with ``#`` and blank lines are ignored.  Tokens are
-    separated by single spaces, edge lines require ``0 <= u < v < n``, and
-    every violation is reported with its line number.
+    separated by single spaces, ``n`` is at most ``MAX_ORDER``, edge lines
+    require ``0 <= u < v < n``, and every violation is reported with its
+    line number.
     """
     if isinstance(text, str):
         lines = text.splitlines()
@@ -117,6 +119,8 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
             if not match:
                 raise GraphFormatError(f"malformed header {raw!r}", lineno)
             header = (int(match.group(1)), int(match.group(2)))
+            if header[0] > MAX_ORDER:
+                raise GraphFormatError(f"n={header[0]} is over {MAX_ORDER}", lineno)
             continue
         n, m = header
         if len(edges) == m:

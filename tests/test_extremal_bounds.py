@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 
@@ -36,7 +37,8 @@ from degeq.bounds import (
     theorem3_t,
     weighted_degrees,
 )
-from degeq.extremal import MAX_EXTREMAL_ORDER
+from degeq import extremal
+from degeq.graph import MAX_ORDER
 from conftest import all_forests
 from reference import a_closed_form
 
@@ -76,10 +78,37 @@ class TestExtremalForest:
 
     def test_order_past_the_limit_is_refused_unbuilt(self):
         # F_227 is the largest F_t within the limit
-        assert extremal_size(227) + 227 == 988_074 <= MAX_EXTREMAL_ORDER
+        assert extremal_size(227) + 227 == 988_074 <= MAX_ORDER
         assert build_extremal_forest(18).n == extremal_size(18) + 18
         with pytest.raises(ValueError, match="^F_228 has 1001186 vertices"):
             build_extremal_forest(228)
+
+    @pytest.mark.parametrize(
+        "build, admitted, refused",
+        [(build_star, 10**6, [10**6 + 1, 10**20]),
+         (build_path, 10**6, [10**6 + 1, 10**20]),
+         (build_star_union, [10**6 - 2, 0], [[10**6 - 1, 0], [1, 10**20]])],
+        ids=["star", "path", "star-union"],
+    )
+    def test_builders_refuse_orders_past_the_limit_unbuilt(
+        self, monkeypatch, build, admitted, refused
+    ):
+        # a member of 10**6 vertices reaches the graph constructor (stubbed
+        # here: the real build takes seconds and hundreds of MB) and one of
+        # 10**6 + 1 or 10**20 is refused before its edges are listed
+        class Order:
+            @staticmethod
+            def from_edges(n, edges):
+                return n
+
+        monkeypatch.setattr(extremal, "Graph", Order)
+        assert MAX_ORDER == 10**6
+        start = time.perf_counter()
+        assert build(admitted) == MAX_ORDER
+        for too_many in refused:
+            with pytest.raises(ValueError, match=r"vertices, over 1000000$"):
+                build(too_many)
+        assert time.perf_counter() - start < 1.0
 
     def test_size_formula_matches_sum_up_to_50(self):
         for t in range(1, 51):

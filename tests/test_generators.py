@@ -17,7 +17,8 @@ from degeq import (
     instance_seed,
     is_forest,
 )
-from degeq.generators import MAX_FOREST_ORDER, MAX_GIRTH_PAIRS, _ball_keeper
+from degeq.generators import MAX_COUNT, MAX_GIRTH_PAIRS, _ball_keeper
+from degeq.graph import MAX_ORDER
 from degeq.prng import _BLOCK, _GAMMA, _MASK, mix64
 
 from reference import randrange_shuffle, unmix64
@@ -272,7 +273,7 @@ class TestGirth5Generator:
         with pytest.raises(ValueError, match="over 2000000 vertex pairs"):
             gen_random_girth5(2001, 0)
         with pytest.raises(ValueError, match="random forest on 1000001 vertices"):
-            gen_random_forest(MAX_FOREST_ORDER + 1, m=0)
+            gen_random_forest(MAX_ORDER + 1, m=0)
 
     def test_inserted_edges_keep_every_ball_exact(self):
         # sequences that close short cycles, forests and girth-5 graphs, one
@@ -341,6 +342,13 @@ class TestGeneratorConfig:
         )
         assert config.n == 10 and config.count == 3
 
+    def test_count_limit_is_a_million_instances(self):
+        # checked on the config, so a refused count is never expanded
+        assert MAX_COUNT == 10**6
+        assert GeneratorConfig("star", n=3, count=MAX_COUNT).count == MAX_COUNT
+        with pytest.raises(ValueError, match="^count 1000001 is over 1000000$"):
+            GeneratorConfig("star", n=3, count=MAX_COUNT + 1)
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -377,6 +385,8 @@ class TestGeneratorConfig:
             ({"kind": "random-forest", "n": 10, "m": -1}, NEGATIVE),
             ({"kind": "star", "n": -2}, NEGATIVE),
             ({"kind": "extremal-Ft", "t": -1}, NEGATIVE),
+            ({"kind": "path", "n": 3, "count": 10**6 + 1}, "count 1000001 is over 1000000"),
+            ({"kind": "star", "n": 3, "count": 10**20}, f"count {10**20} is over 1000000"),
         ],
     )
     def test_refusal_messages(self, data, message):

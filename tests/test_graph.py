@@ -96,6 +96,8 @@ class TestParse:
             ("2 1", "expected 1 edges"),
             ("2 0\n0 1", "unexpected content"),
             ("", "missing header"),
+            ("1000001 0\n", "line 1: n=1000001 is over 1000000"),
+            (f"# c\n{10**20} 1\n0 1\n", f"line 2: n={10**20} is over 1000000"),
         ],
     )
     def test_rejections(self, text, fragment):
@@ -107,6 +109,16 @@ class TestParse:
         # int() accepts Arabic-Indic digits; the format takes ASCII digits only
         with pytest.raises(GraphFormatError):
             parse_graph("\u0663 \u0661\n\u0660 \u0661")
+
+    def test_header_order_limit_is_a_million(self, monkeypatch):
+        # a header n of 10**6 reaches the graph constructor (stubbed here:
+        # the real build takes over a second); one more is refused unparsed
+        monkeypatch.setattr(Graph, "from_edges", classmethod(lambda cls, n, edges: n))
+        assert graph_module.MAX_ORDER == 10**6
+        assert parse_graph("1000000 0\n") == 10**6
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph("1000001 0\n0 1\n")
+        assert err.value.line == 1
 
     def test_error_carries_line_number(self):
         with pytest.raises(GraphFormatError) as err:

@@ -179,8 +179,9 @@ class TestCli:
         # verifier, the procedures and the bench only in their commands.  It
         # still registers them in sys.modules, unexecuted: a LazyLoader
         # module's type is not ModuleType until its first attribute access.
-        # construct and gen expand their corpus line in generators, so they
-        # run none of them either.
+        # generators and extremal are registered the same way and run only
+        # in construct, gen and verify.  construct and gen expand their
+        # corpus line in generators, so they run none of the others either.
         src = str(Path(degeq.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -190,7 +191,7 @@ class TestCli:
             "listed = set(degeq.__all__) <= set(dir(degeq)); "
             "import degeq.cli; "
             "deferred = ('degeq.verify', 'degeq.bounds', 'degeq.constructive', "
-            "'degeq.bench'); "
+            "'degeq.bench', 'degeq.extremal', 'degeq.generators'); "
             "registered = all(m in sys.modules for m in deferred); "
             "ran = lambda *prefixes: sorted(m for m, mod in sys.modules.items() "
             "if type(mod) is types.ModuleType and m.startswith(prefixes)); "
@@ -215,6 +216,40 @@ class TestCli:
         assert json.loads(summary) == [[], True, True, [], [], len(CLAIM_TAGS)]
         written = sorted(path.name for path in tmp_path.iterdir())
         assert written == ["f3.txt", "random-forest-n8-s0-i0000.txt"]
+
+    def test_compute_executes_only_the_solver_modules(self, tmp_path):
+        # compute on a forest (dp) and on a graph with a cycle (brute, via
+        # auto) runs the parser, both solvers and the certificates; the
+        # corpus table and its builders stay registered and unexecuted
+        forest = self.write_graph(tmp_path, "5 3\n0 1\n0 2\n3 4\n", "forest.txt")
+        cycle = self.write_graph(tmp_path, "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n", "c5.txt")
+        src = str(Path(degeq.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, json, types, degeq.cli; "
+            f"degeq.cli.main(['compute', '--input', {forest!r}, '--k', '2', "
+            "'--method', 'dp', '--format', 'csv'], standalone_mode=False); "
+            f"degeq.cli.main(['compute', '--input', {cycle!r}, '--k', '3', "
+            "'--format', 'csv'], standalone_mode=False); "
+            "ran = sorted(m for m, mod in sys.modules.items() "
+            "if m.split('.')[0] == 'degeq' and type(mod) is types.ModuleType); "
+            "lazy = [m in sys.modules and type(sys.modules[m]) is not types.ModuleType "
+            "for m in ('degeq.generators', 'degeq.extremal')]; "
+            "print(json.dumps([ran, lazy]))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        dp_header, dp_row, brute_header, brute_row, summary = result.stdout.splitlines()
+        column = dp_header.split(",").index("method")
+        assert [dp_row.split(",")[column], brute_row.split(",")[column]] == ["dp", "brute"]
+        assert json.loads(summary) == [
+            ["degeq", "degeq.certificates", "degeq.cli", "degeq.forest_dp",
+             "degeq.graph", "degeq.oracle"],
+            [True, True],
+        ]
 
     def test_compute_json_schema(self, tmp_path):
         path = self.write_graph(tmp_path, "6 4\n0 1\n0 2\n0 3\n4 5\n")
@@ -454,6 +489,77 @@ class TestCli:
         assert result.exit_code == 0
         assert result.output.startswith(f"0:extremal-Ft(t={t}): ERROR ValueError: F_{t} has ")
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "family, option, value, kind, order",
+        [("star", "--n", "1000001", "star", 10**6 + 1),
+         ("star", "--n", str(10**20), "star", 10**20),
+         ("path", "--n", "1000001", "path", 10**6 + 1),
+         ("path", "--n", str(10**20), "path", 10**20),
+         ("star-union", "--sizes", "999999,0", "star union", 10**6 + 1),
+         ("star-union", "--sizes", f"2,{10**20}", "star union", 10**20 + 4)],
+    )
+    def test_construct_refuses_a_family_member_too_large_to_build(
+        self, tmp_path, family, option, value, kind, order
+    ):
+        # the order is checked before any edge is listed; a verify corpus
+        # line gives an ERROR row instead
+        start = time.perf_counter()
+        result = self.runner.invoke(main, ["construct", "--family", family, option, value])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"usage error: the {kind} has {order} vertices, over 1000000\n"
+        )
+        corpus = tmp_path / "corpus.json"
+        field = {"--n": "n", "--sizes": "sizes"}[option]
+        param = [int(x) for x in value.split(",")] if field == "sizes" else int(value)
+        corpus.write_text(json.dumps([{"kind": family, field: param}]))
+        result = self.runner.invoke(main, ["verify", "--claims", "thm1", "--corpus", str(corpus)])
+        assert result.exit_code == 0
+        (row,) = [line for line in result.output.splitlines() if line.startswith("0:")]
+        assert row.endswith(f": ERROR ValueError: the {kind} has {order} vertices, over 1000000")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("count", [10**6 + 1, 10**20])
+    def test_gen_and_verify_refuse_a_count_too_large_to_expand(self, tmp_path, count):
+        # the count is checked in the config, before one instance is listed
+        start = time.perf_counter()
+        out = tmp_path / "corpus"
+        result = self.runner.invoke(
+            main, ["gen", "--kind", "random-forest", "--n", "4", "--count", str(count),
+                   "--out", str(out)]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"input error: count {count} is over 1000000\n"
+        assert not out.exists()
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"kind": "star", "n": 3, "count": count}]))
+        result = self.runner.invoke(main, ["verify", "--claims", "moore", "--corpus", str(corpus)])
+        assert result.exit_code == 3
+        assert result.stderr == (
+            f"input error: bad corpus spec: count {count} is over 1000000\n"
+        )
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [10**6 + 1, 10**20])
+    @pytest.mark.parametrize(
+        "command",
+        [["compute", "--k", "2"], ["brute", "--k", "2"], ["bounds"],
+         ["equalize", "--k", "2", "--procedure", "peel"]],
+        ids=["compute", "brute", "bounds", "equalize"],
+    )
+    def test_header_order_past_the_limit_is_an_input_error(self, tmp_path, n, command):
+        # refused at the header, before any vertex is allocated
+        path = self.write_graph(tmp_path, f"# too large\n{n} 0\n")
+        start = time.perf_counter()
+        result = self.runner.invoke(main, [*command, "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"input error: line 2: n={n} is over 1000000\n"
 
     @pytest.mark.parametrize(
         "kind, n",
@@ -954,8 +1060,9 @@ def invoke_to_typed_end(args, given_input):
 
 # Graph files for the compute/brute fuzz: valid edge lists (n <= 14), fixed
 # malformed ones, and drawn ones with a header n <= 20 and a few edge lines
-# of small or odd tokens.  No header n is drawn larger: parse_graph allocates
-# in proportion to it.
+# of small or odd tokens.  No larger admitted header n is drawn: parse_graph
+# allocates in proportion to it.  A header n past 10**6 is refused unparsed,
+# so two fixed files carry one.
 @st.composite
 def valid_graph_text(draw):
     n = draw(st.integers(min_value=0, max_value=14))
@@ -995,6 +1102,8 @@ MALFORMED_GRAPH_TEXT = st.sampled_from([
     "٣ ٠\n",
     "3 2\n0 1\n",              # too few edges
     "3 1\r\n0 1\r\n",
+    "1000001 0\n",            # header n past the limit
+    f"{10**20} 1\n0 1\n",
 ])
 GRAPH_FILES = st.one_of(
     valid_graph_text().map(str.encode),
@@ -1060,13 +1169,16 @@ def test_equalize_and_bounds_boundary_fuzz(tmp_path_factory, data, k, t, command
 
 # construct and gen options for their boundary fuzz: every family and kind,
 # --t at -5, 0, 1..8, 228, 10**5, 10**20 or not an int (F_t past 10**6
-# vertices is refused unbuilt), --n up to 40 or -1, at most 4 sizes of at
-# most 8, --m and --seed at -1, in range or 10**20, and --count up to 3.
-# gen --n is also drawn at 2,001 and 10**6 + 1 (the least order each random
-# kind refuses unbuilt) and at 10**20, and for random-girth5 at 10**5.  No
-# larger construct --n or gen --count is drawn, nor a random forest of 10**5
-# vertices: each builds in proportion to its value, and the forest is within
-# its limit but takes about half a second.
+# vertices is refused unbuilt), --n up to 40, -1, 10**6 + 1 or 10**20, at
+# most 4 sizes of at most 8 or 10**20 (a star or path past 10**6 vertices is
+# refused unbuilt, as is a star union), --m and --seed at -1, in range or
+# 10**20, and --count up to 3 or 10**20 (a count past 10**6 is refused
+# unexpanded).  gen --n is also drawn at 2,001 and 10**6 + 1 (the least
+# order each random kind refuses unbuilt) and at 10**20, and for
+# random-girth5 at 10**5.  No larger admitted construct --n or gen --count
+# is drawn, nor a random forest of 10**5 vertices: each builds in proportion
+# to its value, and the forest is within its limit but takes about half a
+# second.
 NOT_INTS = st.sampled_from(["x", "1.5", "", "nan", "٣", BIG + ".0"])
 ORDERS = st.integers(min_value=-1, max_value=40).map(str)
 
@@ -1080,10 +1192,10 @@ CONSTRUCT_ARGS = st.tuples(
     st.sampled_from(sorted(k.lower() for k, e in CORPUS_KINDS.items() if not e.random)),
     maybe("--t", st.one_of(st.sampled_from(["-5", "0", "228", "100000", BIG]),
                            st.integers(min_value=1, max_value=8).map(str), NOT_INTS)),
-    maybe("--n", ORDERS),
+    maybe("--n", st.one_of(ORDERS, st.sampled_from(["1000001", BIG]))),
     maybe("--sizes", st.lists(
         st.one_of(st.integers(min_value=-2, max_value=8).map(str),
-                  st.sampled_from(["", "x", "1.5", " 3", "٣"])),
+                  st.sampled_from(["", "x", "1.5", " 3", "٣", BIG])),
         max_size=4,
     ).map(",".join)),
 ).map(lambda parts: ["construct", "--family", parts[0], *parts[1], *parts[2], *parts[3]])
@@ -1098,7 +1210,8 @@ GEN_ARGS = st.tuples(
                            st.integers(min_value=0, max_value=60).map(str))),
     maybe("--seed", st.one_of(st.sampled_from(["-1", BIG]),
                               st.integers(min_value=0, max_value=2**64).map(str))),
-    maybe("--count", st.integers(min_value=-1, max_value=3).map(str)),
+    maybe("--count", st.one_of(st.integers(min_value=-1, max_value=3).map(str),
+                               st.just(BIG))),
 ).map(lambda parts: ["gen", *parts[0], *parts[1], *parts[2], *parts[3]])
 
 
