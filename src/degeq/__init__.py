@@ -36,8 +36,7 @@ _HOME = {
     ),
     **dict.fromkeys(
         ["DegreeProfile", "Graph", "GraphFormatError", "check_fk_condition",
-         "components", "degree_profile", "girth", "is_forest", "parse_graph",
-         "to_edgelist"],
+         "degree_profile", "girth", "is_forest", "parse_graph", "to_edgelist"],
         "graph",
     ),
     **dict.fromkeys(["OrderLimitError", "brute_force_fk", "solve"], "oracle"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .graph import DegreeProfile, Graph
+from .graph import INFINITY, DegreeProfile, Graph
 
 
 def bound_theorem1(t: int) -> int:
@@ -243,7 +243,7 @@ def moore_edge_bound_ok(n: int, m: int, p: int) -> bool:
 
 def girth_field(g: int | float) -> int | str:
     """A girth as strict JSON can carry it: "inf" for a forest."""
-    return "inf" if g == float("inf") else g
+    return "inf" if g == INFINITY else g
 
 
 def moore_entry(graph: Graph, p: int, g: int | float) -> ClaimEntry:
@@ -302,7 +302,7 @@ def asymptotic_report(
             claim="cor5",
             params={"k": k},
             hypothesis={"girth": girth_field(g), "needs": "forest (girth inf)"},
-            hypothesis_holds=g == float("inf"),
+            hypothesis_holds=g == INFINITY,
             conclusion={
                 "constant": (6 * comb(k, 2)) ** (1 / 3),
                 "value": (6 * comb(k, 2)) ** (1 / 3) * graph.n ** (1 / 3),

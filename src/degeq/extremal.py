@@ -34,14 +34,17 @@ def build_star(n: int) -> Graph:
     if n < 1:
         raise ValueError("star needs at least one vertex")
     _refuse_over(n, "the star")
-    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+    return build_star_union([n - 1])
 
 
 def build_path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
     _refuse_over(n, "the path")
-    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    if n == 1:
+        return Graph(1, ((),), 0)
+    inner = ((v - 1, v + 1) for v in range(1, n - 1))
+    return Graph(n, ((1,), *inner, (n - 2,)), n - 1)
 
 
 def build_star_union(leaf_counts) -> Graph:
@@ -51,13 +54,12 @@ def build_star_union(leaf_counts) -> Graph:
     if not leaf_counts or any(c < 0 for c in leaf_counts):
         raise ValueError("leaf counts must be non-negative and non-empty")
     _refuse_over(len(leaf_counts) + sum(leaf_counts), "the star union")
-    edges = []
-    base = 0
+    adj: list[tuple[int, ...]] = []
     for count in leaf_counts:
-        center = base
-        edges.extend((center, center + j) for j in range(1, count + 1))
-        base += count + 1
-    return Graph.from_edges(base, edges)
+        center = len(adj)
+        adj.append(tuple(range(center + 1, center + count + 1)))
+        adj.extend([(center,)] * count)
+    return Graph(len(adj), tuple(adj), len(adj) - len(leaf_counts))
 
 
 def build_extremal_forest(t: int) -> Graph:

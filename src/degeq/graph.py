@@ -2,7 +2,7 @@
 
 Everything downstream (the forest solver, the brute-force oracle, the
 constructive procedures) works on the immutable :class:`Graph` defined here,
-together with the degree-profile, girth, and component utilities and the
+together with the degree-profile, girth, and forest utilities and the
 success condition for the degree-equalization number f_k.
 
 Both exact solvers end with ``_last_pick``: when fewer than k vertices hold
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -109,7 +108,7 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
         lines = [ln.rstrip("\n") for ln in text]
 
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
+    neigh: list[list[int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines, start=1):
         if raw.startswith("#") or raw.strip() == "":
@@ -121,9 +120,10 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
             header = (int(match.group(1)), int(match.group(2)))
             if header[0] > MAX_ORDER:
                 raise GraphFormatError(f"n={header[0]} is over {MAX_ORDER}", lineno)
+            neigh = [[] for _ in range(header[0])]
             continue
         n, m = header
-        if len(edges) == m:
+        if len(seen) == m:
             raise GraphFormatError(f"unexpected content after {m} edges", lineno)
         match = _PAIR_LINE.fullmatch(raw)
         if not match:
@@ -138,14 +138,15 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
         if (u, v) in seen:
             raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
         seen.add((u, v))
-        edges.append((u, v))
+        neigh[u].append(v)
+        neigh[v].append(u)
 
     if header is None:
         raise GraphFormatError("missing header line")
     n, m = header
-    if len(edges) != m:
-        raise GraphFormatError(f"expected {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if len(seen) != m:
+        raise GraphFormatError(f"expected {m} edges, found {len(seen)}")
+    return Graph(n, tuple(map(tuple, map(sorted, neigh))), m)
 
 
 def to_edgelist(graph: Graph) -> str:
@@ -165,32 +166,23 @@ def degree_profile(graph: Graph) -> DegreeProfile:
     )
 
 
-def components(graph: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    seen = [False] * graph.n
-    comps: list[list[int]] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        while queue:
-            u = queue.popleft()
-            for w in graph.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
+def _two_core(graph: Graph) -> list[int]:
+    """The vertices of the 2-core, ascending: what is left once vertices of
+    degree <= 1 are peeled until none remain.  It is empty exactly on forests
+    (Seidman, Social Networks 1983)."""
+    deg = [len(a) for a in graph.adj]
+    peel = [v for v in range(graph.n) if deg[v] < 2]
+    for v in peel:  # grows while it is read
+        for w in graph.adj[v]:
+            deg[w] -= 1
+            if deg[w] == 1:
+                peel.append(w)
+    return [v for v in range(graph.n) if deg[v] > 1]
 
 
 def is_forest(graph: Graph) -> bool:
-    if graph.m >= graph.n >= 1:  # a forest on n >= 1 vertices has <= n - 1 edges
-        return False
-    return graph.m == graph.n - len(components(graph))
+    # a forest on n >= 1 vertices has <= n - 1 edges
+    return not (graph.m >= graph.n >= 1) and not _two_core(graph)
 
 
 def girth(graph: Graph) -> int | float:
@@ -204,14 +196,7 @@ def girth(graph: Graph) -> int | float:
     edge inside it is shorter.  A shortest cycle is found from its least
     vertex (Itai and Rodeh, SIAM J. Comput. 1978).
     """
-    deg = [len(a) for a in graph.adj]
-    peel = [v for v in range(graph.n) if deg[v] < 2]
-    for v in peel:  # grows while it is read
-        for w in graph.adj[v]:
-            deg[w] -= 1
-            if deg[w] == 1:
-                peel.append(w)
-    core = [v for v in range(graph.n) if deg[v] > 1]
+    core = _two_core(graph)
     bit = [0] * graph.n  # a core vertex's bit, 0 off the core
     for i, v in enumerate(core):
         bit[v] = 1 << i

@@ -22,7 +22,7 @@ from .certificates import RemovalCertificate, validate_certificate
 from .constructive import PreconditionError, equalize3_forest, girth5_equalize
 from .forest_dp import DeadlineExceeded
 from .generators import GeneratorConfig, InstanceSpec, expand_corpus, realize
-from .graph import degree_profile, girth, is_forest
+from .graph import INFINITY, degree_profile, girth
 from .oracle import OrderLimitError, brute_force_fk, solve
 
 
@@ -46,7 +46,7 @@ class _InstanceContext:
 
     @cached_property
     def forest(self) -> bool:
-        return is_forest(self.graph)
+        return self.girth == INFINITY
 
     def fk(self, k: int) -> tuple[int | None, str]:
         """(value, method) with value None past the oracle's reach."""

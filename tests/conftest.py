@@ -60,6 +60,17 @@ def girth_by_edge_removal(graph: Graph) -> float:
     return best
 
 
+def nx_components(graph: Graph) -> list[list[int]]:
+    """Connected components from networkx, as sorted vertex lists ordered by
+    least vertex."""
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges())
+    return sorted(sorted(c) for c in nx.connected_components(g))
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive non-isomorphic forest enumeration (test-only; trees come from
 # networkx, forests are multisets of trees summing to the target order).

@@ -94,14 +94,9 @@ class TestExtremalForest:
         self, monkeypatch, build, admitted, refused
     ):
         # a member of 10**6 vertices reaches the graph constructor (stubbed
-        # here: the real build takes seconds and hundreds of MB) and one of
-        # 10**6 + 1 or 10**20 is refused before its edges are listed
-        class Order:
-            @staticmethod
-            def from_edges(n, edges):
-                return n
-
-        monkeypatch.setattr(extremal, "Graph", Order)
+        # here, so the bound times the builders alone) and one of 10**6 + 1
+        # or 10**20 is refused before its adjacency is listed
+        monkeypatch.setattr(extremal, "Graph", lambda n, adj, m: n)
         assert MAX_ORDER == 10**6
         start = time.perf_counter()
         assert build(admitted) == MAX_ORDER

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import degeq
-from conftest import all_forests
+from conftest import all_forests, nx_components
 from degeq import (
     Graph,
     brute_force_fk,
@@ -40,7 +40,7 @@ from degeq.forest_dp import (
     _Skeleton,
     _vertex_vectors,
 )
-from degeq.graph import components, degree_profile, parse_graph
+from degeq.graph import degree_profile, parse_graph
 from degeq.prng import SplitMix64, instance_seed
 from reference import (
     brute_force_subforest,
@@ -804,7 +804,7 @@ class TestMaxSubforestOrder:
 
     def test_attachment_invariance_on_disconnected_forests(self):
         forest = build_star_union([2, 1, 2])
-        comps = components(forest)
+        comps = nx_components(forest)
         for k in (2, 3):
             for delta in range(max(map(len, forest.adj), default=0) + 1):
                 values = {
@@ -820,7 +820,7 @@ class TestMaxSubforestOrder:
         for forest in (build_star_union([2, 1]), *all_forests(6)):
             skel = counting_skeleton(forest)
             n = forest.n
-            assert skel.children[n] == tuple(comp[0] for comp in components(forest))
+            assert skel.children[n] == tuple(comp[0] for comp in nx_components(forest))
             kids = sorted(v for row in skel.children for v in row)
             assert kids == list(range(n))
             assert sorted(skel.order) == list(range(n + 1))
@@ -1067,20 +1067,21 @@ class TestCertificateRooting:
 
     def test_one_search_roots_and_checks_the_forest(self, monkeypatch):
         # the rooting search also counts the components for the forest
-        # check, so no component search runs beside it
+        # check, so no 2-core peel runs beside it
         calls = []
         build = forest_dp._build_skeleton
+        two_core = graph_module._two_core
 
         def counted_build(*args):
             calls.append("skeleton")
             return build(*args)
 
-        def counted_components(graph):
-            calls.append("components")
-            return components(graph)
+        def counted_two_core(graph):
+            calls.append("two-core")
+            return two_core(graph)
 
         monkeypatch.setattr(forest_dp, "_build_skeleton", counted_build)
-        monkeypatch.setattr(forest_dp, "components", counted_components, raising=False)
+        monkeypatch.setattr(graph_module, "_two_core", counted_two_core)
         value, _ = compute_fk_forest(build_star_union([4, 2, 2]), 3)
         assert value == 2
         assert calls == ["skeleton"]

@@ -16,6 +16,13 @@ from degeq import (
     girth,
     instance_seed,
     is_forest,
+    parse_graph,
+)
+from degeq.extremal import (
+    build_extremal_forest,
+    build_path,
+    build_star,
+    build_star_union,
 )
 from degeq.generators import MAX_COUNT, MAX_GIRTH_PAIRS, _ball_keeper
 from degeq.graph import MAX_ORDER
@@ -239,6 +246,18 @@ class TestGirth5Generator:
             for m in (None, 0, n // 2, n - 1):
                 g = gen_random_forest(n, seed=n, m=m)
                 assert g == Graph.from_edges(n, g.edges()), (n, m)
+        # the families, and parse_graph from edge lines in any order
+        for n in range(1, 30):
+            edges = gen_random_girth5(n, None, seed=n).edges()
+            lines = [f"{n} {len(edges)}", *(f"{u} {v}" for u, v in reversed(edges))]
+            for g in (
+                build_star(n),
+                build_path(n),
+                build_star_union([n % 3, 0, n // 2]),
+                build_extremal_forest(n % 9 + 1),
+                parse_graph(lines),
+            ):
+                assert g == Graph.from_edges(g.n, g.edges()), n
 
     def test_no_edge_list_is_built(self, monkeypatch):
         calls = []
@@ -254,6 +273,11 @@ class TestGirth5Generator:
             gen_random_girth5(20, 10, seed, min_girth=7)
             gen_random_forest(20, seed=seed)
             gen_random_forest(20, seed=seed, m=10)
+        build_star(20)
+        build_path(20)
+        build_star_union([3, 0, 2])
+        build_extremal_forest(6)
+        parse_graph("4 3\n2 3\n1 2\n0 1\n")
         assert calls == []
 
     def test_min_girth_past_the_order_is_clamped(self):

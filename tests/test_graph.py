@@ -10,7 +10,6 @@ from degeq import (
     GraphFormatError,
     SplitMix64,
     check_fk_condition,
-    components,
     compute_fk_forest,
     degree_profile,
     gen_random_forest,
@@ -26,7 +25,7 @@ from degeq import graph as graph_module
 from degeq.extremal import build_extremal_forest, build_star, build_star_union
 from degeq.graph import residual_degrees
 
-from conftest import PETERSEN_EDGES, girth_by_edge_removal
+from conftest import PETERSEN_EDGES, girth_by_edge_removal, nx_components
 from reference import bfs_girth, remove_vertices, tuple_key_profile
 
 
@@ -110,12 +109,11 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_graph("\u0663 \u0661\n\u0660 \u0661")
 
-    def test_header_order_limit_is_a_million(self, monkeypatch):
-        # a header n of 10**6 reaches the graph constructor (stubbed here:
-        # the real build takes over a second); one more is refused unparsed
-        monkeypatch.setattr(Graph, "from_edges", classmethod(lambda cls, n, edges: n))
+    def test_header_order_limit_is_a_million(self):
+        # a header n of 10**6 is parsed and built; one more is refused unparsed
         assert graph_module.MAX_ORDER == 10**6
-        assert parse_graph("1000000 0\n") == 10**6
+        g = parse_graph("1000000 0\n")
+        assert (g.n, g.m) == (10**6, 0)
         with pytest.raises(GraphFormatError) as err:
             parse_graph("1000001 0\n0 1\n")
         assert err.value.line == 1
@@ -270,7 +268,7 @@ class TestGirth:
 
 class TestComponentsForest:
     def test_path_connected(self, path4):
-        assert components(path4) == [[0, 1, 2, 3]]
+        assert nx_components(path4) == [[0, 1, 2, 3]]
         assert is_forest(path4)
 
     def test_cycle_not_forest(self, cycle5):
@@ -278,14 +276,14 @@ class TestComponentsForest:
 
     def test_star_plus_edge(self):
         g = build_star_union([3, 1])
-        assert len(components(g)) == 2
+        assert len(nx_components(g)) == 2
         assert is_forest(g)
 
     @settings(max_examples=60)
     @given(random_graphs())
     def test_forest_iff_infinite_girth(self, g):
         assert is_forest(g) == (girth(g) == math.inf)
-        assert g.m == g.n - len(components(g)) or not is_forest(g)
+        assert g.m == g.n - len(nx_components(g)) or not is_forest(g)
 
     @settings(max_examples=60)
     @given(st.one_of(
@@ -296,13 +294,13 @@ class TestComponentsForest:
         st.sampled_from([Graph.from_edges(0, []), Graph.from_edges(1, [])]),
     ))
     def test_forest_iff_edges_match_components(self, g):
-        assert is_forest(g) == (g.m == g.n - len(components(g)))
+        assert is_forest(g) == (g.m == g.n - len(nx_components(g)))
 
     def test_n_or_more_edges_answer_without_components(self, cycle5, monkeypatch):
         def unexpected(graph):
-            raise AssertionError("components ran")
+            raise AssertionError("the 2-core peel ran")
 
-        monkeypatch.setattr(graph_module, "components", unexpected)
+        monkeypatch.setattr(graph_module, "_two_core", unexpected)
         assert not is_forest(cycle5)
         assert not is_forest(heawood())
 

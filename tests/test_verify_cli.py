@@ -42,6 +42,46 @@ class TestRunVerification:
         # both solvers return the least minimum deletion set
         assert all(e.conclusion["same_x"] for r in report.results for e in r.entries)
 
+    @pytest.mark.parametrize(
+        "claims, expected",
+        [(["thm1"], ["girth", "skeleton"]),
+         (list(CLAIM_TAGS), ["girth", "skeleton", "skeleton", "two-core"])],
+        ids=["thm1", "all"],
+    )
+    def test_verify_reads_a_forest_once(self, monkeypatch, claims, expected):
+        # the class gate takes forest-ness from the instance's cached girth:
+        # one girth per instance, one skeleton per solved k, and no 2-core
+        # peel outside girth but the forest check of equalize3_forest, which
+        # thm2-cert runs
+        calls, in_girth = [], []
+        girth = degeq.verify.girth
+        two_core = degeq.graph._two_core
+        build = degeq.forest_dp._build_skeleton
+
+        def counted_girth(graph):
+            calls.append("girth")
+            in_girth.append(graph)
+            try:
+                return girth(graph)
+            finally:
+                in_girth.pop()
+
+        def counted_two_core(graph):
+            if not in_girth:
+                calls.append("two-core")
+            return two_core(graph)
+
+        def counted_build(forest):
+            calls.append("skeleton")
+            return build(forest)
+
+        monkeypatch.setattr(degeq.verify, "girth", counted_girth)
+        monkeypatch.setattr(degeq.graph, "_two_core", counted_two_core)
+        monkeypatch.setattr(degeq.forest_dp, "_build_skeleton", counted_build)
+        report = run_verification([forest_config(count=1)], claims)
+        assert report.ok
+        assert calls == expected
+
     def test_empty_corpus(self):
         report = run_verification([], ["thm1"])
         assert report.ok
@@ -320,20 +360,20 @@ class TestCli:
 
     def test_compute_reads_a_forest_once(self, tmp_path, monkeypatch):
         # the tree program's rooting search is the only forest check: no
-        # component search runs before it
+        # 2-core peel runs before it
         calls = []
-        components = degeq.graph.components
+        two_core = degeq.graph._two_core
         build = degeq.forest_dp._build_skeleton
 
-        def counted_components(graph):
-            calls.append("components")
-            return components(graph)
+        def counted_two_core(graph):
+            calls.append("two-core")
+            return two_core(graph)
 
         def counted_build(forest):
             calls.append("skeleton")
             return build(forest)
 
-        monkeypatch.setattr(degeq.graph, "components", counted_components)
+        monkeypatch.setattr(degeq.graph, "_two_core", counted_two_core)
         monkeypatch.setattr(degeq.forest_dp, "_build_skeleton", counted_build)
         path = self.write_graph(tmp_path, "5 3\n0 1\n0 2\n3 4\n")
         result = self.runner.invoke(main, ["compute", "--input", path, "--k", "2"])
