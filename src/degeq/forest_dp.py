@@ -15,7 +15,7 @@ search, and scores each subforest so that the maximum also names the
 lexicographically least deletion set of largest order: the walk keeps the
 best score and decodes the certificate from it once.  A pass walks only the
 vertices with children; each folds its twin leaf children in one step, from
-the prefix sums of their deletion bits that ``split`` caches for all passes.
+one mask of their deletion bits that ``split`` keeps for all passes.
 From delta = 2 on a kept leaf never counts toward the k and adds 2**n for
 one deletion bit below 2**n, so the fold tries only the most kept leaves
 below degree delta and exactly delta.  The passes walk delta down from the
@@ -32,7 +32,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 from .certificates import RemovalCertificate, make_certificate
 from .graph import Graph, _last_pick
@@ -55,23 +54,26 @@ class _Skeleton:
     children: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def split(self) -> list[tuple[int, list[int], list[int] | tuple[()]]]:
-        """Each vertex with children, children first: its non-leaf children,
-        and the prefix sums ``[0, *accumulate(bits)]`` of its leaf children's
-        deletion bits from the lowest id up, or () when it has no leaf child."""
+    def split(self) -> list[tuple[int, list[int], int, list[int]]]:
+        """``(u, inner, mask, cuts)`` per vertex u with children, children first:
+        non-leaf children, leaf deletion bits, and ``[n, *leaf bit positions]``
+        descending, so the j lowest leaves' bits are ``mask >> cuts[j] << cuts[j]``."""
         children = self.children
         n = len(children) - 1
         out = []
         for u in self.order[:-1]:
             if children[u]:
-                inner, bits = [], []
+                inner, cuts = [], [n]
                 for v in children[u]:
                     if children[v]:
                         inner.append(v)
                     else:
-                        bits.append(1 << (n - 1 - v))
-                bits.sort(reverse=True)
-                out.append((u, inner, [0, *accumulate(bits)] if bits else ()))
+                        cuts.append(n - 1 - v)
+                cuts.sort(reverse=True)
+                digits = bytearray(b"0" * (cuts[1] + 1 if len(cuts) > 1 else 1))
+                for p in cuts[1:]:  # in place: or-ing bits in copies the mask each
+                    digits[cuts[1] - p] = 49  # "1"
+                out.append((u, inner, int(digits, 2), cuts))
         return out
 
 
@@ -159,10 +161,10 @@ def _kept(base, at_delta, gain: int, k: int):
     return out
 
 
-def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, dropped=()):
+def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, mask=0, cuts=()):
     """(deleted, kept with the parent edge, free) vectors of one vertex, whose
-    deletion bit is ``bit``, from its children's triples ``kids`` and the
-    prefix sums ``dropped`` of its leaf children's bits, highest first."""
+    deletion bit is ``bit``, from its children's triples ``kids`` and its
+    leaf children's ``mask`` and ``cuts``, as ``_Skeleton.split`` gives them."""
     deleted = [bit]
     rows = [[0]]  # rows[c]: exactly c kept children
     for drop, up, free in kids:
@@ -174,7 +176,8 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, dropped=()):
             for c, row in enumerate(rows[:delta]):
                 new[c + 1] = _vmax(new[c + 1], _merge(row, up, k))
         rows = new
-    if dropped:
+    count = len(cuts) - 1
+    if count > 0:
         # leaves are twins: keeping c of them is best done by deleting the
         # count - c lowest ids.  A leaf counts toward j only at degree delta:
         # kept beside its parent at delta = 1, or with it deleted at delta = 0
@@ -182,14 +185,13 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, dropped=()):
         # From delta = 2 on a kept leaf never counts and adds 2**n for one
         # deletion bit below 2**n, so row c tries only the most leaves that
         # stay below delta and exactly delta - c (at delta <= 1, every count)
-        count = len(dropped) - 1
         width = 1 + min(count, k) if delta == 0 else 1
         deleted = _merge(deleted, [count * gain] * width, k)
         folded = [None] * min(len(rows) + count, delta + 1)
         for c, row in enumerate(rows):
             least = max(0, min(count, delta - 1 - c))
             for extra in range(least, min(count, delta - c) + 1):
-                b = extra * gain + dropped[count - extra]
+                b = extra * gain + (mask >> cuts[count - extra] << cuts[count - extra])
                 shift = [b] * (1 + extra if delta == 1 else 1)
                 folded[c + extra] = _vmax(folded[c + extra], _merge(row, shift, k))
         rows = folded
@@ -197,10 +199,8 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, dropped=()):
     for row in rows[:delta]:
         low = _vmax(low, row)
     top = rows[delta] if len(rows) > delta else None
-    up = None
-    if delta > 0:
-        last = rows[delta - 1] if len(rows) >= delta else None
-        up = _kept(low, last, gain, k)
+    last = rows[delta - 1] if 0 < delta <= len(rows) else None
+    up = _kept(low, last, gain, k) if delta > 0 else None
     return deleted, up, _vmax(deleted, _kept(_vmax(low, top), top, gain, k))
 
 
@@ -210,9 +210,9 @@ def _pass_vectors(skel: _Skeleton, n: int, k: int, delta: int) -> list:
     children at once, so the pass never visits a leaf."""
     gain = 1 << n
     vectors = [None] * n
-    for u, inner, dropped in skel.split:
+    for u, inner, mask, cuts in skel.split:
         kids = [vectors[v] for v in inner]
-        vectors[u] = _vertex_vectors(1 << (n - 1 - u), kids, gain, k, delta, dropped)
+        vectors[u] = _vertex_vectors(1 << (n - 1 - u), kids, gain, k, delta, mask, cuts)
     return vectors
 
 
@@ -237,27 +237,27 @@ def _min_deletions(skel: _Skeleton, delta: int) -> int:
 
     Each vertex is deleted, kept with its parent edge (at most delta - 1
     kept children), or kept without it (at most delta).  A kept vertex
-    keeps the children that save the most over deleting them.
+    keeps the children that save the most over deleting them; a leaf saves 1
+    (from delta = 1), no more than any other, so leaves follow sorted gains.
     """
-    children = skel.children
-    size = len(children)  # exceeds every deletion count: an infeasible state
+    size = len(skel.children)  # n + 1: the vertices, then the virtual root
     drop = [0] * size  # deleted
-    up = [0] * size  # kept with the parent edge
-    free = [0] * size  # deleted, or kept without the parent edge
-    for u in skel.order[:-1]:
-        deleted = 1
-        base = 0  # every child deleted
-        gains = []
-        for v in children[u]:
+    up = [0] * size  # kept with the parent edge; moot at delta = 0: no child kept
+    free = [0] * size  # deleted, or kept without the parent edge; 0 for a leaf
+    for u, inner, _, cuts in skel.split:
+        deleted, gains = 1, []
+        base = leaves = len(cuts) - 1  # every child deleted
+        for v in inner:
             deleted += free[v]
             base += drop[v]
             if drop[v] > up[v]:
                 gains.append(drop[v] - up[v])
         gains.sort(reverse=True)
+        room = delta - len(gains)  # kept-child slots left to the leaves
         drop[u] = deleted
-        free[u] = min(deleted, base - sum(gains[:delta]))
-        up[u] = base - sum(gains[: delta - 1]) if delta > 0 else size
-    return sum(free[v] for v in children[-1])
+        free[u] = min(deleted, base - sum(gains[:delta]) - max(0, min(leaves, room)))
+        up[u] = base - sum(gains[: delta - 1]) - max(0, min(leaves, room - 1))
+    return sum(free[v] for v in skel.children[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def compute_fk_forest(
             best = max(best, _best_score(skeleton, n, k, delta))
         above += hist[delta]
 
-    x = tuple(v for v in range(n) if best >> (n - 1 - v) & 1)
+    x = tuple(v for v, bit in enumerate(bin(best)[-n:]) if bit == "1")
     if len(x) != n - (best >> n):
         raise AssertionError(f"{len(x)} deletions keep {best >> n} of {n} vertices")
     return len(x), make_certificate(forest, x, k, "dp")

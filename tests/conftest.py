@@ -4,8 +4,12 @@ exhaustive enumeration of non-isomorphic forests used by the acceptance suite.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import deque
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,19 @@ def path4() -> Graph:
 @pytest.fixture
 def cycle5() -> Graph:
     return Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+def run_python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``python -c code`` in a child interpreter that imports degeq from
+    this checkout's ``src``, and return it finished, its output as text.  A
+    resource limit the child sets on itself binds the child alone."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
 
 
 def bfs_distance(graph: Graph, source: int, target: int) -> float:

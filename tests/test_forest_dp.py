@@ -4,6 +4,8 @@ sweeps, and its invariances."""
 
 import hashlib
 import importlib
+import json
+import time
 from dataclasses import replace
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import degeq
-from conftest import all_forests, nx_components
+from conftest import all_forests, nx_components, run_python
 from degeq import (
     Graph,
+    a_sequence,
     brute_force_fk,
     build_extremal_forest,
     build_star,
@@ -906,6 +909,28 @@ class TestDeletionBound:
             assert got == exhaustive_min_deletions(forest), forest.edges()
 
 
+class TestDeletionBoundOnStarUnions:
+    # a star with more than delta leaves loses its centre, one deletion, and
+    # a smaller star none: bdd counts those stars.  The walk takes each
+    # leaf in closed form, so it is checked here on stars of up to 20,000
+    # leaves, which the exhaustive search above cannot reach
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [a_sequence(i) for i in range(1, 61)],
+            [20000, 19999, 19998, 19998, 0, 0, 3],
+            [0],
+            [5, 0, 1],
+        ],
+        ids=["F60", "S20000-19999-19998-19998-0-0-3", "S0", "S5-0-1"],
+    )
+    def test_counts_the_stars_above_delta(self, counts):
+        skel = counting_skeleton(build_star_union(counts))
+        for delta in sorted({0, 1, 2, 3, 7, *counts, max(counts) + 1}):
+            expected = sum(count > delta for count in counts)
+            assert _min_deletions(skel, delta) == expected, delta
+
+
 class TestDownwardWalk:
     @pytest.mark.parametrize("index", range(len(TIE_HEAVY_SHAPES)))
     def test_matches_full_scan_on_tie_heavy_shapes(self, index):
@@ -1085,3 +1110,26 @@ class TestCertificateRooting:
         value, _ = compute_fk_forest(build_star_union([4, 2, 2]), 3)
         assert value == 2
         assert calls == ["skeleton"]
+
+
+def test_one_pass_star_union_fits_in_512_mb():
+    # split keeps one mask of leaf bits per vertex with children, not a
+    # prefix sum of n bits per leaf (about n**2 / 16 bytes, 400 MB here).
+    # The child caps its own address space; at delta = 19,998 one pass
+    # keeps 79,997 of the 79,999 vertices
+    code = (
+        "import json, resource\n"
+        "cap = 512 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from degeq import build_star_union, compute_fk_forest\n"
+        "forest = build_star_union([20000, 19999, 19998, 19998])\n"
+        "value, cert = compute_fk_forest(forest, 3)\n"
+        "print(json.dumps([forest.n, value, cert.x]))\n"
+    )
+    start = time.monotonic()
+    result = run_python(code)
+    elapsed = time.monotonic() - start
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stdout) == [79999, 2, [0, 20002]]
+    assert elapsed < 2
