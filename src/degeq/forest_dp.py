@@ -18,9 +18,12 @@ vertices with children; each folds its twin leaf children in one step, from
 one mask of their deletion bits that ``split`` keeps for all passes.
 From delta = 2 on a kept leaf never counts toward the k and adds 2**n for
 one deletion bit below 2**n, so the fold tries only the most kept leaves
-below degree delta and exactly delta.  The passes walk delta down from the
-k-th largest degree until a bounded-degree-deletion lower bound
-(``_min_deletions``) shows that no lower delta can reach the best order.
+below degree delta and exactly delta, and a vertex keeps a row only for
+each count of kept children that some choice reaches.  The passes walk
+delta down from the k-th largest degree until a bounded-degree-deletion
+lower bound (``_min_deletions``) shows that no lower delta can reach the
+best order, and skip a delta where the k least degrees at or above it
+(``_k_deletions``) already delete too many.
 
 No pass runs when one deletion suffices: ``_last_pick`` tries only the
 closed neighbourhood of the least top-degree vertex, against one degree
@@ -166,15 +169,14 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, mask=0, cuts=
     deletion bit is ``bit``, from its children's triples ``kids`` and its
     leaf children's ``mask`` and ``cuts``, as ``_Skeleton.split`` gives them."""
     deleted = [bit]
-    rows = [[0]]  # rows[c]: exactly c kept children
+    rows = {0: [0]}  # rows[c]: exactly c kept children, for each count reached
     for drop, up, free in kids:
         deleted = _merge(deleted, free, k)
-        new = [_merge(row, drop, k) for row in rows]
+        new = {c: _merge(row, drop, k) for c, row in rows.items()}
         if up is not None:
-            if len(rows) <= delta:
-                new.append(None)
-            for c, row in enumerate(rows[:delta]):
-                new[c + 1] = _vmax(new[c + 1], _merge(row, up, k))
+            for c, row in rows.items():
+                if c < delta:
+                    new[c + 1] = _vmax(new.get(c + 1), _merge(row, up, k))
         rows = new
     count = len(cuts) - 1
     if count > 0:
@@ -187,19 +189,20 @@ def _vertex_vectors(bit: int, kids, gain: int, k: int, delta: int, mask=0, cuts=
         # stay below delta and exactly delta - c (at delta <= 1, every count)
         width = 1 + min(count, k) if delta == 0 else 1
         deleted = _merge(deleted, [count * gain] * width, k)
-        folded = [None] * min(len(rows) + count, delta + 1)
-        for c, row in enumerate(rows):
+        folded = {}
+        for c, row in rows.items():
             least = max(0, min(count, delta - 1 - c))
             for extra in range(least, min(count, delta - c) + 1):
                 b = extra * gain + (mask >> cuts[count - extra] << cuts[count - extra])
                 shift = [b] * (1 + extra if delta == 1 else 1)
-                folded[c + extra] = _vmax(folded[c + extra], _merge(row, shift, k))
+                folded[c + extra] = _vmax(folded.get(c + extra), _merge(row, shift, k))
         rows = folded
     low = None
-    for row in rows[:delta]:
-        low = _vmax(low, row)
-    top = rows[delta] if len(rows) > delta else None
-    last = rows[delta - 1] if 0 < delta <= len(rows) else None
+    for c, row in rows.items():
+        if c < delta:
+            low = _vmax(low, row)
+    top = rows.get(delta)
+    last = rows.get(delta - 1)
     up = _kept(low, last, gain, k) if delta > 0 else None
     return deleted, up, _vmax(deleted, _kept(_vmax(low, top), top, gain, k))
 
@@ -260,6 +263,13 @@ def _min_deletions(skel: _Skeleton, delta: int) -> int:
     return sum(free[v] for v in skel.children[-1])
 
 
+def _k_deletions(ascending: list[int], low: int, k: int, delta: int) -> int:
+    """Fewest deletions that could leave k vertices at exactly delta, from
+    the k least degrees >= delta, ``ascending[low : low + k]`` (see
+    ``compute_fk_forest``)."""
+    return sum(ascending[low : low + k]) - k * (delta + 1) + 1
+
+
 # ---------------------------------------------------------------------------
 # Driver
 
@@ -284,8 +294,20 @@ def compute_fk_forest(
     delta falls, so the walk stops at the first delta whose bound is below the
     incumbent order.  Deleting every vertex of degree above delta is one such
     deletion set, so bdd is computed only where n minus their number is below
-    the incumbent.  The test is strict: a delta that could tie the optimum
-    still runs its pass, since its deletion set may be the lesser one.
+    the incumbent.
+
+    A delta is also skipped, without a stop, where the k bound
+    ``_k_deletions`` is above n minus the incumbent order.  Let v_1, ..., v_k
+    be kept at exactly delta with forest degrees d_1, ..., d_k >= delta: each
+    has d_i - delta neighbours in the deletion set X.  Those edges join the
+    k vertices to X in a subforest of the forest on at most k + |X|
+    vertices, so there are at most k + |X| - 1 of them, and
+    |X| >= sum(d_i - delta) - k + 1.  The sum is least for the k least
+    degrees that are at least delta.  It grows by k with each step down of
+    delta and drops where delta meets a lower degree, so a skipped delta
+    says nothing of the next.  Both tests are strict: a delta that could tie
+    the optimum still runs its pass, since its deletion set may be the
+    lesser one.
 
     Before the walk, f_k = 1 is answered without any pass or bdd by
     ``_last_pick``, whose first success in ascending id is the least
@@ -311,9 +333,13 @@ def compute_fk_forest(
         return 1, make_certificate(forest, (v,), k, "dp")
 
     best = ((k - 1) << n) + (1 << n) - (1 << (k - 1))  # the escape: delete 0..n-k
+    ascending = sorted(deg)
     above = 0  # vertices of degree above delta
     for delta in range(len(hist) - 1, -1, -1):
-        if above + hist[delta] >= k:  # delta is at most d_k, the k-th largest
+        low = n - above - hist[delta]  # ascending[low:] are the degrees >= delta
+        # delta is at most d_k, the k-th largest, and the k bound, which may
+        # skip a delta but stops nothing, leaves it a chance to win
+        if low <= n - k and n - _k_deletions(ascending, low, k, delta) >= best >> n:
             if deadline is not None and time.monotonic() > deadline:
                 raise DeadlineExceeded("forest solver deadline exceeded")
             if n - above < best >> n > n - _min_deletions(skeleton, delta):

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import time
+from bisect import bisect_left
 from dataclasses import replace
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -38,6 +39,7 @@ from degeq.forest_dp import (
     NotAForestError,
     _best_score,
     _build_skeleton,
+    _k_deletions,
     _min_deletions,
     _pass_vectors,
     _Skeleton,
@@ -931,6 +933,55 @@ class TestDeletionBoundOnStarUnions:
             assert _min_deletions(skel, delta) == expected, delta
 
 
+class TestKBound:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_never_above_the_fewest_deletions_on_every_small_forest(self, n):
+        # n minus the largest order with k vertices at exactly delta and
+        # maximum degree delta, over all 2^n subsets, at every delta where
+        # some subset has them
+        for forest in all_forests(n):
+            ascending = sorted(map(len, forest.adj))
+            for k in range(2, 6):
+                for delta, (order, _) in subforest_sweep(forest, k)[1].items():
+                    low = bisect_left(ascending, delta)
+                    assert low <= n - k  # the k vertices have degree >= delta
+                    bound = _k_deletions(ascending, low, k, delta)
+                    assert bound <= n - order, (forest.edges(), k, delta)
+
+    @pytest.mark.parametrize("t, passes", [(30, 65), (60, 241)])
+    def test_skips_passes_on_extremal_forests(self, monkeypatch, t, passes):
+        # the walk without the k bound ran 212 passes on F_30 and 872 on F_60
+        deltas = []
+        counting_pass = forest_dp._best_score
+
+        def spy(skeleton, n, k, delta):
+            deltas.append(delta)
+            return counting_pass(skeleton, n, k, delta)
+
+        monkeypatch.setattr(forest_dp, "_best_score", spy)
+        value, _ = compute_fk_forest(build_extremal_forest(t), 3)
+        assert value == t
+        assert len(deltas) == passes
+
+
+# sha256 of every repr(compute_fk_forest(F, 3)) for F_40, F_60 and the star
+# union [20000, 19999, 19997], one per line, as the walk gave them with a
+# pass at every delta down to the bdd stop: 872 passes on F_60, and 19,998
+# passes and about 46 s on the stars, where the k bound leaves 3
+K_SKIP_DIGEST = "87f69978df0fc3c3ce105b7f58ad9c4bf84630644a4fae2dd4f8eb28e00d4903"
+
+
+def test_k_skip_certificate_digest():
+    digest = hashlib.sha256()
+    for forest in (
+        build_extremal_forest(40),
+        build_extremal_forest(60),
+        build_star_union([20000, 19999, 19997]),
+    ):
+        digest.update(repr(compute_fk_forest(forest, 3)).encode() + b"\n")
+    assert digest.hexdigest() == K_SKIP_DIGEST
+
+
 class TestDownwardWalk:
     @pytest.mark.parametrize("index", range(len(TIE_HEAVY_SHAPES)))
     def test_matches_full_scan_on_tie_heavy_shapes(self, index):
@@ -962,7 +1013,8 @@ class TestDownwardWalk:
         assert events == []
 
     def test_deadline_passing_mid_walk_raises(self, monkeypatch):
-        # f_3(F_6) = 6 is large, so the bound skips none of its 8 passes
+        # f_3(F_6) = 6 is large, so the walk runs 5 passes: the clock lets
+        # the first run and stops the walk before the second
         calls = []
 
         def clock():
@@ -1000,11 +1052,13 @@ class TestBoundOnlyWhereItCanCut:
 
     def test_extremal_forest_asks_once(self, monkeypatch):
         # f_3(F_6) = 6 keeps at most 34 of 40 vertices; 35 are leaves, so
-        # n - above >= 35 down to delta = 1, and 0 at delta = 0
+        # n - above >= 35 down to delta = 1, and 0 at delta = 0.  Of the 8
+        # deltas from d_3 = 7 down, the k bound skips 6, 5 and 4: the three
+        # least degrees >= delta, 7, 7 and 13, delete at least 7, 10 and 13
         (value, _), events = self.walk(monkeypatch, build_extremal_forest(6), 3)
         assert value == 6
         assert [d for tag, d in events if tag == "bdd"] == [0]
-        assert sum(tag == "pass" for tag, _ in events) == 8
+        assert sum(tag == "pass" for tag, _ in events) == 5
 
     def test_star_union_asks_only_below_its_first_pass(self, monkeypatch):
         # two adjacent claw centres and an edge, at k = 3 (f_3 = 2): at

@@ -394,9 +394,10 @@ class TestCli:
         assert result.exit_code == 2  # click missing-option error
 
     def test_compute_timeout_refuses(self, tmp_path):
-        # F_18 with k = 3 takes about 0.1 s over 74 passes; the deadline is
-        # checked before each pass, so 0.01 s still stops it between passes
-        path = self.write_graph(tmp_path, to_edgelist(degeq.build_extremal_forest(18)))
+        # F_60 (n = 19,030) with k = 3 takes about 0.3 s over 241 passes;
+        # the deadline is checked before each pass, so 0.01 s still stops it
+        # between passes
+        path = self.write_graph(tmp_path, to_edgelist(degeq.build_extremal_forest(60)))
         result = self.runner.invoke(
             main, ["compute", "--input", path, "--k", "3", "--timeout", "0.01"]
         )
@@ -1214,11 +1215,10 @@ def test_equalize_and_bounds_boundary_fuzz(tmp_path_factory, data, k, t, command
 # refused unbuilt, as is a star union), --m and --seed at -1, in range or
 # 10**20, and --count up to 3 or 10**20 (a count past 10**6 is refused
 # unexpanded).  gen --n is also drawn at 2,001 and 10**6 + 1 (the least
-# order each random kind refuses unbuilt) and at 10**20, and for
-# random-girth5 at 10**5.  No larger admitted construct --n or gen --count
-# is drawn, nor a random forest of 10**5 vertices: each builds in proportion
-# to its value, and the forest is within its limit but takes about half a
-# second.
+# order each random kind refuses unbuilt), at 10**5 (random-girth5 refuses
+# it; a random forest of 10**5 vertices builds and writes in about 0.25 s)
+# and at 10**20.  No larger admitted construct --n or gen --count is drawn:
+# each builds in proportion to its value.
 NOT_INTS = st.sampled_from(["x", "1.5", "", "nan", "٣", BIG + ".0"])
 ORDERS = st.integers(min_value=-1, max_value=40).map(str)
 
@@ -1239,7 +1239,7 @@ CONSTRUCT_ARGS = st.tuples(
         max_size=4,
     ).map(",".join)),
 ).map(lambda parts: ["construct", "--family", parts[0], *parts[1], *parts[2], *parts[3]])
-GEN_ORDERS = {"random-forest": ["2001", "1000001", BIG],
+GEN_ORDERS = {"random-forest": ["2001", "1000001", "100000", BIG],
               "random-girth5": ["2001", "1000001", "100000", BIG]}
 GEN_ARGS = st.tuples(
     st.sampled_from(sorted(k for k, e in CORPUS_KINDS.items() if e.random)).flatmap(
