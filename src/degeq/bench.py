@@ -34,9 +34,11 @@ def run_suite(suite: str) -> list[BenchRow]:
             ("forest-n12", gen_random_forest(12, seed=7), (4, 5)),
         ]
     elif suite == "forest-dp":
-        # seeds with f_k >= 2 on every row, so each solve runs counting
-        # passes; f_3(F_15) = 15, and f_2 = 10 on S_10, the star union with
-        # C(i + 1, 2) + 1 leaves for i = 10..1
+        # seeds with f_k >= 2 on every row, so no solve ends at the size-1
+        # pick.  The pre-walk search decides the six random forests (f_k = 2
+        # or 3); f_3(F_15) = 15, and f_2 = 10 on S_10, the star union with
+        # C(i + 1, 2) + 1 leaves for i = 10..1, run it out of budget and
+        # run counting passes
         cases = [
             (f"forest-n{n}", gen_random_forest(n, seed=3000 + n), (k,))
             for k, sizes in ((2, (41, 70, 100)), (3, (30, 45, 60)))

@@ -25,9 +25,12 @@ lower bound (``_min_deletions``) shows that no lower delta can reach the
 best order, and skip a delta where the k least degrees at or above it
 (``_k_deletions``) already delete too many.
 
-No pass runs when one deletion suffices: ``_last_pick`` tries only the
-closed neighbourhood of the least top-degree vertex, against one degree
-histogram.
+No pass runs when a small deletion set suffices: before the walk, the
+oracle's size-ordered search (``graph._least_deletions``) runs under a work
+budget of ``_SEARCH_WORK`` units per vertex, and its first success is the
+certificate.  Theorem 1 of the paper bounds f_2 of a forest of order n by
+about (6n)**(1/3), so f_k is small next to n on most forests, and the search
+finds it in a few dozen nodes; the walk runs only when the budget runs out.
 """
 
 from __future__ import annotations
@@ -37,7 +40,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .certificates import RemovalCertificate, make_certificate
-from .graph import Graph, _last_pick
+from .graph import Graph, _least_deletions
+
+
+# the pre-walk search's work budget, per vertex; 8 was too few for a random
+# forest of 16 vertices with f_4 = 3, whose search takes 13 per vertex
+_SEARCH_WORK = 16
 
 
 class DeadlineExceeded(Exception):
@@ -309,10 +317,16 @@ def compute_fk_forest(
     the optimum still runs its pass, since its deletion set may be the
     lesser one.
 
-    Before the walk, f_k = 1 is answered without any pass or bdd by
-    ``_last_pick``, whose first success in ascending id is the least
-    deletion set.  A graph with a cycle raises ``NotAForestError``: at once
-    when m >= n >= 1, else from the rooting search's component count.
+    Before the walk, the oracle's search (``graph._least_deletions``) tries
+    deletion sets by size and, within a size, in lexicographic order, under
+    a budget of ``_SEARCH_WORK`` * n units of work.  Sizes below f_k have no
+    success, so its first success is a minimum deletion set, and the
+    lexicographically least one: the certificate, with no pass or bdd.  It
+    answers f_k = 1 at any budget, as its size-1 pick is not charged.  When
+    the budget runs out, the search has restored ``deg`` and ``hist`` and
+    the walk runs, so no forest pays more than O(n) for the search.  A graph
+    with a cycle raises ``NotAForestError``: at once when m >= n >= 1, else
+    from the rooting search's component count.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -328,9 +342,16 @@ def compute_fk_forest(
         return 0, make_certificate(forest, (), k, "dp")
     if n == k:  # not equalized, and deleting vertex 0 leaves k - 1 vertices
         return 1, make_certificate(forest, (0,), k, "dp")
-    v = _last_pick(forest.adj, deg, hist, k)
-    if v is not None:
-        return 1, make_certificate(forest, (v,), k, "dp")
+    tick = None
+    if deadline is not None:
+
+        def tick():
+            if time.monotonic() > deadline:
+                raise DeadlineExceeded("forest solver deadline exceeded")
+
+    x, _ = _least_deletions(forest.adj, deg, hist, k, _SEARCH_WORK * n, tick)
+    if x is not None:
+        return len(x), make_certificate(forest, x, k, "dp")
 
     best = ((k - 1) << n) + (1 << n) - (1 << (k - 1))  # the escape: delete 0..n-k
     ascending = sorted(deg)
@@ -340,8 +361,8 @@ def compute_fk_forest(
         # delta is at most d_k, the k-th largest, and the k bound, which may
         # skip a delta but stops nothing, leaves it a chance to win
         if low <= n - k and n - _k_deletions(ascending, low, k, delta) >= best >> n:
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceeded("forest solver deadline exceeded")
+            if tick:
+                tick()
             if n - above < best >> n > n - _min_deletions(skeleton, delta):
                 break  # n - bdd only falls with delta: no lower delta can win
             best = max(best, _best_score(skeleton, n, k, delta))

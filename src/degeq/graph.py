@@ -5,9 +5,13 @@ constructive procedures) works on the immutable :class:`Graph` defined here,
 together with the degree-profile, girth, and forest utilities and the
 success condition for the degree-equalization number f_k.
 
-Both exact solvers end with ``_last_pick``: when fewer than k vertices hold
-the top degree d, a deletion outside the closed neighbourhood N[u] of u, the
-least of them, leaves u, and so the maximum, at d, so only N[u] can succeed.
+Both exact solvers search deletion sets with ``_least_deletions``, which tries
+sizes 1, 2, ... and ends each set with ``_last_pick``: when fewer than k
+vertices hold the top degree d, a deletion outside the closed neighbourhood
+N[u] of u, the least of them, leaves u, and so the maximum, at d, so only
+N[u] can succeed.  The oracle runs the search to the end; the forest solver
+runs it under a work budget of O(n) and walks its tree program only when
+the budget runs out.
 """
 
 from __future__ import annotations
@@ -252,20 +256,27 @@ def check_fk_condition(graph: Graph, removed: Iterable[int], k: int) -> bool:
     return len(live) < k or live.count(max(live)) >= k
 
 
-def _last_pick(adj, deg, hist, k: int, start: int = 0, high: int = -1) -> int | None:
+def _last_pick(
+    adj, deg, hist, k: int, start: int = 0, high: int = -1, charge=None
+) -> int | None:
     """The least v >= start in N[u], u the least top-degree vertex, whose
     deletion leaves k live vertices at the top degree, or None.  ``deg`` is
     -1 at deleted vertices, none from start on, and ``hist`` counts live
     degrees; each candidate is deleted and restored in ``hist`` alone.
     ``high`` is the largest live degree below start: a tried candidate stays
     live and loses at most one degree, so once fewer than k live vertices
-    reach high - 1, no later one can succeed.
+    reach high - 1, no later one can succeed.  ``charge``, when given, is
+    first asked whether the candidates' degrees fit a work budget, and a
+    False answer returns None with no candidate tried.
     """
     top = len(hist) - 1
     while not hist[top]:
         top -= 1
     u = deg.index(top)
-    for v in sorted(w for w in (u, *adj[u]) if w >= start):
+    tried = sorted(w for w in (u, *adj[u]) if w >= start)
+    if charge is not None and not charge(sum(len(adj[v]) for v in tried)):
+        return None
+    for v in tried:
         dv = deg[v]
         hist[dv] -= 1
         for w in adj[v]:
@@ -290,3 +301,124 @@ def _last_pick(adj, deg, hist, k: int, start: int = 0, high: int = -1) -> int | 
             if high > 1 and sum(hist[high - 1 :]) < k:
                 return None
     return None
+
+
+_TICK = 4096  # units of search work between two calls of a search's tick
+
+
+def _least_deletions(adj, deg, hist, k: int, budget: int | None = None, tick=None):
+    """``(x, work)``: x the lexicographically least minimum deletion set, or
+    None when ``budget`` units of work do not find it, and the work charged.
+
+    ``deg`` and ``hist`` are the degrees and their histogram with nothing
+    deleted, and fewer than k vertices share the top degree.  They are left
+    as given when the budget runs out, and mid-search after a success.
+
+    Sizes are tried in increasing order, up to n - k (deleting 0, ..., n - k
+    leaves fewer than k vertices); within a size the search picks vertices
+    in increasing index order, so its leaves come in the order of
+    ``itertools.combinations`` and the first success is the least minimum
+    set.  Removing or restoring a vertex touches only its live neighbours, and
+    a leaf succeeds when the top non-empty bucket holds at least k vertices.
+
+    Prune: take a node with r picks left, about to try candidate v.  In every
+    branch from v on, each vertex below v that is live at the node stays in
+    the final graph and loses at most r degree there, so the final maximum
+    degree is at least L = (max live degree below v) - r.  A vertex ending at
+    that maximum has degree at least L at the node, so when fewer than k live
+    vertices do, no leaf in those branches succeeds and the node returns.
+    L only grows with v, so the test runs at the node's first candidate and
+    again whenever a tried candidate raises the maximum.  With r = 1, fewer
+    than k live vertices hold the top degree (else the picks so far were a
+    smaller success), so ``_last_pick`` ends the set, with the same prune.
+
+    Work: a node v (a candidate tried with two or more picks left) is
+    charged 1 for its step, its live degree for the neighbours it updates
+    and v + 1 for the scan of the degrees below v + 1 that the search it
+    calls makes.  Under a budget a last pick is charged the degrees of the
+    candidates it tries, but for size 1's lone pick, which costs at most the
+    degree sum: a budget of 0 still answers f_k = 1, and no more.  A step is
+    taken only if its charge fits, and the first that does not ends the
+    search, which unwinds restoring every deletion.  ``tick`` is called each
+    time about ``_TICK`` more units are charged, and may raise to stop the
+    search.
+    """
+    n = len(adj)
+    picked: list[int] = []
+    spent = 0
+    # an int above any search's work (cheaper to compare than inf); -1 once
+    # the budget has run out
+    limit = 1 << 62 if budget is None else budget
+    due = min(limit, _TICK) if tick else limit  # work charged with no check
+
+    def settle(cost: int) -> bool:
+        """Whether the cost just charged fits, once ``spent`` is past ``due``:
+        past the budget it is taken back, and nothing fits from then on;
+        else the tick is due."""
+        nonlocal spent, limit, due
+        if spent > limit:
+            spent -= cost
+            limit = due = -1
+            return False
+        tick()
+        due = min(limit, spent + _TICK)
+        return True
+
+    def charge(cost: int) -> bool:
+        nonlocal spent
+        spent += cost
+        return spent <= due or settle(cost)
+
+    pick_charge = None if budget is None else charge
+
+    def search(start: int, r: int) -> bool:
+        """Pick r more vertices from start on; True, with ``picked`` filled,
+        at the first success."""
+        nonlocal spent
+        high = max(deg[:start], default=-1)
+        if high > r and sum(hist[high - r :]) < k:
+            return False
+        if r == 1:
+            # size 1's lone pick (start 0) is never refused: it costs at most
+            # the degree sum, and a budget of 0 still answers f_k = 1
+            v = _last_pick(adj, deg, hist, k, start, high, pick_charge if start else None)
+            if v is not None:
+                picked.append(v)
+            return v is not None
+        for v in range(start, n - r + 1):
+            dv = deg[v]
+            spent += v + 2 + dv
+            if spent > due and not settle(v + 2 + dv):
+                return False
+            hist[dv] -= 1
+            deg[v] = -1
+            nbrs = adj[v]
+            for w in nbrs:
+                dw = deg[w]
+                if dw > 0:  # live: a live neighbour of v has degree >= 1
+                    hist[dw] -= 1
+                    hist[dw - 1] += 1
+                    deg[w] = dw - 1
+            if search(v + 1, r - 1):
+                picked.append(v)
+                return True
+            for w in nbrs:
+                dw = deg[w]
+                if dw >= 0:
+                    hist[dw] -= 1
+                    hist[dw + 1] += 1
+                    deg[w] = dw + 1
+            deg[v] = dv
+            hist[dv] += 1
+            if dv > high:
+                high = dv
+                if high > r and sum(hist[high - r :]) < k:
+                    return False
+        return False
+
+    for size in range(1, n - k + 1):
+        if search(0, size):
+            return tuple(sorted(picked)), spent
+        if spent >= limit:  # no work left, and a larger size charges a node
+            return None, spent
+    return tuple(range(n - k + 1)), spent

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from degeq import Graph, parse_graph
+from degeq import Graph, forest_dp, parse_graph
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
@@ -35,6 +35,14 @@ def path4() -> Graph:
 @pytest.fixture
 def cycle5() -> Graph:
     return Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+@pytest.fixture
+def walk_only(monkeypatch):
+    """The forest solver with no budget for its pre-walk search, so every
+    f_k >= 2 comes from the tree program's walk, which the test then checks
+    against an independent answer."""
+    monkeypatch.setattr(forest_dp, "_SEARCH_WORK", 0)
 
 
 def run_python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:

@@ -245,7 +245,7 @@ class TestComputeFkForest:
                 )
                 assert cert.x == least
 
-    def test_tie_across_passes_keeps_least_set(self, monkeypatch):
+    def test_tie_across_passes_keeps_least_set(self, monkeypatch, walk_only):
         # A claw plus an edge, at k = 3 (f_3 = 2, so the walk runs).
         # Deleting leaves 1 and 2 leaves 0, 3, 4 and 5 at degree 1, and
         # deleting 0 and 4 leaves four isolated vertices: the delta-1 pass
@@ -294,6 +294,7 @@ def assert_oracle_answer(forest, k):
     assert validate_certificate(forest, cert, k)
 
 
+@pytest.mark.usefixtures("walk_only")
 class TestCountingSolverDifferential:
     @settings(max_examples=120, deadline=None)
     @given(labelled_forests(), st.integers(min_value=2, max_value=5))
@@ -982,6 +983,67 @@ def test_k_skip_certificate_digest():
     assert digest.hexdigest() == K_SKIP_DIGEST
 
 
+def degree_state(forest):
+    """The degrees and their histogram, as the solvers build them."""
+    deg = [len(nbrs) for nbrs in forest.adj]
+    hist = [0] * (max(deg) + 1)
+    for d in deg:
+        hist[d] += 1
+    return deg, hist
+
+
+class TestPreWalkSearch:
+    """The oracle's search, run before the walk under a budget of
+    ``forest_dp._SEARCH_WORK`` units of work per vertex."""
+
+    def test_one_search_serves_both_solvers(self):
+        assert forest_dp._least_deletions is graph_module._least_deletions
+        assert degeq.oracle._least_deletions is graph_module._least_deletions
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_decides_a_large_random_forest_without_a_pass(self, monkeypatch, k):
+        # f_3 = f_4 = 2 on 20,000 vertices; the walk ran one counting pass
+        def refuse(*args):
+            raise AssertionError("a counting pass ran")
+
+        monkeypatch.setattr(forest_dp, "_best_score", refuse)
+        monkeypatch.setattr(forest_dp, "_min_deletions", refuse)
+        value, cert = compute_fk_forest(gen_random_forest(20000, seed=11), k)
+        # the walk's answer
+        assert (value, cert.x, cert.witnesses) == (2, (6, 691), (8, 12, 79, 113, 178, 736))
+        assert cert.method == "dp"
+
+    @pytest.mark.parametrize(
+        "forest",
+        [build_extremal_forest(60), build_star_union([20000, 19999, 19997])],
+        ids=["F60", "S20000-19999-19997"],
+    )
+    def test_gives_up_within_its_budget(self, forest):
+        # f_3(F_60) = 60, and the stars' first last pick alone tries 20,001
+        # candidates: the search runs out, charges no more than its budget,
+        # and leaves the degrees and their histogram as it found them
+        deg, hist = degree_state(forest)
+        budget = forest_dp._SEARCH_WORK * forest.n
+        x, work = graph_module._least_deletions(forest.adj, deg, hist, 3, budget)
+        assert x is None
+        assert 0 < work <= budget
+        assert (deg, hist) == degree_state(forest)
+
+    @pytest.mark.parametrize("work", [0, 1, 2, 3, 5, 8, 16])
+    def test_any_budget_gives_the_walks_answer(self, monkeypatch, work):
+        # a search stopped anywhere must leave the walk the degrees it was
+        # given: every budget gives what the walk alone gives
+        forests = [f for n in range(1, 9) for f in all_forests(n)]
+        forests += [gen_random_forest(n, split_prob=0.3, seed=n) for n in range(10, 41)]
+        forests += [shuffled_star_union(seed, 4, 6) for seed in range(20)]
+        for forest in forests:
+            for k in range(2, 6):
+                monkeypatch.setattr(forest_dp, "_SEARCH_WORK", 0)
+                walk = compute_fk_forest(forest, k)
+                monkeypatch.setattr(forest_dp, "_SEARCH_WORK", work)
+                assert compute_fk_forest(forest, k) == walk, (forest.edges(), k)
+
+
 class TestDownwardWalk:
     @pytest.mark.parametrize("index", range(len(TIE_HEAVY_SHAPES)))
     def test_matches_full_scan_on_tie_heavy_shapes(self, index):
@@ -1014,7 +1076,8 @@ class TestDownwardWalk:
 
     def test_deadline_passing_mid_walk_raises(self, monkeypatch):
         # f_3(F_6) = 6 is large, so the walk runs 5 passes: the clock lets
-        # the first run and stops the walk before the second
+        # the first run and stops the walk before the second.  The pre-walk
+        # search runs out of its 16n = 640 units before its first tick
         calls = []
 
         def clock():
@@ -1060,7 +1123,7 @@ class TestBoundOnlyWhereItCanCut:
         assert [d for tag, d in events if tag == "bdd"] == [0]
         assert sum(tag == "pass" for tag, _ in events) == 5
 
-    def test_star_union_asks_only_below_its_first_pass(self, monkeypatch):
+    def test_star_union_asks_only_below_its_first_pass(self, monkeypatch, walk_only):
         # two adjacent claw centres and an edge, at k = 3 (f_3 = 2): at
         # delta = 1 two vertices are above, so n - above = 6 needs no bdd, and
         # the pass keeps 6 of 8 vertices with X = (0, 2); at delta = 0 all 8
@@ -1072,7 +1135,7 @@ class TestBoundOnlyWhereItCanCut:
         assert _min_deletions(counting_skeleton(forest), 0) == 3
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_every_small_forest(self, monkeypatch, n):
+    def test_every_small_forest(self, monkeypatch, walk_only, n):
         for forest in all_forests(n):
             deltas = degree_profile(forest).deltas
             for k in range(2, 6):

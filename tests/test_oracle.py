@@ -135,7 +135,7 @@ def test_last_pick_matches_exhaustive_search(source):
 def test_deadline_passing_mid_search_raises(monkeypatch):
     # F_6 with reversed labels keeps the prune weak: the k = 4 search tries
     # over 20,000 candidates with two or more picks left (its nodes), past
-    # the first periodic check at 4,096.
+    # the first periodic check, at 4,096 units of search work.
     graph = _reversed_labels(build_extremal_forest(6))
     n = graph.n
     calls = []
