@@ -25,7 +25,7 @@ class BenchRow:
 
 def run_suite(suite: str) -> list[BenchRow]:
     if suite == "small":
-        # every row has f_k >= 2, so no solve ends at the one-deletion exit
+        # every row has f_k >= 2, so no solve ends at the search's size-1 pick
         cases = [
             ("path-4", build_path(4), (3,)),
             ("star-union-1-3", build_star_union([3, 1]), (3,)),

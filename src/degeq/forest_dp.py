@@ -25,22 +25,24 @@ lower bound (``_min_deletions``) shows that no lower delta can reach the
 best order, and skip a delta where the k least degrees at or above it
 (``_k_deletions``) already delete too many.
 
-No pass runs when a small deletion set suffices: before the walk, the
-oracle's size-ordered search (``graph._least_deletions``) runs under a work
-budget of ``_SEARCH_WORK`` units per vertex, and its first success is the
-certificate.  Theorem 1 of the paper bounds f_2 of a forest of order n by
-about (6n)**(1/3), so f_k is small next to n on most forests, and the search
-finds it in a few dozen nodes; the walk runs only when the budget runs out.
+The forest check is ``graph.is_forest``.  No pass runs when a small
+deletion set suffices: before the walk, the oracle's size-ordered search
+(``graph._least_deletions``) runs under a work budget of ``_SEARCH_WORK``
+units per vertex, and its first success is the certificate.  Theorem 1 of
+the paper bounds f_2 of a forest of order n by about (6n)**(1/3), so f_k is
+small next to n on most forests, and the search finds it in a few dozen
+nodes; the forest is rooted, and the walk runs, only when the budget runs out.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 from .certificates import RemovalCertificate, make_certificate
-from .graph import Graph, _least_deletions
+from .graph import Graph, _least_deletions, is_forest
 
 
 # the pre-walk search's work budget, per vertex; 8 was too few for a random
@@ -322,26 +324,16 @@ def compute_fk_forest(
     a budget of ``_SEARCH_WORK`` * n units of work.  Sizes below f_k have no
     success, so its first success is a minimum deletion set, and the
     lexicographically least one: the certificate, with no pass or bdd.  It
-    answers f_k = 1 at any budget, as its size-1 pick is not charged.  When
-    the budget runs out, the search has restored ``deg`` and ``hist`` and
+    answers n <= k, f_k = 0 and, as its size-1 pick is not charged, f_k = 1
+    at any budget.  The forest is rooted only when the budget runs out and
     the walk runs, so no forest pays more than O(n) for the search.  A graph
-    with a cycle raises ``NotAForestError``: at once when m >= n >= 1, else
-    from the rooting search's component count.
+    with a cycle raises ``NotAForestError`` from ``is_forest``.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    n = forest.n
-    skeleton = None if forest.m >= n >= 1 else _build_skeleton(forest)
-    if skeleton is None or forest.m != n - len(skeleton.children[n]):
+    if not is_forest(forest):
         raise NotAForestError("input graph is not a forest")
-    deg = [len(nbrs) for nbrs in forest.adj]
-    hist = [0] * (max(deg, default=0) + 1)
-    for d in deg:
-        hist[d] += 1
-    if n < k or hist[-1] >= k:  # k vertices share the maximum
-        return 0, make_certificate(forest, (), k, "dp")
-    if n == k:  # not equalized, and deleting vertex 0 leaves k - 1 vertices
-        return 1, make_certificate(forest, (0,), k, "dp")
+    n = forest.n
     tick = None
     if deadline is not None:
 
@@ -349,24 +341,24 @@ def compute_fk_forest(
             if time.monotonic() > deadline:
                 raise DeadlineExceeded("forest solver deadline exceeded")
 
-    x, _ = _least_deletions(forest.adj, deg, hist, k, _SEARCH_WORK * n, tick)
+    x, _ = _least_deletions(forest, k, _SEARCH_WORK * n, tick)
     if x is not None:
         return len(x), make_certificate(forest, x, k, "dp")
 
+    skeleton = _build_skeleton(forest)
     best = ((k - 1) << n) + (1 << n) - (1 << (k - 1))  # the escape: delete 0..n-k
-    ascending = sorted(deg)
-    above = 0  # vertices of degree above delta
-    for delta in range(len(hist) - 1, -1, -1):
-        low = n - above - hist[delta]  # ascending[low:] are the degrees >= delta
+    ascending = sorted(map(len, forest.adj))
+    for delta in range(ascending[-1], -1, -1):
+        low = bisect_left(ascending, delta)  # ascending[low:] are the degrees >= delta
         # delta is at most d_k, the k-th largest, and the k bound, which may
         # skip a delta but stops nothing, leaves it a chance to win
         if low <= n - k and n - _k_deletions(ascending, low, k, delta) >= best >> n:
             if tick:
                 tick()
-            if n - above < best >> n > n - _min_deletions(skeleton, delta):
+            within = bisect_right(ascending, delta)  # vertices of degree <= delta
+            if within < best >> n > n - _min_deletions(skeleton, delta):
                 break  # n - bdd only falls with delta: no lower delta can win
             best = max(best, _best_score(skeleton, n, k, delta))
-        above += hist[delta]
 
     x = tuple(v for v, bit in enumerate(bin(best)[-n:]) if bit == "1")
     if len(x) != n - (best >> n):

@@ -306,16 +306,15 @@ def _last_pick(
 _TICK = 4096  # units of search work between two calls of a search's tick
 
 
-def _least_deletions(adj, deg, hist, k: int, budget: int | None = None, tick=None):
-    """``(x, work)``: x the lexicographically least minimum deletion set, or
-    None when ``budget`` units of work do not find it, and the work charged.
+def _least_deletions(graph: Graph, k: int, budget: int | None = None, tick=None):
+    """``(x, work)``: x the lexicographically least minimum deletion set of
+    ``graph``, or None when ``budget`` units of work do not find it, and the
+    work charged.
 
-    ``deg`` and ``hist`` are the degrees and their histogram with nothing
-    deleted, and fewer than k vertices share the top degree.  They are left
-    as given when the budget runs out, and mid-search after a success.
-
-    Sizes are tried in increasing order, up to n - k (deleting 0, ..., n - k
-    leaves fewer than k vertices); within a size the search picks vertices
+    x is empty when n < k or k vertices already share the top degree.
+    Other sizes are tried in increasing order, up to n - k (deleting
+    0, ..., n - k leaves fewer than k vertices; at n = k that escape is
+    the answer, with no size tried); within a size the search picks vertices
     in increasing index order, so its leaves come in the order of
     ``itertools.combinations`` and the first success is the least minimum
     set.  Removing or restoring a vertex touches only its live neighbours, and
@@ -339,11 +338,16 @@ def _least_deletions(adj, deg, hist, k: int, budget: int | None = None, tick=Non
     candidates it tries, but for size 1's lone pick, which costs at most the
     degree sum: a budget of 0 still answers f_k = 1, and no more.  A step is
     taken only if its charge fits, and the first that does not ends the
-    search, which unwinds restoring every deletion.  ``tick`` is called each
-    time about ``_TICK`` more units are charged, and may raise to stop the
-    search.
+    search.  ``tick`` is called each time about ``_TICK`` more units are
+    charged, and may raise to stop the search.
     """
-    n = len(adj)
+    n, adj = graph.n, graph.adj
+    deg = [len(nbrs) for nbrs in adj]
+    hist = [0] * (max(deg, default=0) + 1)
+    for d in deg:
+        hist[d] += 1
+    if n < k or hist[-1] >= k:
+        return (), 0
     picked: list[int] = []
     spent = 0
     # an int above any search's work (cheaper to compare than inf); -1 once

@@ -54,13 +54,7 @@ def brute_force_fk(
                 raise DeadlineExceeded("oracle deadline exceeded")
 
         tick()
-    deg = [len(nbrs) for nbrs in graph.adj]
-    hist = [0] * (max(deg, default=0) + 1)
-    for d in deg:
-        hist[d] += 1
-    x: tuple[int, ...] = ()
-    if graph.n >= k and hist[-1] < k:  # fewer than k vertices share the maximum
-        x, _ = _least_deletions(graph.adj, deg, hist, k, tick=tick)
+    x, _ = _least_deletions(graph, k, tick=tick)
     return len(x), make_certificate(graph, x, k, "brute")
 
 
@@ -69,8 +63,8 @@ def solve(
 ) -> tuple[int, RemovalCertificate]:
     """Exact equalization number with certificate, method ``"dp"`` on a
     forest and ``"brute"`` otherwise; ``OrderLimitError`` past ``limit``
-    on a graph with a cycle.  The tree program's own rooting search is the
-    forest check."""
+    on a graph with a cycle.  The tree program's ``is_forest`` check is the
+    only forest check."""
     try:
         return compute_fk_forest(graph, k, deadline=deadline)
     except NotAForestError:

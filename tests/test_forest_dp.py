@@ -137,12 +137,14 @@ class TestComputeFkForest:
             compute_fk_forest(cycle5, 2)
 
     def test_n_or_more_edges_refused_before_rooting(self, cycle5, monkeypatch):
-        # a forest on n >= 1 vertices has at most n - 1 edges, so C_5 and the
-        # Heawood graph are refused without the rooting search
-        def unexpected(forest):
-            raise AssertionError("skeleton built")
+        # a forest on n >= 1 vertices has at most n - 1 edges, so is_forest
+        # refuses C_5 and the Heawood graph with no 2-core peel, and the
+        # forest is never rooted
+        def unexpected(graph):
+            raise AssertionError("forest rooted or peeled")
 
         monkeypatch.setattr(forest_dp, "_build_skeleton", unexpected)
+        monkeypatch.setattr(graph_module, "_two_core", unexpected)
         ring = [(i, (i + 1) % 14) for i in range(14)]
         heawood = Graph.from_edges(14, ring + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
         for graph in (cycle5, heawood):
@@ -158,8 +160,8 @@ class TestComputeFkForest:
         ids=["K2+C3", "P3+C4"],
     )
     def test_rejects_cycle_in_a_later_component(self, graph):
-        # the component count comes from the rooting search, which meets the
-        # cycle only after a tree component
+        # the 2-core peel strips the tree component and leaves the cycle,
+        # which m < n alone does not show
         for k in (2, 3):
             with pytest.raises(ValueError, match="input graph is not a forest"):
                 compute_fk_forest(graph, k)
@@ -178,7 +180,8 @@ class TestComputeFkForest:
         assert value == 0
 
     def test_order_equal_k_irregular_deletes_vertex_zero(self):
-        # the closed form is the tree solver's answer, and says so
+        # the search's escape, deleting vertex 0, is the tree solver's
+        # answer, and says so
         value, cert = compute_fk_forest(parse_graph("3 1\n0 1"), 3)
         assert value == 1
         assert cert.x == (0,)
@@ -851,14 +854,30 @@ class TestMaxSubforestOrder:
                     assert len(at_delta) >= k
 
     def test_requires_order_above_special_count(self, monkeypatch, path4):
-        # with n <= k the solver answers in closed form, without a pass
+        # with n <= k the search answers at any budget, and the forest is
+        # never rooted: at n == k its escape deletes vertex 0 and leaves
+        # k - 1 vertices, unless the forest is already equalized (of the
+        # paths and stars below, only P_2), and below k nothing is deleted
         def refuse(*args):
-            raise AssertionError("a counting pass ran with n <= k")
+            raise AssertionError("the walk ran with n <= k")
 
-        monkeypatch.setattr(forest_dp, "_best_score", refuse)
-        assert compute_fk_forest(path4, 4)[0] == 1
-        assert compute_fk_forest(path4, 5)[0] == 0
-        assert compute_fk_forest(Graph.from_edges(4, []), 4)[0] == 0
+        for name in ("_build_skeleton", "_best_score", "_min_deletions"):
+            monkeypatch.setattr(forest_dp, name, refuse)
+        for work in (0, 16):
+            monkeypatch.setattr(forest_dp, "_SEARCH_WORK", work)
+            assert compute_fk_forest(path4, 4)[0] == 1
+            assert compute_fk_forest(path4, 5)[0] == 0
+            assert compute_fk_forest(Graph.from_edges(4, []), 4)[0] == 0
+            for k in range(2, 6):
+                for n in (k, k - 1):
+                    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+                    star = Graph.from_edges(n, [(0, v) for v in range(1, n)])
+                    for forest in (path, star):
+                        value, cert = compute_fk_forest(forest, k)
+                        regular = len(set(forest.degrees())) == 1
+                        expected = (1, (0,)) if n == k and not regular else (0, ())
+                        assert (value, cert.x) == expected, (k, forest.edges())
+                        assert cert.method == "dp"
 
 
 class TestRootedView:
@@ -983,15 +1002,6 @@ def test_k_skip_certificate_digest():
     assert digest.hexdigest() == K_SKIP_DIGEST
 
 
-def degree_state(forest):
-    """The degrees and their histogram, as the solvers build them."""
-    deg = [len(nbrs) for nbrs in forest.adj]
-    hist = [0] * (max(deg) + 1)
-    for d in deg:
-        hist[d] += 1
-    return deg, hist
-
-
 class TestPreWalkSearch:
     """The oracle's search, run before the walk under a budget of
     ``forest_dp._SEARCH_WORK`` units of work per vertex."""
@@ -1002,10 +1012,12 @@ class TestPreWalkSearch:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_decides_a_large_random_forest_without_a_pass(self, monkeypatch, k):
-        # f_3 = f_4 = 2 on 20,000 vertices; the walk ran one counting pass
+        # f_3 = f_4 = 2 on 20,000 vertices; the walk ran one counting pass.
+        # The search decides it, so the forest is never rooted either
         def refuse(*args):
-            raise AssertionError("a counting pass ran")
+            raise AssertionError("the walk ran")
 
+        monkeypatch.setattr(forest_dp, "_build_skeleton", refuse)
         monkeypatch.setattr(forest_dp, "_best_score", refuse)
         monkeypatch.setattr(forest_dp, "_min_deletions", refuse)
         value, cert = compute_fk_forest(gen_random_forest(20000, seed=11), k)
@@ -1020,14 +1032,11 @@ class TestPreWalkSearch:
     )
     def test_gives_up_within_its_budget(self, forest):
         # f_3(F_60) = 60, and the stars' first last pick alone tries 20,001
-        # candidates: the search runs out, charges no more than its budget,
-        # and leaves the degrees and their histogram as it found them
-        deg, hist = degree_state(forest)
+        # candidates: the search runs out and charges no more than its budget
         budget = forest_dp._SEARCH_WORK * forest.n
-        x, work = graph_module._least_deletions(forest.adj, deg, hist, 3, budget)
+        x, work = graph_module._least_deletions(forest, 3, budget)
         assert x is None
         assert 0 < work <= budget
-        assert (deg, hist) == degree_state(forest)
 
     @pytest.mark.parametrize("work", [0, 1, 2, 3, 5, 8, 16])
     def test_any_budget_gives_the_walks_answer(self, monkeypatch, work):
@@ -1067,7 +1076,7 @@ class TestDownwardWalk:
 
     def test_star_union_runs_one_counting_pass(self, monkeypatch):
         # f_2 = 1: deleting a leaf of the larger star equalizes, and the
-        # one-deletion exit finds it with no counting pass and no bdd call
+        # search's size-1 pick finds it with no counting pass and no bdd call
         (value, cert), events = TestBoundOnlyWhereItCanCut.walk(
             monkeypatch, build_star_union([201, 200]), 2
         )
@@ -1195,7 +1204,10 @@ class TestCertificateRooting:
     def test_counting_skeleton_reused_where_rooting_agrees(
         self, monkeypatch, forest, k, value, builds
     ):
-        # the certificate comes from the counting passes' own skeleton
+        # the certificate comes from the counting passes' own skeleton.  The
+        # search answers f_k = 1 at any budget, so it is turned off here and
+        # every row walks; the walk's certificate is the search's
+        searched = compute_fk_forest(forest, k)
         calls = []
 
         def counted(*args):
@@ -1203,13 +1215,15 @@ class TestCertificateRooting:
             return _build_skeleton(*args)
 
         monkeypatch.setattr(forest_dp, "_build_skeleton", counted)
-        got, _ = compute_fk_forest(forest, k)
-        assert got == value
+        monkeypatch.setattr(forest_dp, "_least_deletions", lambda *args: (None, 0))
+        walked = compute_fk_forest(forest, k)
+        assert walked == searched
+        assert walked[0] == value
         assert len(calls) == builds
 
     def test_one_search_roots_and_checks_the_forest(self, monkeypatch):
-        # the rooting search also counts the components for the forest
-        # check, so no 2-core peel runs beside it
+        # is_forest's 2-core peel is the one forest check, and the pre-walk
+        # search decides f_3 = 2, so the forest is never rooted
         calls = []
         build = forest_dp._build_skeleton
         two_core = graph_module._two_core
@@ -1226,7 +1240,7 @@ class TestCertificateRooting:
         monkeypatch.setattr(graph_module, "_two_core", counted_two_core)
         value, _ = compute_fk_forest(build_star_union([4, 2, 2]), 3)
         assert value == 2
-        assert calls == ["skeleton"]
+        assert calls == ["two-core"]
 
 
 def test_one_pass_star_union_fits_in_512_mb():
