@@ -186,16 +186,6 @@ def compute(input_path, k, method, fmt, force, timeout):
 
 
 @main.command()
-@click.option("--input", "input_path", required=True)
-@click.option("--k", "k", type=click.IntRange(min=2), required=True)
-@click.option("--limit", type=int, default=DEFAULT_ORDER_LIMIT, show_default=True)
-@_format_option("text", "json", "csv")
-def brute(input_path, k, limit, fmt):
-    """Ground-truth equalization number by subset enumeration."""
-    _solve_and_emit(_load_graph(input_path), k, fmt, brute_force_fk, limit=limit)
-
-
-@main.command()
 @click.option("--family", type=click.Choice(list(_FAMILIES)), required=True)
 @click.option("--t", "t", type=int, default=None, help="Extremal family parameter.")
 @click.option("--n", "n", type=int, default=None, help="Order for star/path.")

@@ -9,9 +9,9 @@ Both exact solvers search deletion sets with ``_least_deletions``, which tries
 sizes 1, 2, ... and ends each set with ``_last_pick``: when fewer than k
 vertices hold the top degree d, a deletion outside the closed neighbourhood
 N[u] of u, the least of them, leaves u, and so the maximum, at d, so only
-N[u] can succeed.  The oracle runs the search to the end; the forest solver
-runs it under a work budget of O(n) and walks its tree program only when
-the budget runs out.
+N[u] can succeed.  The oracle runs the search to the end up to its order
+limit and at a budget of 0 past it; the forest solver runs it under a work
+budget of O(n) and walks its tree program only when the budget runs out.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 ``brute_force_fk`` finds what the definition of the equalization number asks
 for: the smallest deletion set, by size then lexicographic order, whose
 removal leaves k vertices of maximum degree or fewer than k vertices.
-``solve`` runs the tree program on a forest and this search on other graphs.
+Past an order limit (18 vertices by default) it answers only f_k <= 1, which
+needs no search of two or more deletions, and refuses the rest.  ``solve``
+runs the tree program on a forest and this search on other graphs.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ DEFAULT_ORDER_LIMIT = 18
 
 
 class OrderLimitError(ValueError):
-    """Graph order exceeds the brute-force guard limit."""
-
-
-def _guard(graph: Graph, limit: int) -> None:
-    if graph.n > limit:
-        raise OrderLimitError(
-            f"order {graph.n} exceeds brute-force limit {limit}; "
-            f"expect ~2^{graph.n} subsets if forced"
-        )
+    """Graph order exceeds the brute-force limit and f_k is at least 2."""
 
 
 def brute_force_fk(
@@ -39,13 +33,14 @@ def brute_force_fk(
 
     The search (``graph._least_deletions``) tries deletion sets by
     increasing size and, within a size, in lexicographic order, so its first
-    success is the lexicographically least minimum deletion set.  It runs
-    with no work budget; the deadline is checked on entry and then every
+    success is the lexicographically least minimum deletion set.  Up to
+    ``limit`` vertices it runs with no work budget; past it, at a budget of
+    0, which answers f_k <= 1 and refuses a larger f_k with
+    ``OrderLimitError``.  The deadline is checked on entry and then every
     ``graph._TICK`` units of search work.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    _guard(graph, limit)
     tick = None
     if deadline is not None:
 
@@ -54,7 +49,12 @@ def brute_force_fk(
                 raise DeadlineExceeded("oracle deadline exceeded")
 
         tick()
-    x, _ = _least_deletions(graph, k, tick=tick)
+    x, _ = _least_deletions(graph, k, 0 if graph.n > limit else None, tick)
+    if x is None:
+        raise OrderLimitError(
+            f"order {graph.n} exceeds brute-force limit {limit}; "
+            f"expect ~2^{graph.n} subsets if forced"
+        )
     return len(x), make_certificate(graph, x, k, "brute")
 
 
@@ -62,9 +62,9 @@ def solve(
     graph: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT, deadline: float | None = None
 ) -> tuple[int, RemovalCertificate]:
     """Exact equalization number with certificate, method ``"dp"`` on a
-    forest and ``"brute"`` otherwise; ``OrderLimitError`` past ``limit``
-    on a graph with a cycle.  The tree program's ``is_forest`` check is the
-    only forest check."""
+    forest and ``"brute"`` otherwise; ``OrderLimitError`` on a graph with a
+    cycle, past ``limit`` vertices and with f_k >= 2.  The tree program's
+    ``is_forest`` check is the only forest check."""
     try:
         return compute_fk_forest(graph, k, deadline=deadline)
     except NotAForestError:

@@ -14,14 +14,20 @@ from typing import Iterable
 
 from degeq.bounds import lemma3_surplus
 from degeq.graph import DegreeProfile, Graph
-from degeq.oracle import DEFAULT_ORDER_LIMIT, _guard
+from degeq.oracle import OrderLimitError
 from degeq.prng import _MASK, _MIX1, _MIX2, SplitMix64
 
 NEG_INF = float("-inf")
+SWEEP_LIMIT = 18  # the sweeps try all 2^n subsets
 
 
 # ---------------------------------------------------------------------------
 # Subset sweeps for the induced-subforest problem
+
+
+def _check_order(graph: Graph, limit: int) -> None:
+    if graph.n > limit:
+        raise OrderLimitError(f"order {graph.n} exceeds the sweep limit {limit}")
 
 
 def _neighbor_masks(graph: Graph) -> list[int]:
@@ -49,12 +55,12 @@ def _induced_degree_ok(masks, subset_mask, required, delta) -> bool:
 
 
 def brute_force_subforest(
-    forest: Graph, special, delta: int, limit: int = DEFAULT_ORDER_LIMIT
+    forest: Graph, special, delta: int, limit: int = SWEEP_LIMIT
 ):
     """Max order of an induced subgraph containing ``special`` with max degree
     <= delta and every special vertex at exactly delta; NEG_INF if none.
     """
-    _guard(forest, limit)
+    _check_order(forest, limit)
     n = forest.n
     special = tuple(sorted(set(special)))
     for v in special:
@@ -78,7 +84,7 @@ def brute_force_subforest(
     return best
 
 
-def subforest_sweep(forest: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT):
+def subforest_sweep(forest: Graph, k: int, limit: int = SWEEP_LIMIT):
     """One sweep over vertex subsets, giving two tables.
 
     Any nonempty vertex subset is valid exactly for delta equal to its induced
@@ -88,7 +94,7 @@ def subforest_sweep(forest: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT):
     a subset valid at delta, and the lexicographically least deletion set X
     among the subsets of that order.
     """
-    _guard(forest, limit)
+    _check_order(forest, limit)
     n = forest.n
     masks = _neighbor_masks(forest)
     table: dict[tuple[tuple[int, ...], int], int] = {}
@@ -121,7 +127,7 @@ def subforest_sweep(forest: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT):
 
 
 def brute_force_subforest_all(
-    forest: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT
+    forest: Graph, k: int, limit: int = SWEEP_LIMIT
 ) -> dict[tuple[tuple[int, ...], int], int]:
     """All (S, delta) -> best order: the first table of ``subforest_sweep``."""
     return subforest_sweep(forest, k, limit)[0]

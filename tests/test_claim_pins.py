@@ -25,8 +25,9 @@ from degeq.verify import CLAIM_TAGS
 
 from reference import linear_minimal_t
 
-# A saturated girth-5 graph above the oracle limit (thm3 has no exact
-# solver), a small one the oracle solves, and F_4.
+# A saturated girth-5 graph above the oracle limit (the oracle answers f_2 = 1
+# there, and thm3 has no exact solver for f_3 and f_4 >= 2), a small one the
+# oracle solves, and F_4.
 PINNED = [
     (
         GeneratorConfig("random-girth5", n=30, seed=3),
@@ -38,7 +39,7 @@ PINNED = [
             ("thm2", {"k": 3}, "inapplicable", ""),
             ("cor1", {"k": 3}, "inapplicable", ""),
             ("cor2", {"k": 3}, "inapplicable", ""),
-            ("thm3", {"k": 2, "t": 3}, "skip", "skip: no exact solver for f_2"),
+            ("thm3", {"k": 2, "t": 3}, "pass", ""),
             ("thm3", {"k": 3, "t": 7}, "skip", "skip: no exact solver for f_3"),
             ("thm3", {"k": 4, "t": 12}, "skip", "skip: no exact solver for f_4"),
             ("lemma2", {}, "inapplicable", ""),
@@ -246,8 +247,8 @@ def test_certificate_claims_report_precondition_skips(monkeypatch):
     ]
 
 
-# Every generator kind, one generator error, oracle-limit and no-solver skips
-# and one violation (lemma2 on F_1).
+# Every generator kind, one generator error, oracle-limit skips (each graph
+# past the limit with f_k >= 2) and one violation (lemma2 on F_1).
 GOLDEN_CORPUS = [
     GeneratorConfig("random-forest", n=12, seed=1, count=12, split=0.0),
     GeneratorConfig("random-forest", n=16, m=11, seed=2, count=8, split=0.5),
@@ -268,7 +269,7 @@ GOLDEN_CORPUS = [
     GeneratorConfig("star", n=6),
 ]
 # sha256 of the verify CSV for all claims at k (2, 3), then at k 2..5
-GOLDEN_VERIFY_DIGEST = "104f5dcbbcecdebe50e385a95f2f8ca62f349fd9c71987ab12304ffd0763a368"
+GOLDEN_VERIFY_DIGEST = "16fc1b912a9a8d40ddb1746845acb0ab2e4bb54c96a6027c2decd9af2573ea68"
 
 
 def test_golden_verify_digest():

@@ -197,11 +197,31 @@ def test_first_minimizer_is_lexicographic():
 
 
 def test_order_limit_guard():
-    g = Graph.from_edges(19, [])
+    # two stars, K_{1,16} and K_{1,14}: f_2 = 2 needs a search of size 2
+    g = build_star_union([16, 14])
     with pytest.raises(OrderLimitError):
         brute_force_fk(g, 2)
-    value, _ = brute_force_fk(g, 2, limit=19)
-    assert value == 0
+    value, _ = brute_force_fk(g, 2, limit=g.n)
+    assert value == 2
+
+
+def test_order_limit_refuses_exactly_a_search_of_size_two_or_more():
+    """Past the limit the oracle answers f_k <= 1, the same answer and
+    certificate as with no limit, and refuses exactly when f_k >= 2."""
+    graphs = [gen_random_girth5(n, seed=s) for n in range(19, 61) for s in range(3)]
+    graphs += [gen_random_forest(n, seed=s) for n in range(19, 41) for s in range(4)]
+    refused = answered = 0
+    for graph in graphs:
+        for k in (2, 3, 4):
+            exact = brute_force_fk(graph, k, limit=graph.n)
+            if exact[0] >= 2:
+                with pytest.raises(OrderLimitError):
+                    brute_force_fk(graph, k)
+                refused += 1
+            else:
+                assert brute_force_fk(graph, k) == exact, (graph.n, k)
+                answered += 1
+    assert refused >= 100 and answered >= 100
 
 
 def test_solve_takes_the_tree_program_on_a_forest_of_any_order():
@@ -223,12 +243,14 @@ def test_solve_takes_the_oracle_on_a_small_graph_with_a_cycle():
 
 
 def test_solve_refuses_a_graph_with_a_cycle_past_the_limit():
-    big = gen_random_girth5(19, seed=1)
+    # f_4 = 3 and f_3 = 2: each needs a search of size 2 or more
+    big = gen_random_girth5(19, seed=5)
     with pytest.raises(OrderLimitError):
-        solve(big, 3)
+        solve(big, 4)
     with pytest.raises(OrderLimitError):
-        solve(_hubbed_girth5(12, seed=3), 3, limit=11)
-    assert solve(big, 3, limit=19)[1].method == "brute"
+        solve(_hubbed_girth5(12, seed=1), 3, limit=11)
+    value, cert = solve(big, 4, limit=19)
+    assert (value, cert.method) == (3, "brute")
 
 
 def test_subforest_star_two_leaves():

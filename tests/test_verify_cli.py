@@ -1,7 +1,6 @@
 import ast
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -315,19 +314,6 @@ class TestCli:
         header = as_csv.output.splitlines()[0]
         assert header.split(",") == list(json.loads(as_json.output))
 
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_brute_matches_compute_method_brute(self, tmp_path, fmt):
-        path = self.write_graph(tmp_path, to_edgelist(degeq.gen_random_girth5(12, None, 3)))
-        outputs = []
-        for command in (["brute"], ["compute", "--method", "brute"]):
-            result = self.runner.invoke(
-                main, [*command, "--input", path, "--k", "3", "--format", fmt]
-            )
-            assert result.exit_code == 0, result.output
-            outputs.append(re.sub(r"[0-9]+\.[0-9]+", "<elapsed>", result.output))
-        assert outputs[0] == outputs[1]
-        assert "brute" in outputs[0]
-
     def test_compute_auto_picks_brute_for_cycles(self, tmp_path):
         path = self.write_graph(tmp_path, "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
         result = self.runner.invoke(
@@ -490,14 +476,39 @@ class TestCli:
         assert validate_certificate(forest, cert, 3)
 
     def test_brute_limit_guard(self, tmp_path):
-        edges = "\n".join(f"{i} {i + 1}" for i in range(19))
-        path = self.write_graph(tmp_path, f"20 19\n{edges}\n")
+        # K_{1,16} + K_{1,14}: f_2 = 2 needs a search of size 2 past the limit
+        path = self.write_graph(tmp_path, to_edgelist(degeq.build_star_union([16, 14])))
+        args = ["compute", "--method", "brute", "--input", path, "--k", "2"]
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("usage error: order 32 exceeds brute-force limit 18")
+        result = self.runner.invoke(main, [*args, "--force", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["f_k"] == 2
+
+    def test_compute_answers_f_k_at_most_one_past_the_limit(self, tmp_path):
+        # P_20 at k = 2 (f_2 = 0) and a 30-vertex girth-5 graph (f_2 = 1) need
+        # no search of size 2, so the oracle answers them without --force
+        for graph, method, value in [
+            (degeq.build_path(20), "brute", 0),
+            (degeq.gen_random_girth5(30, seed=3), "auto", 1),
+        ]:
+            path = self.write_graph(tmp_path, to_edgelist(graph))
+            result = self.runner.invoke(
+                main, ["compute", "--method", method, "--input", path, "--k", "2",
+                       "--format", "json"],
+            )
+            assert result.exit_code == 0, result.output
+            payload = json.loads(result.output)
+            assert (payload["f_k"], payload["method"]) == (value, "brute")
+
+    def test_the_brute_command_is_gone(self, tmp_path):
+        path = self.write_graph(tmp_path, "4 3\n0 1\n0 2\n0 3\n")
         result = self.runner.invoke(main, ["brute", "--input", path, "--k", "2"])
         assert result.exit_code == 2
-        result = self.runner.invoke(
-            main, ["brute", "--input", path, "--k", "2", "--limit", "20"]
-        )
-        assert result.exit_code == 0
+        assert isinstance(result.exception, SystemExit)
+        assert "No such command 'brute'" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_construct_families(self, tmp_path):
         out = tmp_path / "f3.txt"
@@ -589,8 +600,8 @@ class TestCli:
     @pytest.mark.parametrize("n", [10**6 + 1, 10**20])
     @pytest.mark.parametrize(
         "command",
-        [["compute", "--k", "2"], ["brute", "--k", "2"], ["bounds"],
-         ["equalize", "--k", "2", "--procedure", "peel"]],
+        [["compute", "--k", "2"], ["compute", "--method", "brute", "--k", "2"],
+         ["bounds"], ["equalize", "--k", "2", "--procedure", "peel"]],
         ids=["compute", "brute", "bounds", "equalize"],
     )
     def test_header_order_past_the_limit_is_an_input_error(self, tmp_path, n, command):
@@ -739,7 +750,7 @@ class TestCli:
         "args",
         [
             ["compute", "--k", "1"],
-            ["brute", "--k", "1"],
+            ["compute", "--method", "brute", "--k", "1"],
             ["equalize", "--k", "1", "--t", "3"],
             ["bounds", "--k", "1"],
             ["bounds", "--k", "0"],
@@ -1160,23 +1171,19 @@ K_VALUES = st.sampled_from(["2", "3", "4", str(10**20), "1", "-1", "x"])
 @given(
     data=GRAPH_FILES,
     k=K_VALUES,
-    command=st.one_of(
-        st.tuples(st.just("compute"), st.sampled_from(["dp", "brute", "auto"]), TIMEOUTS),
-        st.tuples(st.just("brute"), st.sampled_from([None, "0", "-1", str(10**20)])),
-    ),
+    method=st.sampled_from(["dp", "brute", "auto"]),
+    force=st.booleans(),
+    timeout=TIMEOUTS,
 )
-def test_compute_and_brute_boundary_fuzz(tmp_path_factory, data, k, command):
+def test_compute_and_brute_boundary_fuzz(tmp_path_factory, data, k, method, force, timeout):
     # every drawn graph file and option ends in a result or a typed refusal
     path = tmp_path_factory.mktemp("fuzz") / "graph.txt"
     path.write_bytes(data)
-    args = [command[0], "--input", str(path), "--k", k]
-    if command[0] == "compute":
-        _, method, timeout = command
-        args += ["--method", method]
-        if timeout is not None:
-            args += ["--timeout", timeout]
-    elif command[1] is not None:
-        args += ["--limit", command[1]]
+    args = ["compute", "--input", str(path), "--k", k, "--method", method]
+    if force:
+        args.append("--force")
+    if timeout is not None:
+        args += ["--timeout", timeout]
     invoke_to_typed_end(args, data)
 
 
