@@ -16,7 +16,7 @@ from typing import NoReturn
 import click
 
 from .certificates import validate_certificate
-from .forest_dp import DeadlineExceeded, NotAForestError, compute_fk_forest
+from .forest_dp import DeadlineExceeded
 from .graph import (
     INFINITY,
     Graph,
@@ -26,7 +26,7 @@ from .graph import (
     parse_graph,
     to_edgelist,
 )
-from .oracle import DEFAULT_ORDER_LIMIT, OrderLimitError, brute_force_fk, solve
+from .oracle import DEFAULT_ORDER_LIMIT, OrderLimitError, solve
 
 
 def _register_unexecuted(*names: str) -> None:
@@ -88,40 +88,6 @@ def _load_graph(path: str) -> Graph:
         _fail(EXIT_INPUT, f"input error: {exc}")
 
 
-def _solve_and_emit(
-    graph: Graph, k: int, fmt: str, solve, timeout: float | None = None, **options
-) -> None:
-    """Time one exact solve, re-validate its certificate and print the result.
-    A solve that outlives ``timeout`` seconds is refused."""
-    start = time.perf_counter()
-    if timeout is not None:
-        options["deadline"] = time.monotonic() + timeout
-    try:
-        value, cert = solve(graph, k, **options)
-    except NotAForestError:
-        _fail(EXIT_INPUT, "input error: the tree solver requires a forest")
-    except OrderLimitError as exc:
-        _fail(EXIT_USAGE, f"usage error: {exc}")
-    except DeadlineExceeded as exc:
-        _fail(EXIT_USAGE, f"refused: {exc} (--timeout {timeout} s)")
-    elapsed = (time.perf_counter() - start) * 1000.0
-    if not validate_certificate(graph, cert, k):
-        _fail(EXIT_VIOLATION, "internal error: produced certificate failed validation")
-    payload = {
-        "n": graph.n,
-        "m": graph.m,
-        "k": k,
-        "f_k": value,
-        "method": cert.method,
-        "X": list(cert.x),
-        "residual_max_degree": cert.residual_max_degree,
-        "witnesses": list(cert.witnesses),
-        "order_below_k": cert.order_below_k,
-        "elapsed_ms": round(elapsed, 3),
-    }
-    _emit_result(payload, fmt)
-
-
 def _emit_result(payload: dict, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps(payload, indent=2, allow_nan=False))
@@ -159,30 +125,43 @@ def main():
 @main.command()
 @click.option("--input", "input_path", required=True, help="Edge-list file.")
 @click.option("--k", "k", type=click.IntRange(min=2), required=True)
-@click.option(
-    "--method",
-    type=click.Choice(["dp", "brute", "auto"]),
-    default="auto",
-    show_default=True,
-)
 @_format_option("text", "json", "csv")
 @click.option(
     "--force", is_flag=True,
-    help="Let brute force run past its default order limit; forests need no limit.",
+    help="Let the oracle search past its order limit; forests need no limit.",
 )
 @click.option(
     "--timeout", type=float, callback=_seconds,
     help="Seconds before the solve is refused.",
 )
-def compute(input_path, k, method, fmt, force, timeout):
-    """Exact equalization number of a graph."""
+def compute(input_path, k, fmt, force, timeout):
+    """Exact equalization number of a graph, with a re-validated certificate:
+    the tree program on a forest (method dp), the oracle otherwise (brute)."""
     graph = _load_graph(input_path)
-    if method == "dp":
-        _solve_and_emit(graph, k, fmt, compute_fk_forest, timeout)
-    else:
-        limit = graph.n if force else DEFAULT_ORDER_LIMIT
-        pick = solve if method == "auto" else brute_force_fk
-        _solve_and_emit(graph, k, fmt, pick, timeout, limit=limit)
+    start = time.perf_counter()
+    deadline = None if timeout is None else time.monotonic() + timeout
+    try:
+        value, cert = solve(graph, k, graph.n if force else DEFAULT_ORDER_LIMIT, deadline)
+    except OrderLimitError as exc:
+        _fail(EXIT_USAGE, f"usage error: {exc}")
+    except DeadlineExceeded as exc:
+        _fail(EXIT_USAGE, f"refused: {exc} (--timeout {timeout} s)")
+    elapsed = (time.perf_counter() - start) * 1000.0
+    if not validate_certificate(graph, cert, k):
+        _fail(EXIT_VIOLATION, "internal error: produced certificate failed validation")
+    payload = {
+        "n": graph.n,
+        "m": graph.m,
+        "k": k,
+        "f_k": value,
+        "method": cert.method,
+        "X": list(cert.x),
+        "residual_max_degree": cert.residual_max_degree,
+        "witnesses": list(cert.witnesses),
+        "order_below_k": cert.order_below_k,
+        "elapsed_ms": round(elapsed, 3),
+    }
+    _emit_result(payload, fmt)
 
 
 @main.command()

@@ -54,6 +54,21 @@ class DeadlineExceeded(Exception):
     """Cooperative timeout raised by long-running solvers."""
 
 
+def _deadline_tick(deadline: float | None, solver: str):
+    """The check that raises ``DeadlineExceeded`` once the ``time.monotonic``
+    value ``deadline`` has passed, run once here on entry; None when there is
+    no deadline.  Both exact solvers call it again as they go."""
+    if deadline is None:
+        return None
+
+    def tick():
+        if time.monotonic() > deadline:
+            raise DeadlineExceeded(f"{solver} deadline exceeded")
+
+    tick()
+    return tick
+
+
 class NotAForestError(ValueError):
     """The tree program was given a graph with a cycle."""
 
@@ -327,20 +342,16 @@ def compute_fk_forest(
     answers n <= k, f_k = 0 and, as its size-1 pick is not charged, f_k = 1
     at any budget.  The forest is rooted only when the budget runs out and
     the walk runs, so no forest pays more than O(n) for the search.  A graph
-    with a cycle raises ``NotAForestError`` from ``is_forest``.
+    with a cycle raises ``NotAForestError`` from ``is_forest``.  Then the
+    deadline is checked on entry, every ``graph._TICK`` units of search work
+    and before each pass.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if not is_forest(forest):
         raise NotAForestError("input graph is not a forest")
     n = forest.n
-    tick = None
-    if deadline is not None:
-
-        def tick():
-            if time.monotonic() > deadline:
-                raise DeadlineExceeded("forest solver deadline exceeded")
-
+    tick = _deadline_tick(deadline, "forest solver")
     x, _ = _least_deletions(forest, k, _SEARCH_WORK * n, tick)
     if x is not None:
         return len(x), make_certificate(forest, x, k, "dp")

@@ -10,10 +10,8 @@ runs the tree program on a forest and this search on other graphs.
 
 from __future__ import annotations
 
-import time
-
 from .certificates import RemovalCertificate, make_certificate
-from .forest_dp import DeadlineExceeded, NotAForestError, compute_fk_forest
+from .forest_dp import NotAForestError, _deadline_tick, compute_fk_forest
 from .graph import Graph, _least_deletions
 
 DEFAULT_ORDER_LIMIT = 18
@@ -41,14 +39,7 @@ def brute_force_fk(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    tick = None
-    if deadline is not None:
-
-        def tick():
-            if time.monotonic() > deadline:
-                raise DeadlineExceeded("oracle deadline exceeded")
-
-        tick()
+    tick = _deadline_tick(deadline, "oracle")
     x, _ = _least_deletions(graph, k, 0 if graph.n > limit else None, tick)
     if x is None:
         raise OrderLimitError(
@@ -62,9 +53,12 @@ def solve(
     graph: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT, deadline: float | None = None
 ) -> tuple[int, RemovalCertificate]:
     """Exact equalization number with certificate, method ``"dp"`` on a
-    forest and ``"brute"`` otherwise; ``OrderLimitError`` on a graph with a
-    cycle, past ``limit`` vertices and with f_k >= 2.  The tree program's
-    ``is_forest`` check is the only forest check."""
+    forest and ``"brute"`` otherwise: the one choice of solver, for
+    ``compute``, verify and the bench.  ``OrderLimitError`` on a graph with a
+    cycle, past ``limit`` vertices and with f_k >= 2; ``DeadlineExceeded``
+    once ``deadline`` passes, which the solver that runs checks on entry and
+    then as it goes.  The tree program's ``is_forest`` is the only forest
+    check."""
     try:
         return compute_fk_forest(graph, k, deadline=deadline)
     except NotAForestError:

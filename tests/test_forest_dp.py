@@ -1085,18 +1085,19 @@ class TestDownwardWalk:
 
     def test_deadline_passing_mid_walk_raises(self, monkeypatch):
         # f_3(F_6) = 6 is large, so the walk runs 5 passes: the clock lets
-        # the first run and stops the walk before the second.  The pre-walk
-        # search runs out of its 16n = 640 units before its first tick
+        # the entry check and the first pass run and stops the walk before
+        # the second.  The pre-walk search runs out of its 16n = 640 units
+        # before its first tick
         calls = []
 
         def clock():
             calls.append(None)
-            return 0.0 if len(calls) == 1 else 2.0
+            return 0.0 if len(calls) <= 2 else 2.0
 
         monkeypatch.setattr(forest_dp, "time", SimpleNamespace(monotonic=clock))
         with pytest.raises(DeadlineExceeded):
             compute_fk_forest(build_extremal_forest(6), 3, deadline=1.0)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
 
 class TestBoundOnlyWhereItCanCut:

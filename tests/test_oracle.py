@@ -14,10 +14,10 @@ from degeq import (
     build_star,
     build_star_union,
     check_fk_condition,
+    forest_dp,
     gen_random_forest,
     gen_random_girth5,
     make_certificate,
-    oracle,
     solve,
     validate_certificate,
 )
@@ -135,7 +135,8 @@ def test_last_pick_matches_exhaustive_search(source):
 def test_deadline_passing_mid_search_raises(monkeypatch):
     # F_6 with reversed labels keeps the prune weak: the k = 4 search tries
     # over 20,000 candidates with two or more picks left (its nodes), past
-    # the first periodic check, at 4,096 units of search work.
+    # the first periodic check, at 4,096 units of search work.  The shared
+    # deadline check in forest_dp reads the clock
     graph = _reversed_labels(build_extremal_forest(6))
     n = graph.n
     calls = []
@@ -144,7 +145,7 @@ def test_deadline_passing_mid_search_raises(monkeypatch):
         calls.append(None)
         return 0.0 if len(calls) == 1 else 2.0
 
-    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(forest_dp, "time", SimpleNamespace(monotonic=clock))
     with pytest.raises(DeadlineExceeded):
         brute_force_fk(graph, 4, limit=n, deadline=1.0)
     assert len(calls) == 2

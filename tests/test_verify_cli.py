@@ -258,9 +258,9 @@ class TestCli:
         assert written == ["f3.txt", "random-forest-n8-s0-i0000.txt"]
 
     def test_compute_executes_only_the_solver_modules(self, tmp_path):
-        # compute on a forest (dp) and on a graph with a cycle (brute, via
-        # auto) runs the parser, both solvers and the certificates; the
-        # corpus table and its builders stay registered and unexecuted
+        # compute on a forest (dp) and on a graph with a cycle (brute) runs
+        # the parser, both solvers and the certificates; the corpus table
+        # and its builders stay registered and unexecuted
         forest = self.write_graph(tmp_path, "5 3\n0 1\n0 2\n3 4\n", "forest.txt")
         cycle = self.write_graph(tmp_path, "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n", "c5.txt")
         src = str(Path(degeq.__file__).resolve().parent.parent)
@@ -269,7 +269,7 @@ class TestCli:
         code = (
             "import sys, json, types, degeq.cli; "
             f"degeq.cli.main(['compute', '--input', {forest!r}, '--k', '2', "
-            "'--method', 'dp', '--format', 'csv'], standalone_mode=False); "
+            "'--format', 'csv'], standalone_mode=False); "
             f"degeq.cli.main(['compute', '--input', {cycle!r}, '--k', '3', "
             "'--format', 'csv'], standalone_mode=False); "
             "ran = sorted(m for m, mod in sys.modules.items() "
@@ -321,29 +321,6 @@ class TestCli:
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["method"] == "brute"
-
-    def test_compute_dp_rejects_cycles(self, tmp_path):
-        path = self.write_graph(tmp_path, "3 3\n0 1\n0 2\n1 2\n")
-        result = self.runner.invoke(
-            main, ["compute", "--input", path, "--k", "2", "--method", "dp"]
-        )
-        assert result.exit_code == 3
-
-    @pytest.mark.parametrize(
-        "text",
-        ["3 3\n0 1\n0 2\n1 2\n", "6 4\n0 1\n3 4\n4 5\n3 5\n"],
-        ids=["C3", "K2+C3"],
-    )
-    def test_compute_dp_refuses_a_cycle_the_tree_program_finds(self, tmp_path, text):
-        # with m >= n the tree program refuses at once; K_2 + C_3 has fewer
-        # edges than vertices, and its 2-core peel finds the cycle
-        path = self.write_graph(tmp_path, text)
-        result = self.runner.invoke(
-            main, ["compute", "--input", path, "--k", "2", "--method", "dp"]
-        )
-        assert result.exit_code == 3
-        assert result.stdout == ""
-        assert result.stderr == "input error: the tree solver requires a forest\n"
 
     def test_compute_reads_a_forest_once(self, tmp_path, monkeypatch):
         # the tree program's is_forest is the only forest check, and the
@@ -400,8 +377,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("compute solved with a refused --timeout")
 
-        for name in ("solve", "compute_fk_forest", "brute_force_fk"):
-            monkeypatch.setattr(degeq.cli, name, refuse)
+        monkeypatch.setattr(degeq.cli, "solve", refuse)
         path = self.write_graph(tmp_path, to_edgelist(degeq.build_extremal_forest(18)))
         result = self.runner.invoke(
             main, ["compute", "--input", path, "--k", "3", "--timeout", value]
@@ -421,6 +397,25 @@ class TestCli:
         result = self.runner.invoke(main, [*args, "0"])
         assert result.exit_code == 2
         assert result.stderr.startswith("refused: forest solver deadline exceeded")
+
+    @pytest.mark.parametrize(
+        "text, solver",
+        [("5 3\n0 1\n0 2\n3 4\n", "forest solver"),
+         ("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n", "oracle")],
+        ids=["forest", "C5"],
+    )
+    def test_compute_zero_timeout_refuses_any_graph(self, tmp_path, text, solver):
+        # both solvers read the deadline on entry, so it also stops a forest
+        # whose pre-walk search decides f_2 = 1 within one tick's work
+        path = self.write_graph(tmp_path, text)
+        result = self.runner.invoke(
+            main, ["compute", "--input", path, "--k", "2", "--timeout", "0"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"refused: {solver} deadline exceeded (--timeout 0.0 s)\n"
+        )
 
     @pytest.mark.parametrize("value", ["nan", "-1"])
     def test_verify_refuses_nan_or_negative_timeout(self, tmp_path, monkeypatch, value):
@@ -476,27 +471,25 @@ class TestCli:
         assert validate_certificate(forest, cert, 3)
 
     def test_brute_limit_guard(self, tmp_path):
-        # K_{1,16} + K_{1,14}: f_2 = 2 needs a search of size 2 past the limit
-        path = self.write_graph(tmp_path, to_edgelist(degeq.build_star_union([16, 14])))
-        args = ["compute", "--method", "brute", "--input", path, "--k", "2"]
+        # a 19-vertex girth-5 graph with f_4 = 3 needs a search of size 2
+        # past the limit; forests never meet it
+        path = self.write_graph(tmp_path, to_edgelist(degeq.gen_random_girth5(19, seed=5)))
+        args = ["compute", "--input", path, "--k", "4"]
         result = self.runner.invoke(main, args)
         assert result.exit_code == 2
-        assert result.stderr.startswith("usage error: order 32 exceeds brute-force limit 18")
+        assert result.stderr.startswith("usage error: order 19 exceeds brute-force limit 18")
         result = self.runner.invoke(main, [*args, "--force", "--format", "json"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["f_k"] == 2
+        assert json.loads(result.output)["f_k"] == 3
 
     def test_compute_answers_f_k_at_most_one_past_the_limit(self, tmp_path):
-        # P_20 at k = 2 (f_2 = 0) and a 30-vertex girth-5 graph (f_2 = 1) need
+        # C_20 at k = 2 (f_2 = 0) and a 30-vertex girth-5 graph (f_2 = 1) need
         # no search of size 2, so the oracle answers them without --force
-        for graph, method, value in [
-            (degeq.build_path(20), "brute", 0),
-            (degeq.gen_random_girth5(30, seed=3), "auto", 1),
-        ]:
+        cycle = Graph.from_edges(20, [(i, i + 1) for i in range(19)] + [(0, 19)])
+        for graph, value in [(cycle, 0), (degeq.gen_random_girth5(30, seed=3), 1)]:
             path = self.write_graph(tmp_path, to_edgelist(graph))
             result = self.runner.invoke(
-                main, ["compute", "--method", method, "--input", path, "--k", "2",
-                       "--format", "json"],
+                main, ["compute", "--input", path, "--k", "2", "--format", "json"]
             )
             assert result.exit_code == 0, result.output
             payload = json.loads(result.output)
@@ -509,6 +502,22 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "No such command 'brute'" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_the_method_option_is_gone(self, tmp_path):
+        # solve alone picks the tree program or the oracle
+        path = self.write_graph(tmp_path, "4 3\n0 1\n0 2\n0 3\n")
+        result = self.runner.invoke(
+            main, ["compute", "--input", path, "--k", "2", "--method", "dp"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "No such option" in result.stderr and "--method" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_compute_options_are_pinned(self):
+        # a new compute option is a visible edit here
+        params = [param.name for param in main.commands["compute"].params]
+        assert params == ["input_path", "k", "fmt", "force", "timeout"]
 
     def test_construct_families(self, tmp_path):
         out = tmp_path / "f3.txt"
@@ -600,9 +609,9 @@ class TestCli:
     @pytest.mark.parametrize("n", [10**6 + 1, 10**20])
     @pytest.mark.parametrize(
         "command",
-        [["compute", "--k", "2"], ["compute", "--method", "brute", "--k", "2"],
+        [["compute", "--k", "2"], ["compute", "--force", "--k", "2"],
          ["bounds"], ["equalize", "--k", "2", "--procedure", "peel"]],
-        ids=["compute", "brute", "bounds", "equalize"],
+        ids=["compute", "force", "bounds", "equalize"],
     )
     def test_header_order_past_the_limit_is_an_input_error(self, tmp_path, n, command):
         # refused at the header, before any vertex is allocated
@@ -750,7 +759,7 @@ class TestCli:
         "args",
         [
             ["compute", "--k", "1"],
-            ["compute", "--method", "brute", "--k", "1"],
+            ["compute", "--force", "--k", "1"],
             ["equalize", "--k", "1", "--t", "3"],
             ["bounds", "--k", "1"],
             ["bounds", "--k", "0"],
@@ -1111,7 +1120,7 @@ def invoke_to_typed_end(args, given_input):
     return result
 
 
-# Graph files for the compute/brute fuzz: valid edge lists (n <= 14), fixed
+# Graph files for the compute fuzz: valid edge lists (n <= 14), fixed
 # malformed ones, and drawn ones with a header n <= 20 and a few edge lines
 # of small or odd tokens.  No larger admitted header n is drawn: parse_graph
 # allocates in proportion to it.  A header n past 10**6 is refused unparsed,
@@ -1171,15 +1180,14 @@ K_VALUES = st.sampled_from(["2", "3", "4", str(10**20), "1", "-1", "x"])
 @given(
     data=GRAPH_FILES,
     k=K_VALUES,
-    method=st.sampled_from(["dp", "brute", "auto"]),
     force=st.booleans(),
     timeout=TIMEOUTS,
 )
-def test_compute_and_brute_boundary_fuzz(tmp_path_factory, data, k, method, force, timeout):
+def test_compute_boundary_fuzz(tmp_path_factory, data, k, force, timeout):
     # every drawn graph file and option ends in a result or a typed refusal
     path = tmp_path_factory.mktemp("fuzz") / "graph.txt"
     path.write_bytes(data)
-    args = ["compute", "--input", str(path), "--k", k, "--method", method]
+    args = ["compute", "--input", str(path), "--k", k]
     if force:
         args.append("--force")
     if timeout is not None:
