@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .extremal import build_extremal_forest, build_path, build_star_union
-from .generators import gen_random_forest
-from .oracle import brute_force_fk, solve
+from .generators import gen_random_forest, gen_random_girth5
+from .oracle import solve
 
 
 @dataclass
@@ -48,16 +48,18 @@ def run_suite(suite: str) -> list[BenchRow]:
         cases += [("extremal-F15", build_extremal_forest(15), (3,))]
         cases += [("star-union-S10", s10, (2,))]
     elif suite == "oracle":
-        # forests, so not solve: f_3(F_t) = t, and F_4 has the limit's 18 vertices
-        cases = [(f"extremal-F{t}", build_extremal_forest(t), (3,)) for t in (2, 3, 4)]
+        # girth-5 graphs within the order limit, each with f_k = 3
+        cases = [
+            (f"girth5-n{n}", gen_random_girth5(n, seed=seed), (k,))
+            for n, seed, k in ((15, 25, 4), (17, 21, 3), (18, 29, 4))
+        ]
     else:
         raise ValueError(f"unknown bench suite {suite!r}")
-    exact = brute_force_fk if suite == "oracle" else solve
     rows = []
     for name, graph, ks in cases:
         for k in ks:
             start = time.perf_counter()
-            value, cert = exact(graph, k)
+            value, cert = solve(graph, k)
             ms = (time.perf_counter() - start) * 1000.0
             rows.append(BenchRow(name, graph.n, graph.m, k, cert.method, value, ms))
     return rows

@@ -26,7 +26,7 @@ from .graph import (
     parse_graph,
     to_edgelist,
 )
-from .oracle import DEFAULT_ORDER_LIMIT, OrderLimitError, solve
+from .oracle import OrderLimitError, solve
 
 
 def _register_unexecuted(*names: str) -> None:
@@ -127,23 +127,19 @@ def main():
 @click.option("--k", "k", type=click.IntRange(min=2), required=True)
 @_format_option("text", "json", "csv")
 @click.option(
-    "--force", is_flag=True,
-    help="Let the oracle search past its order limit; forests need no limit.",
-)
-@click.option(
     "--timeout", type=float, callback=_seconds,
-    help="Seconds before the solve is refused.",
+    help="Seconds before the solve is refused; lifts the oracle's order limit.",
 )
-def compute(input_path, k, fmt, force, timeout):
+def compute(input_path, k, fmt, timeout):
     """Exact equalization number of a graph, with a re-validated certificate:
     the tree program on a forest (method dp), the oracle otherwise (brute)."""
     graph = _load_graph(input_path)
     start = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
     try:
-        value, cert = solve(graph, k, graph.n if force else DEFAULT_ORDER_LIMIT, deadline)
+        value, cert = solve(graph, k, deadline)
     except OrderLimitError as exc:
-        _fail(EXIT_USAGE, f"usage error: {exc}")
+        _fail(EXIT_USAGE, f"usage error: {exc}; --timeout SECS searches past it")
     except DeadlineExceeded as exc:
         _fail(EXIT_USAGE, f"refused: {exc} (--timeout {timeout} s)")
     elapsed = (time.perf_counter() - start) * 1000.0

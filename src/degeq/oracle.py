@@ -5,7 +5,8 @@ for: the smallest deletion set, by size then lexicographic order, whose
 removal leaves k vertices of maximum degree or fewer than k vertices.
 Past an order limit (18 vertices by default) it answers only f_k <= 1, which
 needs no search of two or more deletions, and refuses the rest.  ``solve``
-runs the tree program on a forest and this search on other graphs.
+runs the tree program on a forest and this search on other graphs, with no
+order limit once a deadline bounds the search.
 """
 
 from __future__ import annotations
@@ -43,23 +44,24 @@ def brute_force_fk(
     x, _ = _least_deletions(graph, k, 0 if graph.n > limit else None, tick)
     if x is None:
         raise OrderLimitError(
-            f"order {graph.n} exceeds brute-force limit {limit}; "
-            f"expect ~2^{graph.n} subsets if forced"
+            f"order {graph.n} exceeds brute-force limit {limit} and f_k >= 2"
         )
     return len(x), make_certificate(graph, x, k, "brute")
 
 
 def solve(
-    graph: Graph, k: int, limit: int = DEFAULT_ORDER_LIMIT, deadline: float | None = None
+    graph: Graph, k: int, deadline: float | None = None
 ) -> tuple[int, RemovalCertificate]:
     """Exact equalization number with certificate, method ``"dp"`` on a
     forest and ``"brute"`` otherwise: the one choice of solver, for
-    ``compute``, verify and the bench.  ``OrderLimitError`` on a graph with a
-    cycle, past ``limit`` vertices and with f_k >= 2; ``DeadlineExceeded``
-    once ``deadline`` passes, which the solver that runs checks on entry and
-    then as it goes.  The tree program's ``is_forest`` is the only forest
-    check."""
+    ``compute``, verify and the bench.  With no deadline, ``OrderLimitError``
+    on a graph with a cycle, past ``DEFAULT_ORDER_LIMIT`` vertices and with
+    f_k >= 2; a deadline bounds the oracle instead, which then runs at any
+    order.  ``DeadlineExceeded`` once ``deadline`` passes, which the solver
+    that runs checks on entry and then as it goes.  The tree program's
+    ``is_forest`` is the only forest check."""
     try:
         return compute_fk_forest(graph, k, deadline=deadline)
     except NotAForestError:
+        limit = DEFAULT_ORDER_LIMIT if deadline is None else graph.n
         return brute_force_fk(graph, k, limit, deadline)

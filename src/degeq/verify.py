@@ -1,10 +1,9 @@
 """Corpus-scale claim verification.
 
 Expands generator configs into seeded instances, computes exact equalization
-numbers where feasible (tree program for forests, brute force for small
-general graphs and for f_k <= 1 on larger ones), evaluates the requested
-claims, and aggregates everything into a deterministic report whose CSV form
-is byte-identical across runs and job counts.
+numbers where ``oracle.solve`` reaches, evaluates the requested claims, and
+aggregates everything into a deterministic report whose CSV form is
+byte-identical across runs and job counts.
 """
 
 from __future__ import annotations

@@ -346,6 +346,7 @@ def test_bench_oracle_suite_is_nontrivial():
     rows = run_suite("oracle")
     assert rows
     assert all(row.value >= 2 for row in rows), [(r.name, r.value) for r in rows]
+    assert all(row.method == "brute" for row in rows), [(r.name, r.method) for r in rows]
 
 
 def test_bench_small_suite_is_nontrivial():

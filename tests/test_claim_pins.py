@@ -3,6 +3,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -278,6 +279,29 @@ def test_golden_verify_digest():
         report = run_verification(GOLDEN_CORPUS, list(CLAIM_TAGS), k_range=k_range)
         digest.update(report.to_csv().encode())
     assert digest.hexdigest() == GOLDEN_VERIFY_DIGEST
+
+
+def test_a_timeout_lifts_the_order_limit_for_f_k_but_not_for_oracle_equiv():
+    # saturated girth-5 graphs of 19 and 30 vertices: with no timeout the
+    # oracle refuses f_3 or f_4 >= 2 past its limit, under one it decides them
+    corpus = [
+        GeneratorConfig("random-girth5", n=19, seed=5, count=12),
+        GeneratorConfig("random-girth5", n=30, seed=1, count=12),
+    ]
+
+    def statuses(configs, claim, k_range, timeout):
+        report = run_verification(configs, [claim], k_range=k_range, timeout=timeout)
+        return Counter((e.status, e.note) for r in report.results for e in r.entries)
+
+    assert statuses(corpus, "thm3", (2, 3, 4), None) == {
+        ("pass", ""): 56,
+        ("skip", "skip: no exact solver for f_3"): 6,
+        ("skip", "skip: no exact solver for f_4"): 10,
+    }
+    assert statuses(corpus, "thm3", (2, 3, 4), 30) == {("pass", ""): 72}
+    # the cross-check calls the oracle itself and keeps its instant refusal
+    f6 = [GeneratorConfig("extremal-Ft", t=6)]
+    assert statuses(f6, "oracle-equiv", (3,), 30) == {("skip", "skip: above oracle limit"): 1}
 
 
 # A skip means only that no solver or procedure decided the entry.

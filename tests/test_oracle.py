@@ -1,4 +1,6 @@
 import hashlib
+import inspect
+import time
 from itertools import chain, combinations
 from types import SimpleNamespace
 
@@ -249,9 +251,15 @@ def test_solve_refuses_a_graph_with_a_cycle_past_the_limit():
     with pytest.raises(OrderLimitError):
         solve(big, 4)
     with pytest.raises(OrderLimitError):
-        solve(_hubbed_girth5(12, seed=1), 3, limit=11)
-    value, cert = solve(big, 4, limit=19)
+        brute_force_fk(_hubbed_girth5(12, seed=1), 3, limit=11)
+    # a deadline bounds the search in place of the limit, in solve alone:
+    # verify's oracle-equiv relies on brute_force_fk's instant refusal
+    value, cert = solve(big, 4, deadline=time.monotonic() + 30)
     assert (value, cert.method) == (3, "brute")
+    assert validate_certificate(big, cert, 4)
+    with pytest.raises(OrderLimitError):
+        brute_force_fk(big, 4, deadline=time.monotonic() + 30)
+    assert list(inspect.signature(solve).parameters) == ["graph", "k", "deadline"]
 
 
 def test_subforest_star_two_leaves():

@@ -478,13 +478,15 @@ class TestCli:
         result = self.runner.invoke(main, args)
         assert result.exit_code == 2
         assert result.stderr.startswith("usage error: order 19 exceeds brute-force limit 18")
-        result = self.runner.invoke(main, [*args, "--force", "--format", "json"])
-        assert result.exit_code == 0
-        assert json.loads(result.output)["f_k"] == 3
+        assert "--timeout" in result.stderr and "Traceback" not in result.stderr
+        result = self.runner.invoke(main, [*args, "--timeout", "30", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert (payload["f_k"], payload["method"]) == (3, "brute")
 
     def test_compute_answers_f_k_at_most_one_past_the_limit(self, tmp_path):
         # C_20 at k = 2 (f_2 = 0) and a 30-vertex girth-5 graph (f_2 = 1) need
-        # no search of size 2, so the oracle answers them without --force
+        # no search of size 2, so the oracle answers them without --timeout
         cycle = Graph.from_edges(20, [(i, i + 1) for i in range(19)] + [(0, 19)])
         for graph, value in [(cycle, 0), (degeq.gen_random_girth5(30, seed=3), 1)]:
             path = self.write_graph(tmp_path, to_edgelist(graph))
@@ -514,10 +516,19 @@ class TestCli:
         assert "No such option" in result.stderr and "--method" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_the_force_option_is_gone(self, tmp_path):
+        # --timeout lifts the oracle's order limit
+        path = self.write_graph(tmp_path, "4 3\n0 1\n0 2\n0 3\n")
+        result = self.runner.invoke(main, ["compute", "--input", path, "--k", "2", "--force"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "No such option" in result.stderr and "--force" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_compute_options_are_pinned(self):
         # a new compute option is a visible edit here
         params = [param.name for param in main.commands["compute"].params]
-        assert params == ["input_path", "k", "fmt", "force", "timeout"]
+        assert params == ["input_path", "k", "fmt", "timeout"]
 
     def test_construct_families(self, tmp_path):
         out = tmp_path / "f3.txt"
@@ -609,9 +620,9 @@ class TestCli:
     @pytest.mark.parametrize("n", [10**6 + 1, 10**20])
     @pytest.mark.parametrize(
         "command",
-        [["compute", "--k", "2"], ["compute", "--force", "--k", "2"],
+        [["compute", "--k", "2"], ["compute", "--timeout", "inf", "--k", "2"],
          ["bounds"], ["equalize", "--k", "2", "--procedure", "peel"]],
-        ids=["compute", "force", "bounds", "equalize"],
+        ids=["compute", "timeout", "bounds", "equalize"],
     )
     def test_header_order_past_the_limit_is_an_input_error(self, tmp_path, n, command):
         # refused at the header, before any vertex is allocated
@@ -759,7 +770,7 @@ class TestCli:
         "args",
         [
             ["compute", "--k", "1"],
-            ["compute", "--force", "--k", "1"],
+            ["compute", "--timeout", "inf", "--k", "1"],
             ["equalize", "--k", "1", "--t", "3"],
             ["bounds", "--k", "1"],
             ["bounds", "--k", "0"],
@@ -971,10 +982,10 @@ class TestCli:
             header, *lines = result.output.splitlines()
             assert header == "name,n,m,k,method,value,elapsed_ms"
             rows = [dict(zip(keys, line.split(","))) for line in lines]
-        # f_3(F_t) = t
-        assert [(row["name"], row["method"], int(row["value"])) for row in rows] == [
-            (f"extremal-F{t}", "brute", t) for t in (2, 3, 4)
-        ]
+        # girth-5 graphs within the order limit, so solve takes the oracle
+        assert [
+            (row["name"], int(row["k"]), row["method"], int(row["value"])) for row in rows
+        ] == [(f"girth5-n{n}", k, "brute", 3) for n, k in ((15, 4), (17, 3), (18, 4))]
 
     def test_bounds_json_at_t(self, tmp_path):
         path = self.write_graph(tmp_path, to_edgelist(build_extremal_forest(3)))
@@ -1116,6 +1127,8 @@ def invoke_to_typed_end(args, given_input):
     )
     assert result.exit_code in (0, 1, 2, 3), (args, given_input, result.output)
     assert "Traceback" not in result.output
+    # an option the command lacks would end every draw before any check
+    assert "No such option" not in result.output, (args, result.output)
     assert elapsed < 1.0, (args, given_input, elapsed)
     return result
 
@@ -1180,16 +1193,13 @@ K_VALUES = st.sampled_from(["2", "3", "4", str(10**20), "1", "-1", "x"])
 @given(
     data=GRAPH_FILES,
     k=K_VALUES,
-    force=st.booleans(),
     timeout=TIMEOUTS,
 )
-def test_compute_boundary_fuzz(tmp_path_factory, data, k, force, timeout):
+def test_compute_boundary_fuzz(tmp_path_factory, data, k, timeout):
     # every drawn graph file and option ends in a result or a typed refusal
     path = tmp_path_factory.mktemp("fuzz") / "graph.txt"
     path.write_bytes(data)
     args = ["compute", "--input", str(path), "--k", k]
-    if force:
-        args.append("--force")
     if timeout is not None:
         args += ["--timeout", timeout]
     invoke_to_typed_end(args, data)
@@ -1304,3 +1314,16 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_readme_command_synopsis_names_every_option():
+    # each `degeq <command>` line of README's command-line block, comments
+    # included, names exactly the options of its command (--help aside)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("degeq ")]
+    assert sorted(words[1] for words in lines) == sorted(main.commands)
+    for words in lines:
+        written = {w.strip("[]") for w in words if w.strip("[]").startswith("--")}
+        options = {opt for param in main.commands[words[1]].params for opt in param.opts}
+        assert written == options, words[1]
