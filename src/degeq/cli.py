@@ -145,18 +145,9 @@ def compute(input_path, k, fmt, timeout):
     elapsed = (time.perf_counter() - start) * 1000.0
     if not validate_certificate(graph, cert, k):
         _fail(EXIT_VIOLATION, "internal error: produced certificate failed validation")
-    payload = {
-        "n": graph.n,
-        "m": graph.m,
-        "k": k,
-        "f_k": value,
-        "method": cert.method,
-        "X": list(cert.x),
-        "residual_max_degree": cert.residual_max_degree,
-        "witnesses": list(cert.witnesses),
-        "order_below_k": cert.order_below_k,
-        "elapsed_ms": round(elapsed, 3),
-    }
+    # update keeps the key order: the certificate's method stays after f_k
+    payload = {"n": graph.n, "m": graph.m, "k": k, "f_k": value, "method": cert.method}
+    payload.update(cert.to_dict(), elapsed_ms=round(elapsed, 3))
     _emit_result(payload, fmt)
 
 
@@ -296,10 +287,10 @@ def verify(claims, corpus_path, jobs, timeout, fmt, k_range):
         _fail(EXIT_USAGE, f"usage error: bad --k-range: {exc}")
     try:
         raw = json.loads(Path(corpus_path).read_text(encoding="utf-8"))
-        if isinstance(raw, dict):
-            raw = raw["configs"]
+        if not isinstance(raw, list):
+            raise ValueError("not a JSON list of generator configs")
         configs = [GeneratorConfig.from_dict(item) for item in raw]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         _fail(EXIT_INPUT, f"input error: bad corpus spec: {exc}")
     report = run_verification(
         configs, claim_list, k_range=ks, jobs=jobs, timeout=timeout

@@ -47,17 +47,14 @@ class _InstanceContext:
     def forest(self) -> bool:
         return self.girth == INFINITY
 
-    def fk(self, k: int) -> tuple[int | None, str]:
-        """(value, method) with value None past the oracle's reach."""
+    def cert(self, k: int) -> RemovalCertificate | None:
+        """The exact solver's certificate for f_k, None past the oracle's reach."""
         if k not in self.certificates:
             try:
                 self.certificates[k] = solve(self.graph, k, deadline=self.deadline)[1]
             except OrderLimitError:
                 self.certificates[k] = None
-        cert = self.certificates[k]
-        if cert is None:
-            return None, "none"
-        return len(cert.x), cert.method
+        return self.certificates[k]
 
 
 def _skip(claim: str, params: dict, note: str) -> ClaimEntry:
@@ -70,15 +67,16 @@ def _inapplicable(claim: str, params: dict, hypothesis: dict) -> ClaimEntry:
 
 def _at_most_t(ctx, claim: str, k: int, t: int, hypothesis: dict) -> ClaimEntry:
     """The entry for a claim that concludes f_k <= t; its hypothesis holds."""
-    value, method = ctx.fk(k)
-    if value is None:
+    cert = ctx.cert(k)
+    if cert is None:
         return _skip(claim, {"k": k, "t": t}, f"no exact solver for f_{k}")
+    value = len(cert.x)
     return ClaimEntry(
         claim,
         {"k": k, "t": t},
         hypothesis,
         True,
-        {f"f_{k}": value, "needs": f"<= {t}", "method": method},
+        {f"f_{k}": value, "needs": f"<= {t}", "method": cert.method},
         value <= t,
         fk=value,
     )
@@ -102,8 +100,8 @@ def _claim_oracle_equiv(ctx, k: int) -> list[ClaimEntry]:
         bf_value, bf_cert = brute_force_fk(ctx.graph, k, deadline=ctx.deadline)
     except OrderLimitError:
         return [_skip("oracle-equiv", {"k": k}, "above oracle limit")]
-    dp_value, _ = ctx.fk(k)
-    dp_cert = ctx.certificates[k]
+    dp_cert = ctx.cert(k)
+    dp_value = len(dp_cert.x)
     certs_ok = validate_certificate(ctx.graph, dp_cert, k) and validate_certificate(
         ctx.graph, bf_cert, k
     )
@@ -152,7 +150,7 @@ def _claim_thm2_cert(ctx, k: int) -> list[ClaimEntry]:
 
 
 def _claim_cor1(ctx, k: int) -> list[ClaimEntry]:
-    value, _ = ctx.fk(k)
+    value = len(ctx.cert(k).x)
     if value <= 2:
         return [_inapplicable("cor1", {"t": 2}, {f"f_{k}": value, "needs": "> 2"})]
     return [
@@ -181,14 +179,15 @@ def _claim_lemma2(ctx, k: int) -> list[ClaimEntry]:
     if ctx.spec.kind != "extremal-Ft":
         return [_inapplicable("lemma2", {}, {"kind": ctx.spec.kind})]
     t = ctx.spec.params["t"]
-    value, method = ctx.fk(k)
+    cert = ctx.cert(k)
+    value = len(cert.x)
     return [
         ClaimEntry(
             "lemma2",
             {"k": k, "t": t},
             {"kind": "extremal-Ft"},
             True,
-            {f"f_{k}": value, "expected": t, "method": method},
+            {f"f_{k}": value, "expected": t, "method": cert.method},
             value == t,
             fk=value,
         )
@@ -282,11 +281,10 @@ def _run_instance(args) -> RunResult:
             entries.append(_skip(claim, {}, "timeout"))
     computed = {}
     for k, cert in sorted(ctx.certificates.items()):
-        value, method = ctx.fk(k)
         cert_ok = None if cert is None else validate_certificate(graph, cert, k)
         computed[str(k)] = {
-            "f_k": value,
-            "method": method,
+            "f_k": None if cert is None else len(cert.x),
+            "method": "none" if cert is None else cert.method,
             "certificate": None if cert is None else cert.to_dict(),
             "certificate_valid": cert_ok,
         }

@@ -298,12 +298,28 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
-        assert set(payload) == {
+        assert list(payload) == [
             "n", "m", "k", "f_k", "method", "X", "residual_max_degree",
             "witnesses", "order_below_k", "elapsed_ms",
-        }
+        ]
         assert payload["f_k"] == 2
         assert payload["method"] == "dp"
+
+    @pytest.mark.parametrize(
+        "text, k",
+        [("6 4\n0 1\n0 2\n0 3\n4 5\n", 3), ("5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n", 2),
+         ("2 1\n0 1\n", 3)],
+        ids=["forest", "c5", "order-below-k"],
+    )
+    def test_compute_writes_the_certificate_fields(self, tmp_path, text, k):
+        path = self.write_graph(tmp_path, text)
+        result = self.runner.invoke(
+            main, ["compute", "--input", path, "--k", str(k), "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        expected = degeq.solve(parse_graph(text), k)[1].to_dict()
+        assert {key: payload[key] for key in expected} == expected
 
     def test_compute_csv_header_follows_json_keys(self, tmp_path):
         path = self.write_graph(tmp_path, "6 4\n0 1\n0 2\n0 3\n4 5\n")
@@ -883,6 +899,23 @@ class TestCli:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "corpus", [{"configs": [{"kind": "star", "n": 3}]}, {}, "", 5, None],
+        ids=["configs-object", "empty-object", "string", "number", "null"],
+    )
+    def test_verify_refuses_a_corpus_that_is_not_a_list(self, tmp_path, corpus):
+        # an object with a "configs" list used to run its configs
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus))
+        result = self.runner.invoke(
+            main, ["verify", "--claims", "moore", "--corpus", str(path)]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "input error: bad corpus spec: not a JSON list of generator configs\n"
+        )
+
     def test_verify_bad_corpus(self, tmp_path):
         corpus = tmp_path / "corpus.json"
         corpus.write_text('[{"kind": "unknown-kind"}]')
@@ -1113,7 +1146,9 @@ def test_verify_boundary_fuzz(tmp_path_factory, corpus, claims, k_range, timeout
     args += ["--k-range", k_range]
     if timeout is not None:
         args += ["--timeout", timeout]
-    invoke_to_typed_end(args, corpus)
+    result = invoke_to_typed_end(args, corpus)
+    if not isinstance(corpus, list):  # refused, as input or for a usage error
+        assert result.exit_code in (2, 3), (corpus, result.output)
 
 
 def invoke_to_typed_end(args, given_input):
@@ -1327,3 +1362,10 @@ def test_readme_command_synopsis_names_every_option():
         written = {w.strip("[]") for w in words if w.strip("[]").startswith("--")}
         options = {opt for param in main.commands[words[1]].params for opt in param.opts}
         assert written == options, words[1]
+
+
+def test_readme_library_quick_start_runs():
+    # the python block under README's library quick start runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
