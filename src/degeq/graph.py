@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -261,40 +262,52 @@ def _last_pick(
 ) -> int | None:
     """The least v >= start in N[u], u the least top-degree vertex, whose
     deletion leaves k live vertices at the top degree, or None.  ``deg`` is
-    -1 at deleted vertices, none from start on, and ``hist`` counts live
-    degrees; each candidate is deleted and restored in ``hist`` alone.
-    ``high`` is the largest live degree below start: a tried candidate stays
-    live and loses at most one degree, so once fewer than k live vertices
-    reach high - 1, no later one can succeed.  ``charge``, when given, is
-    first asked whether the candidates' degrees fit a work budget, and a
-    False answer returns None with no candidate tried.
+    -1 at deleted vertices, none from start on, ``hist`` counts live
+    degrees, and fewer than k of the k + 1 or more live vertices hold the
+    top degree d.  A candidate is tested with no write, in O(its degree),
+    from how many of its neighbours sit at d and at d - 1.  Only when it is
+    alone at d and level d - 1 would empty too is it deleted and restored in
+    ``hist``, for a scan down to the next live degree: at most once a call,
+    in O(its degree + the gap).  ``high`` is the largest live degree below
+    start: a tried candidate stays live and loses at most one degree, so
+    once fewer than k live vertices reach high - 1, no later one can
+    succeed.  ``charge``, when given, is first asked whether the candidates'
+    degrees fit a work budget, and a False answer returns None with no
+    candidate tried.
     """
     top = len(hist) - 1
     while not hist[top]:
         top -= 1
     u = deg.index(top)
-    tried = sorted(w for w in (u, *adj[u]) if w >= start)
+    nbrs = adj[u]
+    tried = list(nbrs[bisect_left(nbrs, start) :])
+    if u >= start:
+        insort(tried, u)
     if charge is not None and not charge(sum(len(adj[v]) for v in tried)):
         return None
+    at_top, below_top = hist[top], hist[top - 1]
     for v in tried:
         dv = deg[v]
-        hist[dv] -= 1
-        for w in adj[v]:
-            dw = deg[w]
-            if dw > 0:  # live: a live neighbour of v has degree >= 1
-                hist[dw] -= 1
-                hist[dw - 1] += 1
-        d = top
-        while not hist[d]:
-            d -= 1
-        found = hist[d] >= k
-        for w in adj[v]:
-            dw = deg[w]
-            if dw > 0:
-                hist[dw - 1] -= 1
-                hist[dw] += 1
-        hist[dv] += 1
-        if found:
+        ds = [deg[w] for w in adj[v]]
+        left = at_top - (dv == top) - ds.count(top)  # live at the new top
+        if not left:  # top emptied into top - 1, less v and its neighbours there
+            left = at_top + below_top - (dv >= top - 1) - ds.count(top - 1)
+        if not left:  # v was alone at top, and top - 1 empties too
+            hist[dv] -= 1
+            for dw in ds:
+                if dw > 0:  # live: a live neighbour of v has degree >= 1
+                    hist[dw] -= 1
+                    hist[dw - 1] += 1
+            d = top
+            while not hist[d]:
+                d -= 1
+            left = hist[d]
+            for dw in ds:
+                if dw > 0:
+                    hist[dw - 1] -= 1
+                    hist[dw] += 1
+            hist[dv] += 1
+        if left >= k:
             return v
         if dv > high:
             high = dv
@@ -326,20 +339,26 @@ def _least_deletions(graph: Graph, k: int, budget: int | None = None, tick=None)
     degree is at least L = (max live degree below v) - r.  A vertex ending at
     that maximum has degree at least L at the node, so when fewer than k live
     vertices do, no leaf in those branches succeeds and the node returns.
-    L only grows with v, so the test runs at the node's first candidate and
-    again whenever a tried candidate raises the maximum.  With r = 1, fewer
-    than k live vertices hold the top degree (else the picks so far were a
-    smaller success), so ``_last_pick`` ends the set, with the same prune.
+    The parent runs a child's first test before it writes v's deletion: the
+    child's maximum below v + 1 is the parent's, or one less when every
+    vertex below v at it is a neighbour of v, and the deletion takes v and
+    v's neighbours at exactly L out of the live vertices at L or above.  A
+    child that fails is never entered and v's deletion never written.  L
+    only grows with v, so a node tests again only when a tried candidate
+    raises the maximum.  With r = 1, fewer than k live vertices hold the
+    top degree (else the picks so far were a smaller success), so
+    ``_last_pick`` ends the set, with the same prune.
 
     Work: a node v (a candidate tried with two or more picks left) is
     charged 1 for its step, its live degree for the neighbours it updates
     and v + 1 for the scan of the degrees below v + 1 that the search it
-    calls makes.  Under a budget a last pick is charged the degrees of the
-    candidates it tries, but for size 1's lone pick, which costs at most the
-    degree sum: a budget of 0 still answers f_k = 1, and no more.  A step is
-    taken only if its charge fits, and the first that does not ends the
-    search.  ``tick`` is called each time about ``_TICK`` more units are
-    charged, and may raise to stop the search.
+    calls makes, whether or not the prune enters that search.  Under a
+    budget a last pick is charged the degrees of the candidates it tries,
+    but for size 1's lone pick, which costs at most the degree sum: a budget
+    of 0 still answers f_k = 1, and no more.  A step is taken only if its
+    charge fits, and the first that does not ends the search.  ``tick`` is
+    called each time about ``_TICK`` more units are charged, and may raise
+    to stop the search.
     """
     n, adj = graph.n, graph.adj
     deg = [len(nbrs) for nbrs in adj]
@@ -375,13 +394,11 @@ def _least_deletions(graph: Graph, k: int, budget: int | None = None, tick=None)
 
     pick_charge = None if budget is None else charge
 
-    def search(start: int, r: int) -> bool:
+    def search(start: int, r: int, high: int) -> bool:
         """Pick r more vertices from start on; True, with ``picked`` filled,
-        at the first success."""
+        at the first success.  ``high`` is the largest degree below start,
+        -1 at a deleted vertex, and the caller has run the node's prune."""
         nonlocal spent
-        high = max(deg[:start], default=-1)
-        if high > r and sum(hist[high - r :]) < k:
-            return False
         if r == 1:
             # size 1's lone pick (start 0) is never refused: it costs at most
             # the degree sum, and a budget of 0 still answers f_k = 1
@@ -389,39 +406,48 @@ def _least_deletions(graph: Graph, k: int, budget: int | None = None, tick=None)
             if v is not None:
                 picked.append(v)
             return v is not None
+        at_high = deg[:start].count(high)  # the vertices below v at high
         for v in range(start, n - r + 1):
             dv = deg[v]
             spent += v + 2 + dv
             if spent > due and not settle(v + 2 + dv):
                 return False
-            hist[dv] -= 1
-            deg[v] = -1
             nbrs = adj[v]
-            for w in nbrs:
-                dw = deg[w]
-                if dw > 0:  # live: a live neighbour of v has degree >= 1
-                    hist[dw] -= 1
-                    hist[dw - 1] += 1
-                    deg[w] = dw - 1
-            if search(v + 1, r - 1):
-                picked.append(v)
-                return True
-            for w in nbrs:
-                dw = deg[w]
-                if dw >= 0:
-                    hist[dw] -= 1
-                    hist[dw + 1] += 1
-                    deg[w] = dw + 1
-            deg[v] = dv
-            hist[dv] += 1
+            ds = [deg[w] for w in nbrs]
+            # the child's high and prune, read before v's deletion is written;
+            # at high -1 nothing below v is live
+            child = high
+            if high > 0 and ds[: bisect_left(nbrs, v)].count(high) == at_high:
+                child = high - 1
+            low = child - r + 1
+            if low < 1 or sum(hist[low:]) - (dv >= low) - ds.count(low) >= k:
+                hist[dv] -= 1
+                deg[v] = -1
+                for w, dw in zip(nbrs, ds):
+                    if dw > 0:  # live: a live neighbour of v has degree >= 1
+                        hist[dw] -= 1
+                        hist[dw - 1] += 1
+                        deg[w] = dw - 1
+                if search(v + 1, r - 1, child):
+                    picked.append(v)
+                    return True
+                for w, dw in zip(nbrs, ds):
+                    if dw > 0:
+                        hist[dw - 1] -= 1
+                        hist[dw] += 1
+                        deg[w] = dw
+                deg[v] = dv
+                hist[dv] += 1
             if dv > high:
-                high = dv
+                high, at_high = dv, 1
                 if high > r and sum(hist[high - r :]) < k:
                     return False
+            elif dv == high:
+                at_high += 1
         return False
 
     for size in range(1, n - k + 1):
-        if search(0, size):
+        if search(0, size, -1):
             return tuple(sorted(picked)), spent
         if spent >= limit:  # no work left, and a larger size charges a node
             return None, spent

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import json
 import time
 from itertools import chain, combinations
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_forests
+from conftest import all_forests, run_python
 from degeq import (
     OrderLimitError,
     brute_force_fk,
@@ -24,7 +25,13 @@ from degeq import (
     validate_certificate,
 )
 from degeq.forest_dp import DeadlineExceeded
-from degeq.graph import Graph, _last_pick, parse_graph, residual_degrees
+from degeq.graph import (
+    Graph,
+    _last_pick,
+    _least_deletions,
+    parse_graph,
+    residual_degrees,
+)
 from degeq.prng import SplitMix64, instance_seed
 from reference import brute_force_subforest, brute_force_subforest_all
 
@@ -90,11 +97,21 @@ def test_search_matches_reference(family):
 
 def _last_pick_states(source):
     """(graph, deleted, k) triples: every forest with n <= 9 and nothing
-    deleted, or one family's graphs with one or two vertices deleted."""
+    deleted, or one family's graphs with one or two vertices deleted.  The
+    forests also take the star unions [L, 2, 1] and [L, 2, 2] with L >= 4,
+    as built and relabelled, with nothing or vertex 0 deleted: their one
+    top vertex has no vertex one degree below it, so the last pick deletes
+    it to find the next live degree."""
     if source == "forests":
         for n in range(3, 10):
             for forest in all_forests(n):
                 yield from ((forest, (), k) for k in range(2, 6))
+        for size in range(4, 9):
+            for stars in ([size, 2, 1], [size, 2, 2]):
+                built = build_star_union(stars)
+                for graph in (built, _reversed_labels(built)):
+                    for deleted in ((), (0,)):
+                        yield from ((graph, deleted, k) for k in range(2, 5))
         return
     for seed in range(100):
         graph = FAMILIES[source](2 + seed % 11, instance_seed(2500, seed))
@@ -134,6 +151,32 @@ def test_last_pick_matches_exhaustive_search(source):
     assert None in answers and len(set(answers)) > 2 and len(answers) > 200
 
 
+def test_last_pick_past_empty_levels_scans_them_once():
+    # on the star union [20000, 3, 3] the centre alone holds the top degree
+    # and the next live degree below it is 3: deleting the centre is tested
+    # with one scan of the histogram down the empty levels, where reading
+    # each level from neighbour counts would take seconds.  k = 2 finds the
+    # centre, and k = 3 nothing
+    code = (
+        "import json, time\n"
+        "from degeq import build_star_union\n"
+        "from degeq.graph import _last_pick\n"
+        "graph = build_star_union([20000, 3, 3])\n"
+        "deg = list(graph.degrees())\n"
+        "hist = [0] * (max(deg) + 1)\n"
+        "for d in deg:\n"
+        "    hist[d] += 1\n"
+        "start = time.perf_counter()\n"
+        "picks = [_last_pick(graph.adj, deg, hist, k) for k in (2, 3)]\n"
+        "print(json.dumps([picks, time.perf_counter() - start]))\n"
+    )
+    result = run_python(code, timeout=30)
+    assert result.returncode == 0, result.stderr
+    picks, seconds = json.loads(result.stdout)
+    assert picks == [0, None]
+    assert seconds < 1
+
+
 def test_deadline_passing_mid_search_raises(monkeypatch):
     # F_6 with reversed labels keeps the prune weak: the k = 4 search tries
     # over 20,000 candidates with two or more picks left (its nodes), past
@@ -170,6 +213,56 @@ def test_oracle_certificate_digest():
             value, cert = brute_force_fk(graph, k, limit=graph.n)
             digest.update(repr((value, cert.x, cert.witnesses)).encode() + b"\n")
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def _search_outcome_cases():
+    """(graph, k, budget) triples: seeded G(n, p), girth-5 graphs with and
+    without hubs and relabelling, random forests and F_1..F_7 as built and
+    relabelled, at k = 2..5 and at budgets None (n <= 22), 0, 16n and one
+    seeded random budget."""
+    graphs = []
+    for seed in range(12):
+        graphs.append(_gnp(6 + seed, instance_seed(3100, seed)))
+        girth5 = gen_random_girth5(10 + 2 * seed, seed=instance_seed(3200, seed))
+        graphs += [girth5, _reversed_labels(girth5)]
+        graphs.append(_hubbed_girth5(12 + seed, instance_seed(3300, seed)))
+        graphs.append(gen_random_forest(10 + 3 * seed, split_prob=0.3,
+                                        seed=instance_seed(3400, seed)))
+    for t in range(1, 8):
+        forest = build_extremal_forest(t)
+        graphs += [forest, _reversed_labels(forest)]
+    rng = SplitMix64(3500)
+    for graph in graphs:
+        n = graph.n
+        budgets = [0, 16 * n, rng.randrange(512 * n + 1)]
+        if n <= 22:
+            budgets.insert(0, None)
+        for k in range(2, 6):
+            yield from ((graph, k, budget) for budget in budgets)
+
+
+# sha256 of repr((x, work, ticks)) from graph._least_deletions, one per line,
+# over _search_outcome_cases, with a tick that counts its calls.  The answer,
+# the work charged and the ticks are the search's whole outcome: the forest
+# solver's budget decides on the work which inputs walk, so a faster search
+# must leave all three as they are.
+SEARCH_OUTCOME_DIGEST = "83f069c01cdfb954779cd196cc860abfe72676553bb650025c749b875d4b041b"
+
+
+def test_search_outcome_digest():
+    digest = hashlib.sha256()
+    outcomes = []
+    for graph, k, budget in _search_outcome_cases():
+        ticks = []
+        x, work = _least_deletions(graph, k, budget, lambda: ticks.append(None))
+        digest.update(repr((x, work, len(ticks))).encode() + b"\n")
+        outcomes.append((x, len(ticks)))
+    # some searches run out of budget, some tick, and some find 3 or more
+    assert len(outcomes) > 1000
+    assert any(x is None for x, _ in outcomes)
+    assert any(ticks for _, ticks in outcomes)
+    assert any(x is not None and len(x) >= 3 for x, _ in outcomes)
+    assert digest.hexdigest() == SEARCH_OUTCOME_DIGEST
 
 
 def test_star_union_fixture():
